@@ -20,8 +20,7 @@ from .diffmodel import DisagreementVector, LassoFit, RegPath, disagreement, lass
 from .discmodel import DiscConfig, DiscParams, fit_disc, noise_aware_loss, predict
 from .genmodel import (
     FitConfig,
-    GenParamsAug,
-    GenParamsSP,
+    GenParams,
     fit_aug,
     fit_sp,
     label_aug,
@@ -44,8 +43,7 @@ __all__ = [
     "FeatureMatrixBinary",
     "FeatureMatrixReal",
     "FitConfig",
-    "GenParamsAug",
-    "GenParamsSP",
+    "GenParams",
     "HardLabelVector",
     "LabelMatrix",
     "LassoFit",

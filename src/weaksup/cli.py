@@ -152,7 +152,6 @@ def _gen_config(args) -> genmodel.FitConfig:
         grad_tol=float(args.grad_tol),
         phi_init=float(args.phi_init),
         w_l2=float(args.w_l2),
-        seed=int(args.seed),
     )
 
 
@@ -162,7 +161,6 @@ def _disc_config(args) -> discmodel.DiscConfig:
         max_iters=int(args.disc_max_iters),
         grad_tol=float(args.disc_grad_tol),
         l2=float(args.disc_l2),
-        seed=int(args.seed),
     )
 
 
@@ -200,13 +198,12 @@ def cmd_label(args) -> int:
     labels = _load(args.labels, data.load_label_matrix)
     with open(args.model) as f:
         params = genmodel.load_params(f)
-    if isinstance(params, genmodel.GenParamsAug):
+    features = None
+    if params.k:
         if not args.bin_features:
             raise DataError("augmented model requires --bin-features")
         features = _load(args.bin_features, data.load_binary_features, args.encoding)
-        soft = genmodel.label_aug(params, labels, features)
-    else:
-        soft = genmodel.label_sp(params, labels)
+    soft = genmodel.label_aug(params, labels, features)
     with open(args.out, "w") as f:
         data.save_soft_labels(soft, labels.object_ids, f)
     return EXIT_OK
@@ -297,7 +294,6 @@ def cmd_run(args) -> int:
         lasso_tol=float(args.lasso_tol),
         standardize=bool(args.standardize),
         refresh_disagreement=bool(args.refresh_disagreement),
-        seed=int(args.seed),
     )
     report = pipeline.run(dataset, cfg)
 
@@ -315,7 +311,7 @@ def cmd_run(args) -> int:
                 "agreement": rec.agreement,
                 "dev_metric": rec.dev_metric,
                 "phi": gp.phi.tolist(),
-                "w": gp.w.tolist() if isinstance(gp, genmodel.GenParamsAug) else [],
+                "w": gp.w.tolist(),
                 "disc_theta": rec.disc_params.theta.tolist(),
                 "disc_bias": rec.disc_params.bias,
             }
@@ -423,7 +419,6 @@ def cmd_simulate_e2e(args) -> int:
         lambda_min_ratio=float(args.lambda_min_ratio),
         lasso_tol=float(args.lasso_tol),
         standardize=bool(args.standardize),
-        seed=int(args.seed),
     )
     work = []
     for t in range(int(args.trials)):

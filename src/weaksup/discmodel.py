@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _set
-from .genmodel import FitError, _sigmoid
+from .genmodel import _sigmoid, ascend
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class DiscConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-6
     l2: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -95,36 +94,26 @@ def grad_noise_aware_loss(
 def fit_disc(
     features: FeatureMatrixReal, soft_labels: ProbLabelVector, config: DiscConfig = DiscConfig()
 ) -> DiscParams:
-    """Deterministic full-batch gradient descent from the zero vector."""
+    """Deterministic full-batch gradient descent from the zero vector: ascent
+    on the negated loss over [theta, bias]."""
     _check_n(features, soft_labels)
     v = features.values
     p = soft_labels.probability
     n, q = v.shape
-    theta = np.zeros(q, dtype=np.float64)
-    bias = 0.0
 
-    def loss(th: np.ndarray, b: float) -> float:
-        s = v @ th + b
-        return float(
-            (p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)).mean()
-            + 0.5 * config.l2 * (th @ th)
-        )
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        theta, bias = x[:q], x[q]
+        s = v @ theta + bias
+        data = (p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)).mean()
+        loss = data + 0.5 * config.l2 * (theta @ theta)
+        r = _sigmoid(s) - p
+        grad = np.append((v.T @ r) / n + config.l2 * theta, r.mean())
+        return -float(loss), -grad
 
-    best = (loss(theta, bias), theta.copy(), bias)
-    for it in range(config.max_iters):
-        r = _sigmoid(v @ theta + bias) - p
-        grad_theta = (v.T @ r) / n + config.l2 * theta
-        grad_bias = float(r.mean())
-        if max(np.abs(grad_theta).max(initial=0.0), abs(grad_bias)) < config.grad_tol:
-            break
-        theta = theta - config.learning_rate * grad_theta
-        bias = bias - config.learning_rate * grad_bias
-        cur = loss(theta, bias)
-        if not np.isfinite(cur):
-            raise FitError(f"non-finite loss at iteration {it + 1}")
-        if cur < best[0]:
-            best = (cur, theta.copy(), bias)
-    return DiscParams(theta=best[1], bias=best[2])
+    x = ascend(
+        value_and_grad, np.zeros(q + 1), config.learning_rate, config.max_iters, config.grad_tol
+    )
+    return DiscParams(theta=x[:q], bias=x[q])
 
 
 def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarray:
@@ -147,7 +136,6 @@ def params_to_dict(params: DiscParams, config: DiscConfig | None = None) -> dict
             "max_iters": config.max_iters,
             "grad_tol": config.grad_tol,
             "l2": config.l2,
-            "seed": config.seed,
         }
     return body
 

@@ -1,16 +1,18 @@
-"""Generative label models over weak-supervision votes.
+"""Generative label model over weak-supervision votes.
 
-Two variants share one likelihood core:
-
-* single-parameter (SP): one accuracy weight phi_j per source, joint density
-  proportional to exp(phi . lambda * y) over votes lambda and latent class y;
-* augmented: per selected binary feature i, an extra weight row W_i shifts the
-  accuracies so that the effective weight for an object with feature row x is
-  phi + sum_i x_i W_i.
+One model, GenParams(phi, w, selected), with K >= 0 selected binary
+features.  phi holds one accuracy weight per source; each selected feature i
+adds an adjustment row W_i, so that an object with feature row x has effective
+weights phi + sum_i x_i W_i and joint density proportional to
+exp(phi_eff . lambda * y) over votes lambda and latent class y.  K = 0 is the
+single-accuracy model of data programming; `fit_sp` and `label_sp` are its
+entry points, `fit_aug` and `label_aug` those of any K.
 
 Because no factor couples two sources, the partition function factorizes:
 log Z(phi) = log 2 + sum_j log(2 cosh phi_j + 1), which gives exact O(M)
 marginal likelihoods, gradients, and posteriors (no sampling anywhere).
+log Z depends on an object only through its selected-feature row, so the
+fits evaluate it once per distinct row.  Every fit runs through `ascend`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -32,48 +34,32 @@ class FitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GenParamsSP:
-    """Per-source accuracy weights of the single-parameter model."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
-        if phi.ndim != 1 or not np.isfinite(phi).all():
-            raise ValueError("phi must be a finite vector")
-        _set(self, phi=_frozen(phi))
-
-    @property
-    def m(self) -> int:
-        return self.phi.shape[0]
-
-
-@dataclass(frozen=True)
-class GenParamsAug:
-    """Accuracy weights plus per-feature adjustment rows.
+class GenParams:
+    """Accuracy weights plus K >= 0 per-feature adjustment rows.
 
     `selected[i]` is the feature-matrix column that carries adjustment row
     `w[i]`; the effective weights for an object with feature row x are
-    phi + sum_i x[i] * w[i].
+    phi + sum_i x[i] * w[i].  With K = 0 (the default, `w` is 0 x M) this is
+    the single-accuracy model.
     """
 
     phi: np.ndarray
-    w: np.ndarray
-    selected: tuple[int, ...]
+    w: np.ndarray | None = None
+    selected: tuple[int, ...] = ()
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
-        w = np.asarray(self.w, dtype=np.float64)
-        selected = tuple(int(i) for i in self.selected)
         if phi.ndim != 1 or not np.isfinite(phi).all():
             raise ValueError("phi must be a finite vector")
+        w = np.zeros((0, phi.shape[0])) if self.w is None else np.asarray(self.w, dtype=np.float64)
+        selected = tuple(int(i) for i in self.selected)
         if w.ndim != 2 or not np.isfinite(w).all():
             raise ValueError("w must be a finite K x M matrix")
         if w.shape[1] != phi.shape[0]:
             raise ValueError("w row length must match phi length")
-        if len(selected) != w.shape[0] or len(selected) < 1:
+        if len(selected) != w.shape[0]:
             raise ValueError("selected must name one feature column per w row")
-        if len(set(selected)) != len(selected) or min(selected) < 0:
+        if len(set(selected)) != len(selected) or min(selected, default=0) < 0:
             raise ValueError("selected indices must be distinct and non-negative")
         _set(self, phi=_frozen(phi), w=_frozen(w), selected=selected)
 
@@ -93,7 +79,6 @@ class FitConfig:
     grad_tol: float = 1e-6
     phi_init: float = 0.5
     w_l2: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -104,6 +89,34 @@ class FitConfig:
             raise ValueError("w_l2 must be non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
+
+
+def ascend(
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    learning_rate: float,
+    max_iters: int,
+    grad_tol: float,
+) -> np.ndarray:
+    """Fixed-step gradient ascent from x0; returns the best iterate seen.
+
+    Stops when every gradient entry is below grad_tol in magnitude or after
+    max_iters steps.  Because the start point is a candidate, the result never
+    scores below it.  A non-finite objective raises FitError.
+    """
+    x = np.array(x0, dtype=np.float64)
+    value, grad = value_and_grad(x)
+    best_value, best_x = value, x
+    for it in range(max_iters):
+        if np.abs(grad).max(initial=0.0) < grad_tol:
+            break
+        x = x + learning_rate * grad
+        value, grad = value_and_grad(x)
+        if not np.isfinite(value):
+            raise FitError(f"non-finite objective at iteration {it + 1}")
+        if value > best_value:
+            best_value, best_x = value, x
+    return best_x
 
 
 # -- numerically stable scalar kernels (vectorized) -------------------------
@@ -133,115 +146,73 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _log_z(phi_rows: np.ndarray) -> np.ndarray:
+    """Closed-form log Z per row of weights: the sum over all vote/class
+    states factorizes per source."""
+    return LOG2 + _log_2cosh_plus_1(phi_rows).sum(axis=-1)
+
+
 # -- shared evaluation core ---------------------------------------------------
-# The SP evaluators run on a broadcast view of phi so that the augmented model
-# with W = 0 reproduces them bit for bit (same elementwise ops, same
-# reduction order).
 
 
-def _scores_rows(phi_rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    # phi_rows: N x M (possibly broadcast), lam: M x N
-    return (lam.T * phi_rows).sum(axis=1)
+def _scores(phi: np.ndarray, w: np.ndarray, lam: np.ndarray, x_sel: np.ndarray) -> np.ndarray:
+    """phi_eff(x_o) . votes_o per object: one product per selected feature
+    on top of phi . votes, so K = 0 costs no more than the plain model."""
+    scores = phi @ lam
+    for i in range(w.shape[0]):
+        scores += x_sel[:, i] * (w[i] @ lam)
+    return scores
 
 
-def _per_object_loglik(phi_rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    scores = _scores_rows(phi_rows, lam)
-    log_z = LOG2 + _log_2cosh_plus_1(phi_rows).sum(axis=1)
-    return _log_2cosh(scores) - log_z
+def _objective(
+    params: GenParams,
+    labels: LabelMatrix,
+    features: FeatureMatrixBinary | None,
+    w_l2: float,
+) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]:
+    """The penalized objective of `params`'s model shape on one data set, as a
+    function of (phi, W) returning its value and its gradients.
 
-
-# -- single-parameter model --------------------------------------------------
-
-
-def log_partition_sp(params: GenParamsSP) -> float:
-    """Closed-form log Z: sum over all vote/class states factorizes per source."""
-    return float(LOG2 + _log_2cosh_plus_1(params.phi).sum())
-
-
-def _check_m(params_m: int, labels: LabelMatrix) -> None:
-    if params_m != labels.m:
-        raise ValueError(f"parameter count {params_m} != source count {labels.m}")
-
-
-def marginal_loglik_sp(params: GenParamsSP, labels: LabelMatrix) -> float:
-    """Mean per-object log-likelihood of the observed votes, class summed out."""
-    _check_m(params.m, labels)
-    lam = labels.votes.astype(np.float64)
-    phi_rows = np.broadcast_to(params.phi, (labels.n, params.m))
-    return float(_per_object_loglik(phi_rows, lam).mean())
-
-
-def grad_marginal_sp(params: GenParamsSP, labels: LabelMatrix) -> np.ndarray:
-    """Analytic gradient of marginal_loglik_sp with respect to phi."""
-    _check_m(params.m, labels)
-    lam = labels.votes.astype(np.float64)
-    t = np.tanh(params.phi @ lam)
-    return (lam @ t) / labels.n - _dlog_2cosh_plus_1(params.phi)
-
-
-def fit_sp(labels: LabelMatrix, config: FitConfig = FitConfig()) -> GenParamsSP:
-    """Full-batch gradient ascent on the marginal likelihood.
-
-    Sources with no votes at all keep phi_j at phi_init (their gradient is
-    masked) so column indices stay stable across pipeline iterations.  The
-    returned parameters are the best-scoring iterate, hence never worse than
-    the initialization.
+    The value is the mean log-likelihood of the votes given the features,
+    minus (w_l2 / 2) ||W||^2.  log Z depends on an object only through its
+    selected-feature row, so it is evaluated once per distinct row
+    ("pattern"); each object's own pattern log Z is subtracted before the
+    mean, so W = 0 gives the K = 0 value bit for bit.
     """
     lam = labels.votes.astype(np.float64)
-    votes_seen = (labels.votes != 0).any(axis=1)
-    phi = np.full(labels.m, config.phi_init, dtype=np.float64)
+    x_sel = _feature_rows(params, labels, features)
+    patterns, inverse = np.unique(x_sel, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    freq = np.bincount(inverse) / labels.n
 
-    def loglik(p: np.ndarray) -> float:
-        return float(_log_2cosh(p @ lam).mean() - LOG2 - _log_2cosh_plus_1(p).sum())
+    def evaluate(phi: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        scores = _scores(phi, w, lam, x_sel)
+        phi_pat = phi + patterns @ w  # U x M
+        log_z = _log_z(phi_pat)
+        if log_z.size > 1:  # a single pattern (always so at K = 0) broadcasts as is
+            log_z = log_z[inverse]
+        value = float((_log_2cosh(scores) - log_z).mean() - 0.5 * w_l2 * (w**2).sum())
+        t = np.tanh(scores)
+        dz = freq[:, None] * _dlog_2cosh_plus_1(phi_pat)  # U x M
+        grad_phi = (lam @ t) / labels.n - dz.sum(axis=0)
+        grad_w = (lam @ (x_sel * t[:, None])).T / labels.n - patterns.T @ dz - w_l2 * w
+        return value, grad_phi, grad_w
 
-    best_ll, best_phi = loglik(phi), phi.copy()
-    for it in range(config.max_iters):
-        t = np.tanh(phi @ lam)
-        grad = (lam @ t) / labels.n - _dlog_2cosh_plus_1(phi)
-        grad[~votes_seen] = 0.0
-        if np.abs(grad).max() < config.grad_tol:
-            break
-        phi = phi + config.learning_rate * grad
-        ll = loglik(phi)
-        if not np.isfinite(ll):
-            raise FitError(f"non-finite marginal likelihood at iteration {it + 1}")
-        if ll > best_ll:
-            best_ll, best_phi = ll, phi.copy()
-    return GenParamsSP(best_phi)
-
-
-def posterior_sp(params: GenParamsSP, vote_column: np.ndarray) -> float:
-    """P(Y = +1 | votes) = sigmoid(2 phi . votes)."""
-    lam = np.asarray(vote_column, dtype=np.float64)
-    if lam.shape != params.phi.shape:
-        raise ValueError("vote column length must match parameter count")
-    if not np.isin(lam, (-1.0, 0.0, 1.0)).all():
-        raise DataError("vote entries must lie in {-1,0,+1}")
-    return float(_sigmoid(2.0 * float(params.phi @ lam)))
+    return evaluate
 
 
-def label_sp(params: GenParamsSP, labels: LabelMatrix) -> ProbLabelVector:
-    """Expected label E[Y | votes] = tanh(phi . votes) per object."""
-    _check_m(params.m, labels)
-    lam = labels.votes.astype(np.float64)
-    phi_rows = np.broadcast_to(params.phi, (labels.n, params.m))
-    return ProbLabelVector(np.tanh(_scores_rows(phi_rows, lam)))
-
-
-# -- augmented model ---------------------------------------------------------
-
-
-def effective_phi(params: GenParamsAug, feature_row: np.ndarray) -> np.ndarray:
-    """Per-object effective weights phi + sum_i x_i W_i."""
-    x = np.asarray(feature_row, dtype=np.float64)
-    if x.shape != (params.k,):
-        raise ValueError(f"feature row must have length {params.k}")
-    if not np.isin(x, (-1.0, 1.0)).all():
-        raise DataError("feature row entries must lie in {-1,+1}")
-    return params.phi + x @ params.w
-
-
-def _check_selected(params: GenParamsAug, features: FeatureMatrixBinary) -> np.ndarray:
+def _feature_rows(
+    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
+) -> np.ndarray:
+    """The selected feature columns as an N x K float matrix (N x 0 at K = 0)."""
+    if params.m != labels.m:
+        raise ValueError(f"parameter count {params.m} != source count {labels.m}")
+    if not params.k:
+        return np.empty((labels.n, 0))
+    if features is None:
+        raise ValueError("a model with selected features needs a feature matrix")
+    if features.n != labels.n:
+        raise ValueError("labels and features disagree on object count")
     if max(params.selected) >= features.p:
         raise IndexError(
             f"selected feature index {max(params.selected)} out of range for "
@@ -250,49 +221,97 @@ def _check_selected(params: GenParamsAug, features: FeatureMatrixBinary) -> np.n
     return features.values[:, list(params.selected)].astype(np.float64)
 
 
-def _phi_eff_all(params: GenParamsAug, features: FeatureMatrixBinary) -> np.ndarray:
-    return params.phi[None, :] + _check_selected(params, features) @ params.w
+# -- public evaluators ----------------------------------------------------------
 
 
-def marginal_loglik_aug(
-    params: GenParamsAug,
+def effective_phi(params: GenParams, feature_row: np.ndarray = ()) -> np.ndarray:
+    """Per-object effective weights phi + sum_i x_i W_i (phi itself at K = 0)."""
+    x = np.asarray(feature_row, dtype=np.float64)
+    if x.shape != (params.k,):
+        raise ValueError(f"feature row must have length {params.k}")
+    if not np.isin(x, (-1.0, 1.0)).all():
+        raise DataError("feature row entries must lie in {-1,+1}")
+    return params.phi + x @ params.w
+
+
+def log_partition(params: GenParams, feature_row: np.ndarray = ()) -> float:
+    """Closed-form log Z at the effective weights of one feature row."""
+    return float(_log_z(effective_phi(params, feature_row)))
+
+
+def marginal_loglik(
+    params: GenParams,
     labels: LabelMatrix,
-    features: FeatureMatrixBinary,
+    features: FeatureMatrixBinary | None = None,
     w_l2: float = 0.0,
 ) -> float:
-    """Mean conditional log-likelihood of votes given features, minus the
-    (w_l2 / 2) * ||W||^2 penalty.
+    """Mean per-object log-likelihood of the observed votes, class summed
+    out, minus the (w_l2 / 2) * ||W||^2 penalty.
 
-    The family is fit conditionally on the features: each object uses the SP
-    likelihood evaluated at its own effective weights.
+    The family is fit conditionally on the features: each object uses the
+    likelihood at its own effective weights.  `features` may be None at K = 0.
     """
-    _check_m(params.m, labels)
-    phi_eff = _phi_eff_all(params, features)  # N x M
-    lam = labels.votes.astype(np.float64)
-    penalty = 0.5 * w_l2 * float((params.w**2).sum())
-    return float(_per_object_loglik(phi_eff, lam).mean() - penalty)
+    return _objective(params, labels, features, w_l2)(params.phi, params.w)[0]
 
 
-def grad_marginal_aug(
-    params: GenParamsAug,
+def grad_marginal(
+    params: GenParams,
     labels: LabelMatrix,
-    features: FeatureMatrixBinary,
+    features: FeatureMatrixBinary | None = None,
     w_l2: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of marginal_loglik_aug with respect to (phi, w).
+    """Analytic gradients of marginal_loglik with respect to (phi, w).
 
     The w gradient is the per-object phi gradient weighted by the object's
-    feature value, minus the penalty term.
+    feature value, minus the penalty term; it is 0 x M at K = 0.
     """
-    _check_m(params.m, labels)
-    x_sel = _check_selected(params, features)
-    phi_eff = params.phi[None, :] + x_sel @ params.w
-    lam = labels.votes.astype(np.float64)
-    t = np.tanh(np.einsum("om,mo->o", phi_eff, lam))
-    base = lam.T * t[:, None] - _dlog_2cosh_plus_1(phi_eff)  # N x M
-    grad_phi = base.mean(axis=0)
-    grad_w = (x_sel.T @ base) / labels.n - w_l2 * params.w
-    return grad_phi, grad_w
+    return _objective(params, labels, features, w_l2)(params.phi, params.w)[1:]
+
+
+def posterior(params: GenParams, vote_column: np.ndarray, feature_row: np.ndarray = ()) -> float:
+    """P(Y = +1 | votes, x) = sigmoid(2 phi_eff(x) . votes)."""
+    lam = np.asarray(vote_column, dtype=np.float64)
+    if lam.shape != params.phi.shape:
+        raise ValueError("vote column length must match parameter count")
+    if not np.isin(lam, (-1.0, 0.0, 1.0)).all():
+        raise DataError("vote entries must lie in {-1,0,+1}")
+    return float(_sigmoid(2.0 * float(effective_phi(params, feature_row) @ lam)))
+
+
+# -- fitting and labeling --------------------------------------------------------
+
+
+def _fit(
+    init: GenParams,
+    labels: LabelMatrix,
+    features: FeatureMatrixBinary | None,
+    config: FitConfig,
+) -> GenParams:
+    """Joint gradient ascent on (phi, W) from `init`.
+
+    Sources with no votes at all keep their initial weights (their gradient
+    is masked) so column indices stay stable across pipeline iterations.
+    """
+    evaluate = _objective(init, labels, features, config.w_l2)
+    silent = ~(labels.votes != 0).any(axis=1)
+    m, k = init.m, init.k
+
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad_phi, grad_w = evaluate(x[:m], x[m:].reshape(k, m))
+        grad_phi[silent] = 0.0
+        grad_w[:, silent] = 0.0
+        return value, np.concatenate([grad_phi, grad_w.ravel()])
+
+    x0 = np.concatenate([init.phi, init.w.ravel()])
+    x = ascend(value_and_grad, x0, config.learning_rate, config.max_iters, config.grad_tol)
+    return GenParams(phi=x[:m], w=x[m:].reshape(k, m), selected=init.selected)
+
+
+def fit_sp(labels: LabelMatrix, config: FitConfig = FitConfig()) -> GenParams:
+    """Fit the K = 0 model: gradient ascent on the marginal likelihood with
+    phi starting at phi_init.  The returned parameters are the best-scoring
+    iterate, hence never worse than the initialization."""
+    return _fit(GenParams(np.full(labels.m, config.phi_init)), labels, None, config)
 
 
 def fit_aug(
@@ -300,62 +319,36 @@ def fit_aug(
     features: FeatureMatrixBinary,
     selected: Sequence[int],
     config: FitConfig = FitConfig(),
-) -> GenParamsAug:
-    """Joint gradient ascent on (phi, W); phi starts at phi_init, W at zero."""
-    selected = tuple(int(i) for i in selected)
-    if not selected:
-        raise ValueError("selected must be non-empty")
-    if len(set(selected)) != len(selected):
-        raise ValueError("selected indices must be distinct")
-    if min(selected) < 0 or max(selected) >= features.p:
-        raise IndexError(f"selected indices out of range for {features.p} columns")
-    if features.n != labels.n:
-        raise ValueError("labels and features disagree on object count")
+) -> GenParams:
+    """Joint gradient ascent on (phi, W) over the `selected` feature columns;
+    phi starts at phi_init, W at zero."""
+    init = GenParams(
+        np.full(labels.m, config.phi_init), np.zeros((len(selected), labels.m)), selected
+    )
+    return _fit(init, labels, features, config)
 
+
+def _label(
+    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
+) -> ProbLabelVector:
+    x_sel = _feature_rows(params, labels, features)
     lam = labels.votes.astype(np.float64)
-    x_sel = features.values[:, list(selected)].astype(np.float64)
-    votes_seen = (labels.votes != 0).any(axis=1)
-    n, k = labels.n, len(selected)
-    phi = np.full(labels.m, config.phi_init, dtype=np.float64)
-    w = np.zeros((k, labels.m), dtype=np.float64)
+    return ProbLabelVector(np.tanh(_scores(params.phi, params.w, lam, x_sel)))
 
-    def objective(p: np.ndarray, ww: np.ndarray) -> float:
-        phi_eff = p[None, :] + x_sel @ ww
-        scores = np.einsum("om,mo->o", phi_eff, lam)
-        log_z = LOG2 + _log_2cosh_plus_1(phi_eff).sum(axis=1)
-        return float((_log_2cosh(scores) - log_z).mean() - 0.5 * config.w_l2 * (ww**2).sum())
 
-    best = (objective(phi, w), phi.copy(), w.copy())
-    for it in range(config.max_iters):
-        phi_eff = phi[None, :] + x_sel @ w
-        t = np.tanh(np.einsum("om,mo->o", phi_eff, lam))
-        base = lam.T * t[:, None] - _dlog_2cosh_plus_1(phi_eff)
-        grad_phi = base.mean(axis=0)
-        grad_w = (x_sel.T @ base) / n - config.w_l2 * w
-        grad_phi[~votes_seen] = 0.0
-        grad_w[:, ~votes_seen] = 0.0
-        if max(np.abs(grad_phi).max(), np.abs(grad_w).max()) < config.grad_tol:
-            break
-        phi = phi + config.learning_rate * grad_phi
-        w = w + config.learning_rate * grad_w
-        obj = objective(phi, w)
-        if not np.isfinite(obj):
-            raise FitError(f"non-finite penalized likelihood at iteration {it + 1}")
-        if obj > best[0]:
-            best = (obj, phi.copy(), w.copy())
-    return GenParamsAug(phi=best[1], w=best[2], selected=selected)
+def label_sp(params: GenParams, labels: LabelMatrix) -> ProbLabelVector:
+    """Expected label E[Y | votes] = tanh(phi . votes) per object (K = 0 only)."""
+    if params.k:
+        raise ValueError("label_sp takes a K = 0 model; use label_aug with the features")
+    return _label(params, labels, None)
 
 
 def label_aug(
-    params: GenParamsAug, labels: LabelMatrix, features: FeatureMatrixBinary
+    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
 ) -> ProbLabelVector:
-    """Expected label tanh(phi_eff(x_o) . votes_o) per object."""
-    _check_m(params.m, labels)
-    if features.n != labels.n:
-        raise ValueError("labels and features disagree on object count")
-    phi_eff = _phi_eff_all(params, features)
-    scores = _scores_rows(phi_eff, labels.votes.astype(np.float64))
-    return ProbLabelVector(np.tanh(scores))
+    """Expected label tanh(phi_eff(x_o) . votes_o) per object; `features` may
+    be None at K = 0."""
+    return _label(params, labels, features)
 
 
 # -- exhaustive-enumeration oracle -------------------------------------------
@@ -412,39 +405,29 @@ def brute_force_joint(phi_eff: np.ndarray) -> JointTable:
 # -- serialization -----------------------------------------------------------
 
 
-def params_to_dict(params: GenParamsSP | GenParamsAug, config: FitConfig | None = None) -> dict:
-    if isinstance(params, GenParamsAug):
-        body = {
-            "phi": params.phi.tolist(),
-            "w": params.w.tolist(),
-            "selected": list(params.selected),
-        }
-    else:
-        body = {"phi": params.phi.tolist(), "w": [], "selected": []}
+def params_to_dict(params: GenParams, config: FitConfig | None = None) -> dict:
+    body = {"phi": params.phi.tolist(), "w": params.w.tolist(), "selected": list(params.selected)}
     body["config"] = {} if config is None else {
         "learning_rate": config.learning_rate,
         "max_iters": config.max_iters,
         "grad_tol": config.grad_tol,
         "phi_init": config.phi_init,
         "w_l2": config.w_l2,
-        "seed": config.seed,
     }
     return body
 
 
-def params_from_dict(d: dict) -> GenParamsSP | GenParamsAug:
+def params_from_dict(d: dict) -> GenParams:
     phi = np.asarray(d["phi"], dtype=np.float64)
-    if d.get("selected"):
-        return GenParamsAug(phi=phi, w=np.asarray(d["w"], dtype=np.float64),
-                            selected=tuple(d["selected"]))
-    return GenParamsSP(phi=phi)
+    selected = d.get("selected", [])
+    w = np.asarray(d.get("w", []), dtype=np.float64).reshape(len(selected), phi.size)
+    return GenParams(phi=phi, w=w, selected=selected)
 
 
-def save_params(params: GenParamsSP | GenParamsAug, writer: TextIO,
-                config: FitConfig | None = None) -> None:
+def save_params(params: GenParams, writer: TextIO, config: FitConfig | None = None) -> None:
     json.dump(params_to_dict(params, config), writer, indent=2, sort_keys=True)
     writer.write("\n")
 
 
-def load_params(reader: TextIO) -> GenParamsSP | GenParamsAug:
+def load_params(reader: TextIO) -> GenParams:
     return params_from_dict(json.load(reader))

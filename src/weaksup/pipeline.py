@@ -1,12 +1,13 @@
 """Alternating generative/discriminative loop with disagreement-driven
 feature feedback.
 
-One run fits the single-parameter model, trains the discriminative model on
-its labels, computes the disagreement vector and the LASSO path once, and
-then grows the number K of subset features passed to the augmented
-generative model until the tracked metric stops improving.  The tracked
+One run fits the generative model with K = 0 selected features, trains the
+discriminative model on its labels, computes the disagreement vector and the
+LASSO path once, and then grows the number K of subset features passed to the
+same generative model until the tracked metric stops improving.  The tracked
 metric is the dev metric when ground truth is supplied, otherwise the
-generative/discriminative agreement rate.
+generative/discriminative agreement rate.  The final labels come from the
+best K's model, whatever K is.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .data import DataError, Dataset, FeatureMatrixReal, HardLabelVector, ProbLabelVector
 from .diffmodel import disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
-from .genmodel import FitConfig, GenParamsAug, GenParamsSP, fit_aug, fit_sp, label_aug, label_sp
+from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
 from .metrics import score
 
 
@@ -34,7 +35,6 @@ class RunConfig:
     lasso_tol: float = 1e-8
     standardize: bool = False
     refresh_disagreement: bool = False  # recompute the path each K (extension)
-    seed: int = 0
 
     def __post_init__(self):
         if self.k_max < 0:
@@ -51,7 +51,7 @@ class IterationRecord:
     selected: tuple[int, ...]
     agreement: float
     dev_metric: float | None
-    gen_params: GenParamsSP | GenParamsAug
+    gen_params: GenParams
     disc_params: DiscParams
 
 
@@ -183,15 +183,10 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             break
 
     best_k = int(np.argmax(history))  # first maximum, so ties go to smaller K
-    best = records[best_k]
-    if best_k == 0:
-        final = label_sp(best.gen_params, dataset.labels)
-    else:
-        final = label_aug(best.gen_params, dataset.labels, dataset.bin_features)
     return RunReport(
         iterations=tuple(records),
         best_k=best_k,
         stop_reason=stop_reason,
-        final_labels=final,
+        final_labels=label_aug(records[best_k].gen_params, dataset.labels, dataset.bin_features),
         tracked_metric=tracked_name,
     )

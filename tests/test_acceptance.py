@@ -35,16 +35,13 @@ from weaksup.data import Dataset, FeatureMatrixBinary, LabelMatrix
 from weaksup.diffmodel import lambda_max, lasso_fit
 from weaksup.discmodel import DiscParams, grad_noise_aware_loss, noise_aware_loss
 from weaksup.genmodel import (
-    GenParamsAug,
-    GenParamsSP,
+    GenParams,
     brute_force_joint,
     effective_phi,
-    grad_marginal_aug,
-    grad_marginal_sp,
+    grad_marginal,
     label_sp,
-    log_partition_sp,
-    marginal_loglik_aug,
-    marginal_loglik_sp,
+    log_partition,
+    marginal_loglik,
 )
 from weaksup.metrics import f1_from_precision_recall, soft_label_accuracy
 from weaksup.pipeline import RunConfig, run
@@ -127,16 +124,16 @@ def test_criterion_3_oracle_equivalence():
             m = int(rng.integers(1, 5))
             phi = rng.uniform(-2.5, 2.5, m)
             table = brute_force_joint(phi)
-            assert abs(log_partition_sp(GenParamsSP(phi)) - table.log_z) < 1e-10
+            assert abs(log_partition(GenParams(phi)) - table.log_z) < 1e-10
             lm = LabelMatrix(rng.integers(-1, 2, size=(m, 12)))
             expect = np.mean(
                 [np.log(table.marginal_prob(lm.votes[:, o])) for o in range(lm.n)]
             )
-            assert abs(marginal_loglik_sp(GenParamsSP(phi), lm) - expect) < 1e-10
+            assert abs(marginal_loglik(GenParams(phi), lm) - expect) < 1e-10
         for _ in range(100):
             m = int(rng.integers(1, 5))
             k = int(rng.integers(1, 3))
-            params = GenParamsAug(
+            params = GenParams(
                 phi=rng.uniform(-2, 2, m),
                 w=rng.uniform(-1.5, 1.5, (k, m)),
                 selected=tuple(range(k)),
@@ -153,7 +150,7 @@ def test_criterion_3_oracle_equivalence():
                     for o in range(lm.n)
                 ]
             )
-            assert abs(marginal_loglik_aug(params, lm, x) - expect) < 1e-10
+            assert abs(marginal_loglik(params, lm, x) - expect) < 1e-10
 
 
 def test_criterion_4_gradient_checks():
@@ -164,20 +161,20 @@ def test_criterion_4_gradient_checks():
         for _ in range(10):
             phi = rng.uniform(-2, 2, 3)
             numeric = finite_difference(
-                lambda p: marginal_loglik_sp(GenParamsSP(p), lm), phi
+                lambda p: marginal_loglik(GenParams(p), lm), phi
             )
-            assert rel_error(grad_marginal_sp(GenParamsSP(phi), lm), numeric) < 1e-5
+            assert rel_error(grad_marginal(GenParams(phi), lm)[0], numeric) < 1e-5
 
         x = FeatureMatrixBinary(rng.integers(0, 2, size=(80, 2)) * 2 - 1)
         for _ in range(10):
             phi = rng.uniform(-1.5, 1.5, 3)
             w = rng.uniform(-1, 1, (2, 3))
-            params = GenParamsAug(phi=phi, w=w, selected=(0, 1))
-            g_phi, g_w = grad_marginal_aug(params, lm, x, w_l2=0.03)
+            params = GenParams(phi=phi, w=w, selected=(0, 1))
+            g_phi, g_w = grad_marginal(params, lm, x, w_l2=0.03)
 
             def f_aug(flat):
-                p = GenParamsAug(phi=flat[:3], w=flat[3:].reshape(2, 3), selected=(0, 1))
-                return marginal_loglik_aug(p, lm, x, w_l2=0.03)
+                p = GenParams(phi=flat[:3], w=flat[3:].reshape(2, 3), selected=(0, 1))
+                return marginal_loglik(p, lm, x, w_l2=0.03)
 
             numeric = finite_difference(f_aug, np.concatenate([phi, w.ravel()]))
             assert rel_error(np.concatenate([g_phi, g_w.ravel()]), numeric) < 1e-5

@@ -13,6 +13,7 @@ from weaksup.discmodel import (
     noise_aware_loss,
     predict,
 )
+from weaksup.genmodel import FitError
 
 
 def _hard_soft(labels: np.ndarray) -> ProbLabelVector:
@@ -118,6 +119,23 @@ def test_fit_never_increases_loss():
     assert noise_aware_loss(params, v, soft, l2=cfg.l2) <= noise_aware_loss(
         zero, v, soft, l2=cfg.l2
     ) + 1e-12
+
+
+def test_fit_non_finite_loss_raises():
+    rng = np.random.default_rng(9)
+    v = FeatureMatrixReal(rng.standard_normal((20, 2)))
+    soft = ProbLabelVector(np.tanh(rng.standard_normal(20)))
+    with np.errstate(all="ignore"), pytest.raises(FitError):
+        fit_disc(v, soft, DiscConfig(learning_rate=1e308))
+
+
+def test_fit_zero_iterations_returns_zero_vector():
+    rng = np.random.default_rng(10)
+    v = FeatureMatrixReal(rng.standard_normal((20, 2)))
+    soft = ProbLabelVector(np.tanh(rng.standard_normal(20)))
+    params = fit_disc(v, soft, DiscConfig(max_iters=0))
+    assert params.theta.tolist() == [0.0, 0.0]
+    assert params.bias == 0.0
 
 
 def test_predict_sign_conventions():

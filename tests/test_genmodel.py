@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,20 +10,20 @@ from oracles import finite_difference, rel_error
 from weaksup.data import FeatureMatrixBinary, LabelMatrix
 from weaksup.genmodel import (
     FitConfig,
-    GenParamsAug,
-    GenParamsSP,
+    FitError,
+    GenParams,
     brute_force_joint,
     effective_phi,
     fit_aug,
     fit_sp,
-    grad_marginal_aug,
-    grad_marginal_sp,
+    grad_marginal,
     label_aug,
     label_sp,
-    log_partition_sp,
-    marginal_loglik_aug,
-    marginal_loglik_sp,
-    posterior_sp,
+    load_params,
+    log_partition,
+    marginal_loglik,
+    posterior,
+    save_params,
 )
 
 # frozen values computed with the enumeration oracle (brute_force_joint)
@@ -49,31 +51,31 @@ def sample_sp(phi: np.ndarray, n: int, seed: int) -> LabelMatrix:
 
 
 def test_log_partition_zero_phi():
-    assert log_partition_sp(GenParamsSP(np.zeros(2))) == pytest.approx(np.log(18.0), abs=1e-12)
+    assert log_partition(GenParams(np.zeros(2))) == pytest.approx(np.log(18.0), abs=1e-12)
 
 
 def test_log_partition_matches_enumeration():
-    params = GenParamsSP(np.array([1.0]))
-    assert log_partition_sp(params) == pytest.approx(LOGZ_M1_PHI1, abs=1e-12)
+    params = GenParams(np.array([1.0]))
+    assert log_partition(params) == pytest.approx(LOGZ_M1_PHI1, abs=1e-12)
     assert brute_force_joint(params.phi).log_z == pytest.approx(LOGZ_M1_PHI1, abs=1e-12)
 
 
 @given(finite_phis)
 def test_log_partition_even(phi):
-    a = log_partition_sp(GenParamsSP(phi))
-    b = log_partition_sp(GenParamsSP(-phi))
+    a = log_partition(GenParams(phi))
+    b = log_partition(GenParams(-phi))
     assert a == b
 
 
 def test_log_partition_stable_for_large_phi():
-    val = log_partition_sp(GenParamsSP(np.array([500.0, -500.0])))
+    val = log_partition(GenParams(np.array([500.0, -500.0])))
     assert np.isfinite(val)
     assert val == pytest.approx(np.log(2.0) + 1000.0, rel=1e-12)
 
 
 @given(finite_phis)
 def test_partition_factorization_matches_enumeration(phi):
-    assert log_partition_sp(GenParamsSP(phi)) == pytest.approx(
+    assert log_partition(GenParams(phi)) == pytest.approx(
         brute_force_joint(phi).log_z, abs=1e-10
     )
 
@@ -83,15 +85,15 @@ def test_partition_factorization_matches_enumeration(phi):
 
 def test_marginal_loglik_uniform_phi_zero():
     lm = LabelMatrix(np.array([[1, -1, 0]]))
-    assert marginal_loglik_sp(GenParamsSP(np.zeros(1)), lm) == pytest.approx(
+    assert marginal_loglik(GenParams(np.zeros(1)), lm) == pytest.approx(
         -np.log(3.0), abs=1e-12
     )
 
 
 def test_marginal_loglik_frozen_value_and_oracle():
     lm = LabelMatrix(np.array([[1]]))
-    params = GenParamsSP(np.array([1.0]))
-    got = marginal_loglik_sp(params, lm)
+    params = GenParams(np.array([1.0]))
+    got = marginal_loglik(params, lm)
     assert got == pytest.approx(LOGLIK_M1_PHI1_LAM1, abs=1e-12)
     oracle = np.log(brute_force_joint(params.phi).marginal_prob(np.array([1])))
     assert got == pytest.approx(oracle, abs=1e-10)
@@ -100,27 +102,27 @@ def test_marginal_loglik_frozen_value_and_oracle():
 @given(finite_phis, st.integers(0, 2**31 - 1))
 def test_marginal_loglik_even(phi, seed):
     lm = sample_sp(np.zeros_like(phi), 7, seed)
-    assert marginal_loglik_sp(GenParamsSP(phi), lm) == marginal_loglik_sp(
-        GenParamsSP(-phi), lm
+    assert marginal_loglik(GenParams(phi), lm) == marginal_loglik(
+        GenParams(-phi), lm
     )
 
 
 def test_marginal_loglik_dimension_mismatch():
     lm = LabelMatrix(np.array([[1, 0]]))
     with pytest.raises(ValueError):
-        marginal_loglik_sp(GenParamsSP(np.zeros(2)), lm)
+        marginal_loglik(GenParams(np.zeros(2)), lm)
 
 
 def test_grad_zero_at_origin():
     lm = sample_sp(np.array([0.7, -0.2, 1.1]), 50, seed=3)
     np.testing.assert_array_equal(
-        grad_marginal_sp(GenParamsSP(np.zeros(3)), lm), np.zeros(3)
+        grad_marginal(GenParams(np.zeros(3)), lm)[0], np.zeros(3)
     )
 
 
 def test_grad_closed_form_single_source():
     lm = LabelMatrix(np.ones((1, 10), dtype=int))
-    grad = grad_marginal_sp(GenParamsSP(np.array([2.0])), lm)
+    grad = grad_marginal(GenParams(np.array([2.0])), lm)[0]
     assert grad[0] == pytest.approx(GRAD_M1_PHI2, abs=1e-12)
 
 
@@ -129,9 +131,9 @@ def test_grad_matches_finite_differences():
     lm = sample_sp(np.array([1.0, 0.4, -0.6]), 200, seed=5)
     for _ in range(10):
         phi = rng.uniform(-2, 2, size=3)
-        analytic = grad_marginal_sp(GenParamsSP(phi), lm)
+        analytic = grad_marginal(GenParams(phi), lm)[0]
         numeric = finite_difference(
-            lambda p: marginal_loglik_sp(GenParamsSP(p), lm), phi
+            lambda p: marginal_loglik(GenParams(p), lm), phi
         )
         assert rel_error(analytic, numeric) < 1e-5
 
@@ -150,25 +152,25 @@ def test_fit_sp_stationary_at_zero_init():
     lm = sample_sp(np.zeros(2), 500, seed=9)
     cfg = FitConfig(phi_init=0.0)
     fitted = fit_sp(lm, cfg)
-    zero = GenParamsSP(np.zeros(2))
+    zero = GenParams(np.zeros(2))
     assert abs(
-        marginal_loglik_sp(fitted, lm) - marginal_loglik_sp(zero, lm)
+        marginal_loglik(fitted, lm) - marginal_loglik(zero, lm)
     ) < 1e-6
 
 
 def test_fit_sp_deterministic():
     lm = sample_sp(np.array([0.9, 0.3]), 300, seed=1)
-    a = fit_sp(lm, FitConfig(seed=42))
-    b = fit_sp(lm, FitConfig(seed=42))
+    a = fit_sp(lm, FitConfig())
+    b = fit_sp(lm, FitConfig())
     assert a.phi.tobytes() == b.phi.tobytes()
 
 
 def test_fit_sp_improves_on_init():
     lm = sample_sp(np.array([1.5, -0.4]), 2_000, seed=2)
     cfg = FitConfig()
-    init = GenParamsSP(np.full(2, cfg.phi_init))
+    init = GenParams(np.full(2, cfg.phi_init))
     fitted = fit_sp(lm, cfg)
-    assert marginal_loglik_sp(fitted, lm) >= marginal_loglik_sp(init, lm)
+    assert marginal_loglik(fitted, lm) >= marginal_loglik(init, lm)
 
 
 def test_fit_sp_freezes_all_abstain_sources():
@@ -177,32 +179,45 @@ def test_fit_sp_freezes_all_abstain_sources():
     assert fitted.phi[1] == 0.5
 
 
+def test_fit_sp_non_finite_objective_raises():
+    lm = LabelMatrix(np.array([[1, -1, 1, 1], [1, 1, 0, -1]]))
+    with np.errstate(all="ignore"), pytest.raises(FitError):
+        fit_sp(lm, FitConfig(learning_rate=1e308))
+
+
+def test_fit_sp_zero_iterations_returns_init():
+    lm = sample_sp(np.array([1.5, -0.4]), 200, seed=4)
+    fitted = fit_sp(lm, FitConfig(max_iters=0, phi_init=0.3))
+    assert fitted.phi.tolist() == [0.3, 0.3]
+    assert fitted.w.shape == (0, 2)
+
+
 # -- posterior and labels -----------------------------------------------------
 
 
 def test_posterior_half_at_zero_score():
-    assert posterior_sp(GenParamsSP(np.zeros(3)), np.array([1, -1, 0])) == 0.5
+    assert posterior(GenParams(np.zeros(3)), np.array([1, -1, 0])) == 0.5
 
 
 def test_posterior_frozen_value_and_oracle():
-    params = GenParamsSP(np.array([1.0]))
-    got = posterior_sp(params, np.array([1]))
+    params = GenParams(np.array([1.0]))
+    got = posterior(params, np.array([1]))
     assert got == pytest.approx(0.8807970779778823, abs=1e-12)
     oracle = brute_force_joint(params.phi).posterior_positive(np.array([1]))
     assert got == pytest.approx(oracle, abs=1e-10)
 
 
 def test_posterior_symmetric_cancellation():
-    params = GenParamsSP(np.array([0.5, 0.5]))
-    assert posterior_sp(params, np.array([1, -1])) == 0.5
+    params = GenParams(np.array([0.5, 0.5]))
+    assert posterior(params, np.array([1, -1])) == 0.5
 
 
 @given(finite_phis, st.integers(0, 2**31 - 1))
 def test_posterior_normalization(phi, seed):
     rng = np.random.default_rng(seed)
     lam = rng.integers(-1, 2, size=phi.size)
-    p = posterior_sp(GenParamsSP(phi), lam)
-    q = posterior_sp(GenParamsSP(phi), -lam)
+    p = posterior(GenParams(phi), lam)
+    q = posterior(GenParams(phi), -lam)
     assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
@@ -211,7 +226,7 @@ def test_posterior_oracle_random_m3():
     for _ in range(20):
         phi = rng.uniform(-2, 2, size=3)
         lam = rng.integers(-1, 2, size=3)
-        closed = posterior_sp(GenParamsSP(phi), lam)
+        closed = posterior(GenParams(phi), lam)
         table = brute_force_joint(phi)
         assert closed == pytest.approx(table.posterior_positive(lam), abs=1e-10)
 
@@ -220,16 +235,16 @@ def test_posterior_monotone_in_phi():
     base = np.array([0.3, -0.2])
     for lam_j, direction in ((1, +1), (-1, -1)):
         lam = np.array([lam_j, 1])
-        lo = posterior_sp(GenParamsSP(base), lam)
-        hi = posterior_sp(GenParamsSP(base + np.array([0.5, 0.0])), lam)
+        lo = posterior(GenParams(base), lam)
+        hi = posterior(GenParams(base + np.array([0.5, 0.0])), lam)
         assert (hi - lo) * direction > 0
     lam = np.array([0, 1])
-    same = posterior_sp(GenParamsSP(base + np.array([0.5, 0.0])), lam)
-    assert same == posterior_sp(GenParamsSP(base), lam)
+    same = posterior(GenParams(base + np.array([0.5, 0.0])), lam)
+    assert same == posterior(GenParams(base), lam)
 
 
 def test_label_sp_values():
-    params = GenParamsSP(np.array([1.0]))
+    params = GenParams(np.array([1.0]))
     lm = LabelMatrix(np.array([[1, 0, -1]]))
     soft = label_sp(params, lm)
     np.testing.assert_allclose(
@@ -238,16 +253,16 @@ def test_label_sp_values():
 
 
 def test_label_sp_consistent_with_posterior():
-    params = GenParamsSP(np.array([0.7, -0.3]))
+    params = GenParams(np.array([0.7, -0.3]))
     lm = LabelMatrix(np.array([[1, -1, 0], [1, 1, -1]]))
     soft = label_sp(params, lm)
     for o in range(lm.n):
-        p = posterior_sp(params, lm.votes[:, o])
+        p = posterior(params, lm.votes[:, o])
         assert soft.expected[o] == pytest.approx(2.0 * p - 1.0, abs=1e-12)
 
 
 def test_label_sp_odd_in_votes():
-    params = GenParamsSP(np.array([0.9, 0.1]))
+    params = GenParams(np.array([0.9, 0.1]))
     votes = np.array([[1, 0, -1], [1, 1, 0]])
     a = label_sp(params, LabelMatrix(votes))
     b = label_sp(params, LabelMatrix(-votes))
@@ -258,13 +273,24 @@ def test_label_sp_odd_in_votes():
 
 
 def test_effective_phi_cases():
-    params = GenParamsAug(
+    params = GenParams(
         phi=np.array([0.5, 0.5]), w=np.array([[0.3, -0.2]]), selected=(0,)
     )
     np.testing.assert_allclose(effective_phi(params, np.array([1])), [0.8, 0.3])
     np.testing.assert_allclose(effective_phi(params, np.array([-1])), [0.2, 0.7])
-    zero_w = GenParamsAug(phi=np.array([0.5, 0.5]), w=np.zeros((1, 2)), selected=(0,))
+    zero_w = GenParams(phi=np.array([0.5, 0.5]), w=np.zeros((1, 2)), selected=(0,))
     np.testing.assert_array_equal(effective_phi(zero_w, np.array([1])), [0.5, 0.5])
+
+
+def test_posterior_and_log_partition_at_feature_row():
+    params = GenParams(phi=np.array([0.5, -0.4]), w=np.array([[0.3, 0.9]]), selected=(2,))
+    for x in (np.array([1]), np.array([-1])):
+        table = brute_force_joint(effective_phi(params, x))
+        assert log_partition(params, x) == pytest.approx(table.log_z, abs=1e-12)
+        lam = np.array([1, -1])
+        assert posterior(params, lam, x) == pytest.approx(table.posterior_positive(lam), abs=1e-12)
+    with pytest.raises(ValueError):
+        posterior(params, np.array([1, -1]))
 
 
 def test_aug_loglik_reduces_to_sp_at_zero_w():
@@ -272,8 +298,8 @@ def test_aug_loglik_reduces_to_sp_at_zero_w():
     lm = LabelMatrix(rng.integers(-1, 2, size=(3, 40)))
     x = FeatureMatrixBinary(rng.integers(0, 2, size=(40, 2)) * 2 - 1)
     phi = rng.uniform(-1, 1, 3)
-    aug = GenParamsAug(phi=phi, w=np.zeros((2, 3)), selected=(0, 1))
-    assert marginal_loglik_aug(aug, lm, x) == marginal_loglik_sp(GenParamsSP(phi), lm)
+    aug = GenParams(phi=phi, w=np.zeros((2, 3)), selected=(0, 1))
+    assert marginal_loglik(aug, lm, x) == marginal_loglik(GenParams(phi), lm)
 
 
 def test_aug_loglik_constant_column_identity():
@@ -282,14 +308,14 @@ def test_aug_loglik_constant_column_identity():
     x = FeatureMatrixBinary(np.ones((30, 1), dtype=int))
     phi = np.array([0.4, -0.2])
     w = np.array([[0.3, 0.1]])
-    aug = GenParamsAug(phi=phi, w=w, selected=(0,))
-    shifted = GenParamsSP(phi + w[0])
-    assert marginal_loglik_aug(aug, lm, x) == pytest.approx(
-        marginal_loglik_sp(shifted, lm), abs=1e-12
+    aug = GenParams(phi=phi, w=w, selected=(0,))
+    shifted = GenParams(phi + w[0])
+    assert marginal_loglik(aug, lm, x) == pytest.approx(
+        marginal_loglik(shifted, lm), abs=1e-12
     )
     # penalty subtracts (w_l2 / 2) ||w||^2
-    assert marginal_loglik_aug(aug, lm, x, w_l2=0.5) == pytest.approx(
-        marginal_loglik_sp(shifted, lm) - 0.25 * (w**2).sum(), abs=1e-12
+    assert marginal_loglik(aug, lm, x, w_l2=0.5) == pytest.approx(
+        marginal_loglik(shifted, lm) - 0.25 * (w**2).sum(), abs=1e-12
     )
 
 
@@ -298,7 +324,7 @@ def test_aug_loglik_matches_enumeration():
     for m, k in ((2, 1), (3, 2), (4, 2)):
         lm = LabelMatrix(rng.integers(-1, 2, size=(m, 25)))
         x = FeatureMatrixBinary(rng.integers(0, 2, size=(25, k)) * 2 - 1)
-        params = GenParamsAug(
+        params = GenParams(
             phi=rng.uniform(-1.5, 1.5, m),
             w=rng.uniform(-1, 1, (k, m)),
             selected=tuple(range(k)),
@@ -307,7 +333,7 @@ def test_aug_loglik_matches_enumeration():
         for o in range(lm.n):
             phi_eff = effective_phi(params, x.values[o])
             total += np.log(brute_force_joint(phi_eff).marginal_prob(lm.votes[:, o]))
-        assert marginal_loglik_aug(params, lm, x) == pytest.approx(
+        assert marginal_loglik(params, lm, x) == pytest.approx(
             total / lm.n, abs=1e-10
         )
 
@@ -319,12 +345,12 @@ def test_aug_grad_matches_finite_differences():
     for _ in range(10):
         phi = rng.uniform(-1.5, 1.5, 3)
         w = rng.uniform(-1, 1, (2, 3))
-        params = GenParamsAug(phi=phi, w=w, selected=(0, 1))
-        g_phi, g_w = grad_marginal_aug(params, lm, x, w_l2=0.05)
+        params = GenParams(phi=phi, w=w, selected=(0, 1))
+        g_phi, g_w = grad_marginal(params, lm, x, w_l2=0.05)
 
         def f(flat):
-            p = GenParamsAug(phi=flat[:3], w=flat[3:].reshape(2, 3), selected=(0, 1))
-            return marginal_loglik_aug(p, lm, x, w_l2=0.05)
+            p = GenParams(phi=flat[:3], w=flat[3:].reshape(2, 3), selected=(0, 1))
+            return marginal_loglik(p, lm, x, w_l2=0.05)
 
         numeric = finite_difference(f, np.concatenate([phi, w.ravel()]))
         analytic = np.concatenate([g_phi, g_w.ravel()])
@@ -355,14 +381,14 @@ def test_label_aug_matches_sp_at_zero_w():
     lm = LabelMatrix(rng.integers(-1, 2, size=(2, 20)))
     x = FeatureMatrixBinary(rng.integers(0, 2, size=(20, 1)) * 2 - 1)
     phi = np.array([0.8, -0.1])
-    aug = GenParamsAug(phi=phi, w=np.zeros((1, 2)), selected=(0,))
+    aug = GenParams(phi=phi, w=np.zeros((1, 2)), selected=(0,))
     a = label_aug(aug, lm, x)
-    b = label_sp(GenParamsSP(phi), lm)
+    b = label_sp(GenParams(phi), lm)
     assert a.expected.tobytes() == b.expected.tobytes()
 
 
 def test_label_aug_abstain_and_single_object():
-    params = GenParamsAug(phi=np.array([0.2]), w=np.array([[0.6]]), selected=(0,))
+    params = GenParams(phi=np.array([0.2]), w=np.array([[0.6]]), selected=(0,))
     lm = LabelMatrix(np.array([[1, 0]]))
     x = FeatureMatrixBinary(np.array([[1], [1]]))
     soft = label_aug(params, lm, x)
@@ -377,15 +403,52 @@ def test_fit_aug_constant_column_equivalent_to_sp():
     sp = fit_sp(lm)
     aug = fit_aug(lm, x, [0])
     # the (phi, W) split is unidentifiable; compare achieved likelihoods
-    assert marginal_loglik_aug(aug, lm, x) == pytest.approx(
-        marginal_loglik_sp(sp, lm), abs=1e-3
+    assert marginal_loglik(aug, lm, x) == pytest.approx(
+        marginal_loglik(sp, lm), abs=1e-3
     )
+
+
+def test_label_sp_rejects_selected_features():
+    params = GenParams(phi=np.array([0.5, 0.2]), w=np.array([[0.3, -0.1]]), selected=(0,))
+    lm = LabelMatrix(np.array([[1, -1], [0, 1]]))
+    with pytest.raises(ValueError):
+        label_sp(params, lm)
+
+
+def _round_trip(params: GenParams) -> GenParams:
+    buf = io.StringIO()
+    save_params(params, buf, FitConfig())
+    buf.seek(0)
+    return load_params(buf)
+
+
+def test_params_json_round_trip():
+    k0 = GenParams(np.array([0.7, -0.3, 0.1]))
+    k2 = GenParams(
+        phi=np.array([0.7, -0.3, 0.1]), w=np.array([[0.2, 0.0, -0.5], [0.1, 0.4, 0.3]]),
+        selected=(4, 1),
+    )
+    for params in (k0, k2):
+        back = _round_trip(params)
+        assert back.phi.tobytes() == params.phi.tobytes()
+        assert back.w.shape == params.w.shape and back.w.tobytes() == params.w.tobytes()
+        assert back.selected == params.selected
+
+
+def test_params_json_k0_literal_file():
+    text = '{"config": {}, "phi": [0.8, -0.1], "selected": [], "w": []}'
+    params = load_params(io.StringIO(text))
+    assert params.k == 0 and params.w.shape == (0, 2)
+    lm = LabelMatrix(np.array([[1, -1, 0, 1], [1, 1, -1, 0]]))
+    a = label_aug(params, lm, None)
+    b = label_sp(params, lm)
+    assert a.expected.tobytes() == b.expected.tobytes()
 
 
 def test_index_errors():
     lm = LabelMatrix(np.array([[1, -1]]))
     x = FeatureMatrixBinary(np.array([[1], [-1]]))
-    params = GenParamsAug(phi=np.array([0.5]), w=np.array([[0.1]]), selected=(3,))
+    params = GenParams(phi=np.array([0.5]), w=np.array([[0.1]]), selected=(3,))
     with pytest.raises(IndexError):
         label_aug(params, lm, x)
     with pytest.raises(IndexError):
