@@ -173,6 +173,21 @@ def _load(path: str, loader, *extra):
         return loader(f, *extra)
 
 
+def _run_config(args) -> pipeline.RunConfig:
+    return pipeline.RunConfig(
+        k_max=int(args.k_max),
+        patience=int(args.patience),
+        dev_metric=args.dev_metric,
+        gen=_gen_config(args),
+        disc=_disc_config(args),
+        grid_size=int(args.grid_size),
+        lambda_min_ratio=float(args.lambda_min_ratio),
+        lasso_tol=float(args.lasso_tol),
+        standardize=bool(args.standardize),
+        refresh_disagreement=bool(getattr(args, "refresh_disagreement", False)),
+    )
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -183,6 +198,7 @@ def cmd_fit_gen(args) -> int:
         if not args.bin_features:
             raise DataError("--selected requires --bin-features")
         features = _load(args.bin_features, data.load_binary_features, args.encoding)
+        data.check_ids(labels=labels.object_ids, bin_features=features.object_ids)
         params = genmodel.fit_aug(labels, features, _ints(args.selected), cfg)
     else:
         params = genmodel.fit_sp(labels, cfg)
@@ -203,6 +219,7 @@ def cmd_label(args) -> int:
         if not args.bin_features:
             raise DataError("augmented model requires --bin-features")
         features = _load(args.bin_features, data.load_binary_features, args.encoding)
+        data.check_ids(labels=labels.object_ids, bin_features=features.object_ids)
     soft = genmodel.label_aug(params, labels, features)
     with open(args.out, "w") as f:
         data.save_soft_labels(soft, labels.object_ids, f)
@@ -211,14 +228,12 @@ def cmd_label(args) -> int:
 
 def cmd_train_disc(args) -> int:
     features = _load(args.real_features, data.load_real_features)
-    soft, _ = _load(args.soft_labels, data.load_soft_labels)
+    soft, soft_ids = _load(args.soft_labels, data.load_soft_labels)
+    data.check_ids(real_features=features.object_ids, soft_labels=soft_ids)
     cfg = _disc_config(args)
     preprocess = {"standardize": bool(args.standardize)}
     if args.standardize:
-        v = features.values
-        mean, scale = v.mean(axis=0), v.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        features = data.FeatureMatrixReal((v - mean) / scale, column_names=features.column_names)
+        features, mean, scale = pipeline.standardize(features)
         preprocess |= {"mean": mean.tolist(), "scale": scale.tolist()}
     params = discmodel.fit_disc(features, soft, cfg)
     body = discmodel.params_to_dict(params, cfg)
@@ -230,8 +245,9 @@ def cmd_train_disc(args) -> int:
 
 def cmd_diff(args) -> int:
     features = _load(args.bin_features, data.load_binary_features, args.encoding)
-    gen_labels, _ = _load(args.gen_labels, data.load_soft_labels)
-    disc_labels, _ = _load(args.disc_labels, data.load_hard_labels, "disc labels")
+    gen_labels, gen_ids = _load(args.gen_labels, data.load_soft_labels)
+    disc_labels, disc_ids = _load(args.disc_labels, data.load_hard_labels, "disc labels")
+    data.check_ids(bin_features=features.object_ids, gen_labels=gen_ids, disc_labels=disc_ids)
     target = diffmodel.disagreement(gen_labels, disc_labels)
     path = diffmodel.regularization_path(
         features,
@@ -274,7 +290,8 @@ def cmd_run(args) -> int:
         else None
     )
     real_features = _load(args.real_features, data.load_real_features) if args.real_features else None
-    truth = _load(args.truth, data.load_hard_labels)[0] if args.truth else None
+    truth, truth_ids = _load(args.truth, data.load_hard_labels) if args.truth else (None, None)
+    data.check_ids(labels=labels.object_ids, truth=truth_ids)
     dataset = data.Dataset(
         labels=labels, bin_features=bin_features, real_features=real_features, truth=truth
     )
@@ -283,19 +300,7 @@ def cmd_run(args) -> int:
         fatal = next(f for f in report_v.findings if f.level == "fatal")
         raise DataError(fatal.message)
 
-    cfg = pipeline.RunConfig(
-        k_max=int(args.k_max),
-        patience=int(args.patience),
-        dev_metric=args.dev_metric,
-        gen=_gen_config(args),
-        disc=_disc_config(args),
-        grid_size=int(args.grid_size),
-        lambda_min_ratio=float(args.lambda_min_ratio),
-        lasso_tol=float(args.lasso_tol),
-        standardize=bool(args.standardize),
-        refresh_disagreement=bool(args.refresh_disagreement),
-    )
-    report = pipeline.run(dataset, cfg)
+    report = pipeline.run(dataset, _run_config(args))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,7 +345,8 @@ def cmd_run(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     features = _load(args.features, data.load_binary_features, args.encoding)
-    vec, _ = _load(args.disagreement, data.load_vector, "disagreement", "disagreement")
+    vec, vec_ids = _load(args.disagreement, data.load_vector, "disagreement", "disagreement")
+    data.check_ids(features=features.object_ids, disagreement=vec_ids)
     target = diffmodel.DisagreementVector(vec)
     support = _ints(args.support)
     if not support:
@@ -409,17 +415,7 @@ def _e2e_trial(payload) -> dict:
 
 
 def cmd_simulate_e2e(args) -> int:
-    cfg = pipeline.RunConfig(
-        k_max=int(args.k_max),
-        patience=int(args.patience),
-        dev_metric=args.dev_metric,
-        gen=_gen_config(args),
-        disc=_disc_config(args),
-        grid_size=int(args.grid_size),
-        lambda_min_ratio=float(args.lambda_min_ratio),
-        lasso_tol=float(args.lasso_tol),
-        standardize=bool(args.standardize),
-    )
+    cfg = _run_config(args)
     work = []
     for t in range(int(args.trials)):
         scenario = synth.E2EScenario(
@@ -457,17 +453,15 @@ def _dump_dataset(dataset: data.Dataset, out_dir: Path) -> None:
     with open(out_dir / "features_bin.csv", "w") as f:
         data.save_binary_features(dataset.bin_features, f)
     with open(out_dir / "features_real.csv", "w") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["object_id"] + [f"v_{j + 1}" for j in range(dataset.real_features.q)])
-        for i, row in enumerate(dataset.real_features.values):
-            w.writerow([str(i)] + [repr(float(v)) for v in row])
+        data.save_real_features(dataset.real_features, f)
     with open(out_dir / "truth.csv", "w") as f:
         data.save_hard_labels(dataset.truth, None, f)
 
 
 def cmd_metrics(args) -> int:
-    pred, _ = _load(args.pred, data.load_hard_labels, "predictions")
-    truth, _ = _load(args.truth, data.load_hard_labels)
+    pred, pred_ids = _load(args.pred, data.load_hard_labels, "predictions")
+    truth, truth_ids = _load(args.truth, data.load_hard_labels)
+    data.check_ids(pred=pred_ids, truth=truth_ids)
     scores = metrics.score(pred, truth, positive_class=int(args.positive_class))
     body = scores.to_dict()
     body["config"] = _echo(args, ["pred", "truth", "positive_class"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class FeatureMatrixBinary:
 
     values: np.ndarray
     column_names: tuple[str, ...] | None = None
+    object_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -80,6 +81,8 @@ class FeatureMatrixBinary:
         _set(self, values=_frozen(values.astype(np.int8)))
         if self.column_names is not None and len(self.column_names) != self.p:
             raise DataError("column_names length does not match feature count")
+        if self.object_ids is not None and len(self.object_ids) != self.n:
+            raise DataError("object_ids length does not match object count")
 
     @property
     def n(self) -> int:
@@ -96,6 +99,7 @@ class FeatureMatrixReal:
 
     values: np.ndarray
     column_names: tuple[str, ...] | None = None
+    object_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -105,6 +109,8 @@ class FeatureMatrixReal:
             o, j = np.argwhere(~np.isfinite(values))[0]
             raise DataError(f"non-finite feature at object {o}, column {j}")
         _set(self, values=_frozen(values))
+        if self.object_ids is not None and len(self.object_ids) != self.n:
+            raise DataError("object_ids length does not match object count")
 
     @property
     def n(self) -> int:
@@ -167,8 +173,9 @@ class ProbLabelVector:
 class Dataset:
     """Bundle of aligned inputs for one task.
 
-    Cross-component consistency (shared N) is checked by :func:`validate`,
-    not at construction, so that inconsistent bundles can still be reported.
+    Cross-component consistency (shared N, matching object ids) is checked by
+    :func:`validate`, not at construction, so that inconsistent bundles can
+    still be reported.
     """
 
     labels: LabelMatrix
@@ -212,6 +219,19 @@ class ValidationReport:
         }
 
 
+def check_ids(**ids: Sequence[str] | None) -> None:
+    """Raise DataError naming the first row whose object id differs between
+    two of the named components.  Components without ids (None) are skipped;
+    rows past the end of the shorter id list are left to the count checks."""
+    named = [(name, seq) for name, seq in ids.items() if seq is not None]
+    for (prev_name, prev), (name, seq) in zip(named, named[1:]):
+        for i, (a, b) in enumerate(zip(prev, seq), start=1):
+            if a != b:
+                raise DataError(
+                    f"object ids differ: row {i} is {a!r} in {prev_name} but {b!r} in {name}"
+                )
+
+
 def validate(dataset: Dataset) -> ValidationReport:
     """Report-only consistency and coverage checks; never mutates inputs."""
     findings: list[Finding] = []
@@ -225,6 +245,14 @@ def validate(dataset: Dataset) -> ValidationReport:
     n_consistent = len(set(n_by.values())) == 1
     if not n_consistent:
         findings.append(Finding("fatal", f"object counts disagree: {n_by}"))
+    try:
+        check_ids(
+            labels=dataset.labels.object_ids,
+            bin_features=getattr(dataset.bin_features, "object_ids", None),
+            real_features=getattr(dataset.real_features, "object_ids", None),
+        )
+    except DataError as e:
+        findings.append(Finding("fatal", str(e)))
 
     votes = dataset.labels.votes
     nonabstain = votes != 0
@@ -255,13 +283,26 @@ def validate(dataset: Dataset) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion.  All loaders preserve file row order: row i is object i
-# everywhere downstream.
+# CSV tables.  Every file is `object_id,<value columns>`; all loaders preserve
+# file row order: row i is object i everywhere downstream.
 
 
-def _read_rows(reader: TextIO, what: str) -> tuple[list[str], list[list[str]]]:
-    rows = list(csv.reader(reader))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+def _read_table(
+    reader: TextIO,
+    what: str,
+    dtype: type,
+    valid: Callable,
+    problem: Callable[[int, str, str, object], str],
+    vector: bool = False,
+    header_error: Callable[[tuple[str, ...]], str | None] = lambda names: None,
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Parse a table into `(names, ids, values)`: one `dtype` array, N x C,
+    or of length N for a `vector` file, which reads its first value column
+    only.  `header_error(names)` may reject the value-column names before any
+    cell is read.  `valid` is the domain test, on the array or on one parsed
+    cell; `problem(row, column, cell, value)` words its failure.
+    """
+    rows = [r for r in csv.reader(reader) if r]  # tolerate trailing blank lines
     if not rows:
         raise DataError(f"{what}: empty file")
     header, body = rows[0], rows[1:]
@@ -271,159 +312,148 @@ def _read_rows(reader: TextIO, what: str) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"{what}: header declares no value columns")
     if not body:
         raise DataError(f"{what}: no objects")
+    ids = []
     for i, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise DataError(
                 f"{what}: row {i} has {len(row)} columns, expected {len(header)}"
             )
-    return header, body
-
-
-def _cell_int(cell: str, what: str, row: int, col: str) -> int:
+        ids.append(row.pop(0))  # in place: the cells are not copied
+        if vector:
+            del row[1:]
+    names = tuple(header[1:2] if vector else header[1:])
+    if (message := header_error(names)) is not None:
+        raise DataError(message)
     try:
-        return int(cell)
-    except ValueError:
-        raise DataError(f"{what}: row {row}, column {col}: {cell!r} is not an integer") from None
+        values = np.array(body, dtype=dtype)
+        if valid(values).all():
+            return names, tuple(ids), values[:, 0] if vector else values
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        pass
+    # Some cell is bad.  Python's own number parsing, which numpy's matches,
+    # finds the first one in row-major order.
+    parse, kind = (int, "an integer") if dtype is np.int64 else (float, "numeric")
+    for i, row in enumerate(body, start=1):
+        for name, cell in zip(names, row):
+            try:
+                v = parse(cell)
+            except ValueError:
+                raise DataError(
+                    f"{what}: row {i}, column {name}: {cell!r} is not {kind}"
+                ) from None
+            if not valid(v):
+                raise DataError(problem(i, name, cell, v))
+    raise AssertionError(f"{what}: the table failed its checks but no cell does")
 
 
-def _cell_float(cell: str, what: str, row: int, col: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DataError(f"{what}: row {row}, column {col}: {cell!r} is not numeric") from None
+def _write_table(
+    writer: TextIO, names: Sequence[str], ids: Sequence[str] | None, columns: Sequence[np.ndarray]
+) -> None:
+    """Write `object_id,<names>` and one row per object; ids default to the
+    row index.  Floats are written with repr, so they read back exactly."""
+    ids = ids if ids is not None else [str(i) for i in range(len(columns[0]))]
+    w = csv.writer(writer, lineterminator="\n")
+    w.writerow(("object_id", *names))
+    w.writerows(zip(ids, *(c.tolist() for c in columns)))
 
 
 def load_label_matrix(reader: TextIO) -> LabelMatrix:
     """Read `object_id,lf_1..lf_M` CSV into a source-major LabelMatrix."""
-    header, body = _read_rows(reader, "labels")
-    names = tuple(header[1:])
-    ids = []
-    rows = []
-    for i, row in enumerate(body, start=1):
-        ids.append(row[0])
-        vals = []
-        for name, cell in zip(names, row[1:]):
-            v = _cell_int(cell, "labels", i, name)
-            if v not in (-1, 0, 1):
-                raise DataError(f"labels: row {i}, column {name}: {v} outside {{-1,0,1}}")
-            vals.append(v)
-        rows.append(vals)
-    votes = np.array(rows, dtype=np.int8).T  # source-major
-    return LabelMatrix(votes=votes, object_ids=tuple(ids), source_names=names)
+    names, ids, votes = _read_table(
+        reader, "labels", np.int64,
+        lambda v: (v >= -1) & (v <= 1),
+        lambda i, col, cell, v: f"labels: row {i}, column {col}: {v} outside {{-1,0,1}}",
+    )
+    return LabelMatrix(votes=votes.T, object_ids=ids, source_names=names)
 
 
 def save_label_matrix(labels: LabelMatrix, writer: TextIO) -> None:
     names = labels.source_names or tuple(f"lf_{j + 1}" for j in range(labels.m))
-    ids = labels.object_ids or tuple(str(i) for i in range(labels.n))
-    w = csv.writer(writer, lineterminator="\n")
-    w.writerow(("object_id",) + names)
-    for i in range(labels.n):
-        w.writerow((ids[i],) + tuple(int(v) for v in labels.votes[:, i]))
+    _write_table(writer, names, labels.object_ids, labels.votes)
 
 
 def load_binary_features(reader: TextIO, encoding: str = "pm1") -> FeatureMatrixBinary:
     """Read `object_id,f_1..f_P` CSV; `zero_one` maps 0 -> -1, 1 -> +1."""
     if encoding not in ("pm1", "zero_one"):
         raise DataError(f"unknown binary feature encoding {encoding!r}")
-    allowed = (-1.0, 1.0) if encoding == "pm1" else (0.0, 1.0)
-    header, body = _read_rows(reader, "binary features")
-    names = tuple(header[1:])
-    rows = []
-    for i, row in enumerate(body, start=1):
-        vals = []
-        for name, cell in zip(names, row[1:]):
-            v = _cell_float(cell, "binary features", i, name)
-            if v not in allowed:
-                raise DataError(
-                    f"binary features: row {i}, column {name}: {cell!r} invalid for "
-                    f"encoding {encoding}"
-                )
-            vals.append(v if encoding == "pm1" else (1.0 if v == 1.0 else -1.0))
-        rows.append(vals)
-    return FeatureMatrixBinary(np.array(rows, dtype=np.int8), column_names=names)
+    low = -1.0 if encoding == "pm1" else 0.0
+    names, ids, values = _read_table(
+        reader, "binary features", np.float64,
+        lambda v: (v == low) | (v == 1.0),
+        lambda i, col, cell, v: (
+            f"binary features: row {i}, column {col}: {cell!r} invalid for encoding {encoding}"
+        ),
+    )
+    if encoding == "zero_one":
+        values = np.where(values == 1.0, 1, -1)
+    return FeatureMatrixBinary(values, column_names=names, object_ids=ids)
 
 
 def save_binary_features(features: FeatureMatrixBinary, writer: TextIO) -> None:
     names = features.column_names or tuple(f"f_{j + 1}" for j in range(features.p))
-    w = csv.writer(writer, lineterminator="\n")
-    w.writerow(("object_id",) + names)
-    for i in range(features.n):
-        w.writerow((str(i),) + tuple(int(v) for v in features.values[i]))
+    _write_table(writer, names, features.object_ids, features.values.T)
 
 
 def load_real_features(reader: TextIO) -> FeatureMatrixReal:
     """Read `object_id,v_1..v_Q` CSV of finite reals."""
-    header, body = _read_rows(reader, "real features")
-    names = tuple(header[1:])
-    rows = []
-    for i, row in enumerate(body, start=1):
-        vals = []
-        for name, cell in zip(names, row[1:]):
-            v = _cell_float(cell, "real features", i, name)
-            if not np.isfinite(v):
-                raise DataError(f"real features: row {i}, column {name}: non-finite value")
-            vals.append(v)
-        rows.append(vals)
-    return FeatureMatrixReal(np.array(rows, dtype=np.float64), column_names=names)
+    names, ids, values = _read_table(
+        reader, "real features", np.float64, np.isfinite,
+        lambda i, col, cell, v: f"real features: row {i}, column {col}: non-finite value",
+    )
+    return FeatureMatrixReal(values, column_names=names, object_ids=ids)
+
+
+def save_real_features(features: FeatureMatrixReal, writer: TextIO) -> None:
+    names = features.column_names or tuple(f"v_{j + 1}" for j in range(features.q))
+    _write_table(writer, names, features.object_ids, features.values.T)
 
 
 def load_hard_labels(reader: TextIO, what: str = "truth") -> tuple[HardLabelVector, tuple[str, ...]]:
     """Read `object_id,y` CSV with y in {-1,+1}; returns (labels, object ids)."""
-    header, body = _read_rows(reader, what)
-    col = header[1]
-    ids, vals = [], []
-    for i, row in enumerate(body, start=1):
-        ids.append(row[0])
-        v = _cell_int(row[1], what, i, col)
-        if v not in (-1, 1):
-            raise DataError(f"{what}: row {i}, column {col}: {v} outside {{-1,+1}}")
-        vals.append(v)
-    return HardLabelVector(np.array(vals, dtype=np.int8)), tuple(ids)
+    _, ids, values = _read_table(
+        reader, what, np.int64,
+        lambda v: (v == -1) | (v == 1),
+        lambda i, col, cell, v: f"{what}: row {i}, column {col}: {v} outside {{-1,+1}}",
+        vector=True,
+    )
+    return HardLabelVector(values), ids
 
 
 def load_soft_labels(reader: TextIO) -> tuple[ProbLabelVector, tuple[str, ...]]:
     """Read `object_id,expected_label[,probability]` CSV; returns (labels, ids)."""
-    header, body = _read_rows(reader, "soft labels")
-    if header[1] != "expected_label":
-        raise DataError("soft labels: second column must be 'expected_label'")
-    ids, vals = [], []
-    for i, row in enumerate(body, start=1):
-        ids.append(row[0])
-        v = _cell_float(row[1], "soft labels", i, "expected_label")
-        if not (np.isfinite(v) and -1.0 <= v <= 1.0):
-            raise DataError(f"soft labels: row {i}: {v} outside [-1,1]")
-        vals.append(v)
-    return ProbLabelVector(np.array(vals, dtype=np.float64)), tuple(ids)
+    _, ids, values = _read_table(
+        reader, "soft labels", np.float64,
+        lambda v: np.isfinite(v) & (np.abs(v) <= 1.0),
+        lambda i, col, cell, v: f"soft labels: row {i}: {v} outside [-1,1]",
+        vector=True,
+        header_error=lambda names: (
+            None if names[0] == "expected_label"
+            else "soft labels: second column must be 'expected_label'"
+        ),
+    )
+    return ProbLabelVector(values), ids
 
 
 def save_soft_labels(labels: ProbLabelVector, ids: Sequence[str] | None, writer: TextIO) -> None:
     """Write `object_id,expected_label,probability` rows (full float precision)."""
-    ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(labels.n))
-    w = csv.writer(writer, lineterminator="\n")
-    w.writerow(("object_id", "expected_label", "probability"))
-    prob = labels.probability
-    for i in range(labels.n):
-        w.writerow((ids[i], repr(float(labels.expected[i])), repr(float(prob[i]))))
+    _write_table(
+        writer, ("expected_label", "probability"), ids, (labels.expected, labels.probability)
+    )
 
 
 def save_hard_labels(labels: HardLabelVector, ids: Sequence[str] | None, writer: TextIO) -> None:
-    ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(labels.n))
-    w = csv.writer(writer, lineterminator="\n")
-    w.writerow(("object_id", "y"))
-    for i in range(labels.n):
-        w.writerow((ids[i], int(labels.labels[i])))
+    _write_table(writer, ("y",), ids, (labels.labels,))
 
 
 def load_vector(reader: TextIO, column: str, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a two-column `object_id,<column>` CSV of finite reals."""
-    header, body = _read_rows(reader, what)
-    if header[1] != column:
-        raise DataError(f"{what}: second column must be {column!r}, got {header[1]!r}")
-    ids, vals = [], []
-    for i, row in enumerate(body, start=1):
-        ids.append(row[0])
-        v = _cell_float(row[1], what, i, column)
-        if not np.isfinite(v):
-            raise DataError(f"{what}: row {i}: non-finite value")
-        vals.append(v)
-    return np.array(vals, dtype=np.float64), tuple(ids)
+    _, ids, values = _read_table(
+        reader, what, np.float64, np.isfinite,
+        lambda i, col, cell, v: f"{what}: row {i}: non-finite value",
+        vector=True,
+        header_error=lambda names: (
+            None if names[0] == column
+            else f"{what}: second column must be {column!r}, got {names[0]!r}"
+        ),
+    )
+    return values, ids

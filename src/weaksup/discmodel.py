@@ -48,6 +48,8 @@ class DiscConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
         if self.grad_tol <= 0:
@@ -63,6 +65,19 @@ def _check_n(features: FeatureMatrixReal, soft: ProbLabelVector) -> None:
         raise ValueError(f"feature rows {features.n} != label count {soft.n}")
 
 
+def _loss_and_grad(
+    x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """The penalized loss at x = [theta, bias] and its gradient, from one pass
+    over the scores."""
+    theta = x[:-1]
+    s = v @ theta + x[-1]
+    data = p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)
+    r = _sigmoid(s) - p
+    grad = np.append((v.T @ r) / v.shape[0] + l2 * theta, r.mean())
+    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad
+
+
 def noise_aware_loss(
     params: DiscParams,
     features: FeatureMatrixReal,
@@ -72,10 +87,8 @@ def noise_aware_loss(
     _check_n(features, soft_labels)
     if features.q != params.q:
         raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
-    s = features.values @ params.theta + params.bias
-    p = soft_labels.probability
-    data = p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)
-    return float(data.mean() + 0.5 * l2 * (params.theta @ params.theta))
+    x = np.append(params.theta, params.bias)
+    return _loss_and_grad(x, features.values, soft_labels.probability, l2)[0]
 
 
 def grad_noise_aware_loss(
@@ -86,9 +99,9 @@ def grad_noise_aware_loss(
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of noise_aware_loss with respect to (theta, bias)."""
     _check_n(features, soft_labels)
-    v = features.values
-    r = _sigmoid(v @ params.theta + params.bias) - soft_labels.probability
-    return (v.T @ r) / features.n + l2 * params.theta, float(r.mean())
+    x = np.append(params.theta, params.bias)
+    grad = _loss_and_grad(x, features.values, soft_labels.probability, l2)[1]
+    return grad[:-1], float(grad[-1])
 
 
 def fit_disc(
@@ -99,16 +112,11 @@ def fit_disc(
     _check_n(features, soft_labels)
     v = features.values
     p = soft_labels.probability
-    n, q = v.shape
+    q = v.shape[1]
 
     def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        theta, bias = x[:q], x[q]
-        s = v @ theta + bias
-        data = (p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)).mean()
-        loss = data + 0.5 * config.l2 * (theta @ theta)
-        r = _sigmoid(s) - p
-        grad = np.append((v.T @ r) / n + config.l2 * theta, r.mean())
-        return -float(loss), -grad
+        loss, grad = _loss_and_grad(x, v, p, config.l2)
+        return -loss, -grad
 
     x = ascend(
         value_and_grad, np.zeros(q + 1), config.learning_rate, config.max_iters, config.grad_tol

@@ -91,12 +91,17 @@ def stopping_rule(history: list[float], patience: int) -> bool:
     return True
 
 
-def _standardize(features: FeatureMatrixReal) -> FeatureMatrixReal:
+def standardize(features: FeatureMatrixReal) -> tuple[FeatureMatrixReal, np.ndarray, np.ndarray]:
+    """Z-score each column; returns (standardized features, mean, scale).
+    A constant column keeps scale 1, so it maps to zeros."""
     v = features.values
     mean = v.mean(axis=0)
-    std = v.std(axis=0)
-    std[std == 0.0] = 1.0
-    return FeatureMatrixReal((v - mean) / std, column_names=features.column_names)
+    scale = v.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    standardized = FeatureMatrixReal(
+        (v - mean) / scale, column_names=features.column_names, object_ids=features.object_ids
+    )
+    return standardized, mean, scale
 
 
 def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
@@ -115,7 +120,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     ):
         raise DataError("dataset components disagree on object count")
 
-    real = _standardize(dataset.real_features) if config.standardize else dataset.real_features
+    real = standardize(dataset.real_features)[0] if config.standardize else dataset.real_features
     use_dev = dataset.truth is not None
     tracked_name = config.dev_metric if use_dev else "agreement"
 

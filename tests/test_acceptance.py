@@ -19,6 +19,7 @@ the indicator being selected.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,8 +364,8 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         ]
         for argv, outputs in plan:
             assert main(argv) == 0, argv
-            first = {path: open(path, "rb").read() for path in outputs}
+            first = {path: Path(path).read_bytes() for path in outputs}
             assert main(argv) == 0, argv
             for path, before in first.items():
-                again = open(path, "rb").read()
+                again = Path(path).read_bytes()
                 assert again == before, f"rerun changed {path} for {argv[0]}"

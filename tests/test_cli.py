@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ def tiny_dataset(tmp_path):
     return ds, paths, tmp_path
 
 
+def _load_soft(path):
+    with open(path) as f:
+        return wdata.load_soft_labels(f)
+
+
 FAST = ["--max-iters", "200", "--grad-tol", "1e-5"]
 FAST_DISC = ["--disc-max-iters", "200", "--disc-grad-tol", "1e-5"]
 
@@ -40,11 +46,11 @@ def test_fit_gen_and_label_round_trip(tiny_dataset, tmp_path):
     model = str(tmp_path / "model.json")
     out = str(tmp_path / "soft.csv")
     assert main(["fit-gen", "--labels", paths["labels"], "--out", model, *FAST]) == 0
-    body = json.loads(open(model).read())
+    body = json.loads(Path(model).read_text())
     assert body["selected"] == [] and len(body["phi"]) == 3
     assert body["config"]["max_iters"] == 200
     assert main(["label", "--labels", paths["labels"], "--model", model, "--out", out]) == 0
-    soft, ids = wdata.load_soft_labels(open(out))
+    soft, ids = _load_soft(out)
     assert soft.n == 400
 
 
@@ -57,7 +63,7 @@ def test_fit_gen_augmented_requires_features(tiny_dataset, tmp_path):
          "--bin-features", paths["xbin"], "--out", model, *FAST]
     )
     assert code == 0
-    body = json.loads(open(model).read())
+    body = json.loads(Path(model).read_text())
     assert body["selected"] == [0, 2] and len(body["w"]) == 2
 
 
@@ -72,7 +78,7 @@ def test_label_with_augmented_model(tiny_dataset, tmp_path):
                  "--out", out]) == 2
     assert main(["label", "--labels", paths["labels"], "--model", model,
                  "--bin-features", paths["xbin"], "--out", out]) == 0
-    soft, _ = wdata.load_soft_labels(open(out))
+    soft, _ = _load_soft(out)
     assert soft.n == 400
 
 
@@ -88,7 +94,7 @@ def test_train_disc_writes_model(tiny_dataset, tmp_path):
          "--standardize", "--out", disc, *FAST_DISC]
     )
     assert code == 0
-    body = json.loads(open(disc).read())
+    body = json.loads(Path(disc).read_text())
     assert len(body["theta"]) == 3 and "bias" in body
     assert body["preprocess"]["standardize"] is True
 
@@ -107,7 +113,7 @@ def test_run_writes_report_and_labels(tiny_dataset, tmp_path):
     assert report["tracked_metric"] == "accuracy"
     assert report["iterations"][0]["k"] == 0
     assert report["config"]["seed"] == 7
-    soft, ids = wdata.load_soft_labels(open(out_dir / "labels_out.csv"))
+    soft, ids = _load_soft(out_dir / "labels_out.csv")
     assert soft.n == 400
 
 
@@ -230,7 +236,7 @@ def test_config_file_and_flag_precedence(tiny_dataset, tmp_path):
          "--seed", "99", "--out", model]
     )
     assert code == 0
-    body = json.loads(open(model).read())
+    body = json.loads(Path(model).read_text())
     assert body["config"]["max_iters"] == 150  # from file
     assert body["config"]["seed"] == 99  # flag wins
 
@@ -242,7 +248,7 @@ def test_socratic_seed_env_default(tiny_dataset, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     model = str(tmp_path / "m.json")
     assert main(["fit-gen", "--labels", paths["labels"], "--out", model, *FAST]) == 0
-    assert json.loads(open(model).read())["config"]["seed"] == 1234
+    assert json.loads(Path(model).read_text())["config"]["seed"] == 1234
 
 
 def test_zero_one_encoding_flag(tmp_path):
@@ -269,3 +275,65 @@ def test_repeated_runs_byte_identical(tiny_dataset, tmp_path):
         )
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _swap_rows(src: str, dst, a: int = 3, b: int = 5) -> str:
+    """Copy a CSV with body rows a and b swapped (row 1 is the first object)."""
+    lines = Path(src).read_text().splitlines(keepends=True)
+    lines[a], lines[b] = lines[b], lines[a]
+    Path(dst).write_text("".join(lines))
+    return str(dst)
+
+
+# each case: the argv of one subcommand, built from the fixture paths `p`, the
+# prepared model/soft-label files and a `swapped(path)` copy of one input
+ID_SWAP_CASES = {
+    "fit-gen": lambda p, swapped: [
+        "fit-gen", "--labels", p["labels"], "--selected", "0",
+        "--bin-features", swapped(p["xbin"]), *FAST],
+    "label": lambda p, swapped: [
+        "label", "--labels", p["labels"], "--model", p["aug"],
+        "--bin-features", swapped(p["xbin"]), "--out", p["out"]],
+    "train-disc": lambda p, swapped: [
+        "train-disc", "--real-features", swapped(p["vreal"]), "--soft-labels", p["soft"],
+        *FAST_DISC],
+    "diff": lambda p, swapped: [
+        "diff", "--bin-features", p["xbin"], "--gen-labels", p["soft"],
+        "--disc-labels", swapped(p["truth"])],
+    "run": lambda p, swapped: [
+        "run", "--labels", p["labels"], "--bin-features", p["xbin"],
+        "--real-features", swapped(p["vreal"]), "--out-dir", p["out_dir"]],
+    "run-truth": lambda p, swapped: [
+        "run", "--labels", p["labels"], "--bin-features", p["xbin"],
+        "--real-features", p["vreal"], "--truth", swapped(p["truth"]),
+        "--out-dir", p["out_dir"]],
+    "check-conditions": lambda p, swapped: [
+        "check-conditions", "--features", swapped(p["xbin"]),
+        "--disagreement", p["dis"], "--support", "0"],
+    "metrics": lambda p, swapped: [
+        "metrics", "--pred", swapped(p["truth"]), "--truth", p["truth"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_SWAP_CASES))
+def test_swapped_rows_exit_two_naming_the_row(case, tiny_dataset, tmp_path, capsys):
+    ds, paths, _ = tiny_dataset
+    p = dict(paths, aug=str(tmp_path / "aug.json"), soft=str(tmp_path / "soft.csv"),
+             out=str(tmp_path / "out.csv"), out_dir=str(tmp_path / "run"),
+             dis=str(tmp_path / "dis.csv"))
+    assert main(["fit-gen", "--labels", p["labels"], "--out", str(tmp_path / "m.json"), *FAST]) == 0
+    assert main(["label", "--labels", p["labels"], "--model", str(tmp_path / "m.json"),
+                 "--out", p["soft"]]) == 0
+    assert main(["fit-gen", "--labels", p["labels"], "--selected", "0", "--bin-features",
+                 p["xbin"], "--out", p["aug"], *FAST]) == 0
+    Path(p["dis"]).write_text(
+        "object_id,disagreement\n" + "".join(f"{i},0.5\n" for i in range(ds.n))
+    )
+    argv = ID_SWAP_CASES[case](p, lambda src: _swap_rows(src, tmp_path / "swapped.csv"))
+    # the same command on the unswapped file succeeds
+    unswapped = ID_SWAP_CASES[case](p, lambda src: src)
+    assert main(unswapped) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "object ids differ: row 3 is " in err and "'2'" in err and "'4'" in err

@@ -186,3 +186,30 @@ def test_validate_flags_constant_columns_and_never_mutates():
     report = validate(ds)
     assert report.constant_bin_columns == (0,)
     np.testing.assert_array_equal(ds.bin_features.values, before)
+
+
+def test_binary_features_keep_object_ids():
+    text = "object_id,f_1\nx,1\ny,-1\n"
+    fm = load_binary_features(io.StringIO(text))
+    assert fm.object_ids == ("x", "y")
+    out = io.StringIO()
+    save_binary_features(fm, out)
+    assert out.getvalue() == text
+
+
+def test_validate_mismatched_ids_is_fatal():
+    ds = Dataset(
+        labels=LabelMatrix(np.array([[1, 0, -1]]), object_ids=("a", "b", "c")),
+        bin_features=FeatureMatrixBinary(np.ones((3, 1)), object_ids=("a", "c", "b")),
+        real_features=FeatureMatrixReal(np.zeros((3, 1))),  # no ids: not compared
+    )
+    report = validate(ds)
+    assert not report.ok and report.n_consistent
+    assert any(
+        f.level == "fatal"
+        and f.message == "object ids differ: row 2 is 'b' in labels but 'c' in bin_features"
+        for f in report.findings
+    )
+    same = Dataset(labels=ds.labels, bin_features=FeatureMatrixBinary(
+        np.ones((3, 1)), object_ids=("a", "b", "c")))
+    assert validate(same).ok

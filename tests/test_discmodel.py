@@ -138,6 +138,11 @@ def test_fit_zero_iterations_returns_zero_vector():
     assert params.bias == 0.0
 
 
+def test_config_rejects_negative_max_iters():
+    with pytest.raises(ValueError, match="max_iters"):
+        DiscConfig(max_iters=-5)
+
+
 def test_predict_sign_conventions():
     v = FeatureMatrixReal(np.array([[1.0], [-1.0], [0.0]]))
     all_pos = predict(DiscParams(theta=np.zeros(1), bias=1.0), v)
