@@ -7,8 +7,8 @@ subcommand is deterministic given its flags: all randomness flows from
 --seed (default: the SOCRATIC_SEED environment variable, else 0).
 
 Option precedence: command-line flags > --config JSON file > environment
-seed > built-in defaults.  Exit codes: 0 success, 1 usage error, 2 data or
-validation error.
+seed > built-in defaults.  A --config key that no subcommand reads is a data
+error.  Exit codes: 0 success, 1 usage error, 2 data or validation error.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ EXIT_DATA = 2
 
 _DEFAULTS = {
     "encoding": "pm1",
-    "learning_rate": 0.1,
     "max_iters": 2000,
     "grad_tol": 1e-6,
     "phi_init": 0.5,
     "w_l2": 0.01,
-    "disc_learning_rate": 0.5,
     "disc_max_iters": 2000,
     "disc_grad_tol": 1e-6,
     "disc_l2": 0.01,
@@ -122,8 +120,16 @@ def _floats(value) -> list[float]:
         raise DataError(f"expected comma-separated numbers, got {value!r}") from None
 
 
-def _resolve(args: argparse.Namespace) -> None:
-    """Merge --config file values and built-in defaults into unset flags."""
+def _option_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option name that some subcommand reads."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions}
+
+
+def _resolve(args: argparse.Namespace, known: set[str]) -> None:
+    """Merge --config file values and built-in defaults into unset flags.
+    A file key that no subcommand reads (`known`) is a data error; keys of
+    other subcommands are accepted and ignored."""
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as f:
@@ -135,6 +141,8 @@ def _resolve(args: argparse.Namespace) -> None:
             raise DataError(f"config file {cfg_path}: expected a JSON object")
         for key, value in file_cfg.items():
             dest = key.replace("-", "_")
+            if dest not in known:
+                raise DataError(f"config file {cfg_path}: unknown option {key!r}")
             if hasattr(args, dest) and getattr(args, dest) is None:
                 setattr(args, dest, value)
     for dest, value in _DEFAULTS.items():
@@ -147,7 +155,6 @@ def _resolve(args: argparse.Namespace) -> None:
 
 def _gen_config(args) -> genmodel.FitConfig:
     return genmodel.FitConfig(
-        learning_rate=float(args.learning_rate),
         max_iters=int(args.max_iters),
         grad_tol=float(args.grad_tol),
         phi_init=float(args.phi_init),
@@ -157,7 +164,6 @@ def _gen_config(args) -> genmodel.FitConfig:
 
 def _disc_config(args) -> discmodel.DiscConfig:
     return discmodel.DiscConfig(
-        learning_rate=float(args.disc_learning_rate),
         max_iters=int(args.disc_max_iters),
         grad_tol=float(args.disc_grad_tol),
         l2=float(args.disc_l2),
@@ -330,10 +336,9 @@ def cmd_run(args) -> int:
         "config": _echo(
             args,
             ["labels", "bin_features", "real_features", "truth", "encoding",
-             "k_max", "patience", "dev_metric", "learning_rate", "max_iters",
-             "grad_tol", "phi_init", "w_l2", "disc_learning_rate",
-             "disc_max_iters", "disc_grad_tol", "disc_l2", "standardize",
-             "grid_size", "lambda_min_ratio", "lasso_tol",
+             "k_max", "patience", "dev_metric", "max_iters", "grad_tol",
+             "phi_init", "w_l2", "disc_max_iters", "disc_grad_tol", "disc_l2",
+             "standardize", "grid_size", "lambda_min_ratio", "lasso_tol",
              "refresh_disagreement", "seed", "out_dir"],
         ),
     }
@@ -478,7 +483,6 @@ def _add_common(p: _Parser) -> None:
 
 
 def _add_gen_opts(p: _Parser) -> None:
-    p.add_argument("--learning-rate", type=float, help="generative fit step size")
     p.add_argument("--max-iters", type=int, help="generative fit iteration cap")
     p.add_argument("--grad-tol", type=float, help="generative fit gradient tolerance")
     p.add_argument("--phi-init", type=float, help="initial per-source weight")
@@ -486,7 +490,6 @@ def _add_gen_opts(p: _Parser) -> None:
 
 
 def _add_disc_opts(p: _Parser) -> None:
-    p.add_argument("--disc-learning-rate", type=float)
     p.add_argument("--disc-max-iters", type=int)
     p.add_argument("--disc-grad-tol", type=float)
     p.add_argument("--disc-l2", type=float)
@@ -626,7 +629,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _resolve(args)
+        _resolve(args, _option_names(parser))
         return args.func(args)
     except (DataError, FitError, ValueError, IndexError, KeyError, OSError,
             json.JSONDecodeError) as e:

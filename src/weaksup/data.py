@@ -225,6 +225,8 @@ def check_ids(**ids: Sequence[str] | None) -> None:
     rows past the end of the shorter id list are left to the count checks."""
     named = [(name, seq) for name, seq in ids.items() if seq is not None]
     for (prev_name, prev), (name, seq) in zip(named, named[1:]):
+        if prev == seq:
+            continue
         for i, (a, b) in enumerate(zip(prev, seq), start=1):
             if a != b:
                 raise DataError(
@@ -299,8 +301,9 @@ def _read_table(
     """Parse a table into `(names, ids, values)`: one `dtype` array, N x C,
     or of length N for a `vector` file, which reads its first value column
     only.  `header_error(names)` may reject the value-column names before any
-    cell is read.  `valid` is the domain test, on the array or on one parsed
-    cell; `problem(row, column, cell, value)` words its failure.
+    cell is read; a repeated object id is rejected next, naming both rows.
+    `valid` is the domain test, on the array or on one parsed cell;
+    `problem(row, column, cell, value)` words its failure.
     """
     rows = [r for r in csv.reader(reader) if r]  # tolerate trailing blank lines
     if not rows:
@@ -324,6 +327,11 @@ def _read_table(
     names = tuple(header[1:2] if vector else header[1:])
     if (message := header_error(names)) is not None:
         raise DataError(message)
+    if len(set(ids)) != len(ids):
+        first: dict[str, int] = {}
+        for i, oid in enumerate(ids, start=1):
+            if (j := first.setdefault(oid, i)) != i:
+                raise DataError(f"{what}: object id {oid!r} repeats in rows {j} and {i}")
     try:
         values = np.array(body, dtype=dtype)
         if valid(values).all():

@@ -7,7 +7,9 @@ distribution: with p_o = P(Y_o = +1) and score s_o = theta . v_o + bias,
            + (l2 / 2) ||theta||^2
 
 The bias is excluded from the penalty.  Hard labels (p in {0,1}) reduce this
-to the standard logistic loss exactly.
+to the standard logistic loss exactly.  The loss is convex, with Hessian
+A^T diag(sigma (1 - sigma)) A / N (plus l2 on theta) for A = [v, 1], so
+`fit_disc` runs the damped-Newton solver of `genmodel` (IRLS).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _set
-from .genmodel import _sigmoid, ascend
+from .genmodel import _sigmoid, newton
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,11 @@ class DiscParams:
 
 @dataclass(frozen=True)
 class DiscConfig:
-    learning_rate: float = 0.5
     max_iters: int = 2000
     grad_tol: float = 1e-6
     l2: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.l2 < 0:
@@ -65,17 +64,25 @@ def _check_n(features: FeatureMatrixReal, soft: ProbLabelVector) -> None:
         raise ValueError(f"feature rows {features.n} != label count {soft.n}")
 
 
-def _loss_and_grad(
+def _loss_grad_hess(
     x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """The penalized loss at x = [theta, bias] and its gradient, from one pass
-    over the scores."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The penalized loss at x = [theta, bias], its gradient and its Hessian,
+    from one pass over the scores."""
+    n, q = v.shape
     theta = x[:-1]
     s = v @ theta + x[-1]
     data = p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)
-    r = _sigmoid(s) - p
-    grad = np.append((v.T @ r) / v.shape[0] + l2 * theta, r.mean())
-    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad
+    sig = _sigmoid(s)
+    r = sig - p
+    grad = np.append((v.T @ r) / n + l2 * theta, r.mean())
+    weights = sig * (1.0 - sig) / n
+    weighted = v * weights[:, None]
+    hess = np.empty((q + 1, q + 1))
+    hess[:q, :q] = weighted.T @ v + l2 * np.eye(q)
+    hess[:q, q] = hess[q, :q] = weighted.sum(axis=0)
+    hess[q, q] = weights.sum()
+    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad, hess
 
 
 def noise_aware_loss(
@@ -88,7 +95,7 @@ def noise_aware_loss(
     if features.q != params.q:
         raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
     x = np.append(params.theta, params.bias)
-    return _loss_and_grad(x, features.values, soft_labels.probability, l2)[0]
+    return _loss_grad_hess(x, features.values, soft_labels.probability, l2)[0]
 
 
 def grad_noise_aware_loss(
@@ -100,27 +107,25 @@ def grad_noise_aware_loss(
     """Analytic gradient of noise_aware_loss with respect to (theta, bias)."""
     _check_n(features, soft_labels)
     x = np.append(params.theta, params.bias)
-    grad = _loss_and_grad(x, features.values, soft_labels.probability, l2)[1]
+    grad = _loss_grad_hess(x, features.values, soft_labels.probability, l2)[1]
     return grad[:-1], float(grad[-1])
 
 
 def fit_disc(
     features: FeatureMatrixReal, soft_labels: ProbLabelVector, config: DiscConfig = DiscConfig()
 ) -> DiscParams:
-    """Deterministic full-batch gradient descent from the zero vector: ascent
-    on the negated loss over [theta, bias]."""
+    """Deterministic full-batch damped Newton from the zero vector: ascent on
+    the negated loss over [theta, bias]."""
     _check_n(features, soft_labels)
     v = features.values
     p = soft_labels.probability
     q = v.shape[1]
 
-    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = _loss_and_grad(x, v, p, config.l2)
-        return -loss, -grad
+    def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        loss, grad, hess = _loss_grad_hess(x, v, p, config.l2)
+        return -loss, -grad, -hess
 
-    x = ascend(
-        value_and_grad, np.zeros(q + 1), config.learning_rate, config.max_iters, config.grad_tol
-    )
+    x = newton(value_grad_hess, np.zeros(q + 1), config.max_iters, config.grad_tol)
     return DiscParams(theta=x[:q], bias=x[q])
 
 
@@ -140,7 +145,6 @@ def params_to_dict(params: DiscParams, config: DiscConfig | None = None) -> dict
     body = {"theta": params.theta.tolist(), "bias": params.bias}
     if config is not None:
         body["config"] = {
-            "learning_rate": config.learning_rate,
             "max_iters": config.max_iters,
             "grad_tol": config.grad_tol,
             "l2": config.l2,

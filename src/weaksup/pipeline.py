@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, Dataset, FeatureMatrixReal, HardLabelVector, ProbLabelVector
+from .data import (
+    DataError,
+    Dataset,
+    FeatureMatrixReal,
+    HardLabelVector,
+    ProbLabelVector,
+    check_ids,
+)
 from .diffmodel import disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
 from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
@@ -107,9 +114,11 @@ def standardize(features: FeatureMatrixReal) -> tuple[FeatureMatrixReal, np.ndar
 def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     """Execute the full loop and return the best-K state.
 
+    Object ids, where the components carry them, must match row for row.
     The disagreement vector and the regularization path are computed once
     from the K=0 models; `refresh_disagreement` recomputes them each K
-    instead (off by default).
+    instead (off by default).  The path stops once k_max features have
+    entered, since only the first k_max entries are ever selected.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
@@ -119,6 +128,12 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         dataset.bin_features is not None and dataset.bin_features.n != dataset.labels.n
     ):
         raise DataError("dataset components disagree on object count")
+    check_ids(
+        labels=dataset.labels.object_ids,
+        bin_features=getattr(dataset.bin_features, "object_ids", None),
+        real_features=dataset.real_features.object_ids,
+        truth=getattr(dataset.truth, "object_ids", None),
+    )
 
     real = standardize(dataset.real_features)[0] if config.standardize else dataset.real_features
     use_dev = dataset.truth is not None
@@ -157,6 +172,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
                     grid_size=config.grid_size,
                     lambda_min_ratio=config.lambda_min_ratio,
                     tol=config.lasso_tol,
+                    stop_after=config.k_max,
                 )
             except DataError:
                 # models agree everywhere: nothing for the difference model

@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the implementations under test: gradients
 come from central finite differences, LASSO solutions from multi-resolution
-dense grid search over coefficient space, and likelihoods from exhaustive
-state enumeration (weaksup.genmodel.brute_force_joint).  The Bayes labelers
+dense grid search over coefficient space, likelihoods from exhaustive
+state enumeration (weaksup.genmodel.brute_force_joint), and the generative
+objective also from a plain per-object formula.  The Bayes labelers
 of a planted-subset scenario are built from the scenario's true parameters
 alone, by enumerating every (class, indicator, vote) state.
 """
@@ -29,6 +30,30 @@ def rel_error(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / scale)
+
+
+def per_object_objective(phi, w, votes, x_sel, w_l2):
+    """Penalized mean log-likelihood of the generative model and its (phi, W)
+    gradients, one object at a time: votes is M x N, x_sel is N x K.
+
+    log P(votes_o) = log 2cosh(s_o) - log Z(phi_o), with phi_o = phi + x_o W,
+    s_o = phi_o . votes_o and log Z = log 2 + sum_j log(2 cosh phi_oj + 1).
+    """
+    phi, w = np.asarray(phi, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    lam = np.asarray(votes, dtype=np.float64).T
+    x = np.asarray(x_sel, dtype=np.float64)
+    n = lam.shape[0]
+    value = 0.0
+    g_phi, g_w = np.zeros_like(phi), np.zeros_like(w)
+    for o in range(n):
+        phi_o = phi + x[o] @ w
+        s = float(phi_o @ lam[o])
+        value += np.log(2.0 * np.cosh(s)) - np.log(2.0) - np.log(2.0 * np.cosh(phi_o) + 1.0).sum()
+        d = lam[o] * np.tanh(s) - 2.0 * np.sinh(phi_o) / (2.0 * np.cosh(phi_o) + 1.0)
+        g_phi += d
+        g_w += np.outer(x[o], d)
+    value = value / n - 0.5 * w_l2 * (w * w).sum()
+    return value, g_phi / n, g_w / n - w_l2 * w
 
 
 def lasso_grid_search(x, y, lam, span=2.0, final_step=1e-3):

@@ -220,7 +220,7 @@ def test_missing_file_exits_two(capsys):
 def test_bad_config_value_exits_two(tiny_dataset, tmp_path):
     _, paths, _ = tiny_dataset
     code = main(
-        ["fit-gen", "--labels", paths["labels"], "--learning-rate", "-1",
+        ["fit-gen", "--labels", paths["labels"], "--grad-tol", "-1",
          "--out", str(tmp_path / "m.json")]
     )
     assert code == 2
@@ -239,6 +239,40 @@ def test_config_file_and_flag_precedence(tiny_dataset, tmp_path):
     body = json.loads(Path(model).read_text())
     assert body["config"]["max_iters"] == 150  # from file
     assert body["config"]["seed"] == 99  # flag wins
+
+
+def test_unknown_config_key_exits_two_naming_it(tiny_dataset, tmp_path, capsys):
+    _, paths, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    model = str(tmp_path / "m.json")
+    argv = ["fit-gen", "--labels", paths["labels"], "--config", str(cfg), "--out", model]
+    # keys of other subcommands are accepted, and ignored by fit-gen
+    cfg.write_text(json.dumps({"max_iters": 150, "disc-l2": 0.5, "k_max": 2, "trials": 3}))
+    assert main(argv) == 0
+    capsys.readouterr()
+    for key in ("learning_rate", "disc-learning-rate", "max_iter"):
+        cfg.write_text(json.dumps({"max_iters": 150, key: 0.1}))
+        assert main(argv) == 2
+        assert f"unknown option {key!r}" in capsys.readouterr().err
+
+
+def test_pipeline_run_rejects_swapped_binary_feature_ids(tiny_dataset, tmp_path):
+    from weaksup.pipeline import RunConfig, run
+
+    _, paths, _ = tiny_dataset
+
+    def dataset(xbin):
+        with open(paths["labels"]) as lf, open(xbin) as bf, open(paths["vreal"]) as rf:
+            return wdata.Dataset(
+                labels=wdata.load_label_matrix(lf),
+                bin_features=wdata.load_binary_features(bf),
+                real_features=wdata.load_real_features(rf),
+            )
+
+    config = RunConfig(k_max=1)
+    run(dataset(paths["xbin"]), config)
+    with pytest.raises(wdata.DataError, match="row 3 is '2' in labels but '4' in bin_features"):
+        run(dataset(_swap_rows(paths["xbin"], tmp_path / "swapped.csv")), config)
 
 
 def test_socratic_seed_env_default(tiny_dataset, tmp_path, monkeypatch, capsys):

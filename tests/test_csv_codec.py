@@ -116,19 +116,34 @@ def tables(draw, loader: str, n_bad: int):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
+def _ids(text: str) -> list[str]:
+    return [line.split(",")[0] for line in text.splitlines()[1:] if line]
+
+
+def _repeat(ids: list[str]) -> str | None:
+    """The message tail for the first repeated id (the reference loaders
+    accept repeats), or None when every id is distinct."""
+    for i, oid in enumerate(ids):
+        if oid in ids[:i]:
+            return f"object id {oid!r} repeats in rows {ids.index(oid) + 1} and {i + 1}"
+    return None
+
+
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 @given(data_=st.data())
 def test_well_formed_tables_match_reference_bit_for_bit(loader, data_):
     text = data_.draw(tables(loader, n_bad=0))
     load, load_ref = LOADERS[loader][:2]
     got, want = _outcome(load, text), _outcome(load_ref, text)
+    if (repeat := _repeat(_ids(text))) is not None:
+        assert got[0] == "error" and got[1].endswith(": " + repeat), got
+        return
     assert got[0] == want[0] == "ok", (got, want)
     assert _same_bits(_array(got[1]), _array(want[1]))
     if isinstance(want[1], tuple):
         assert got[1][1] == want[1][1]  # object ids
-    ids = [line.split(",")[0] for line in text.splitlines()[1:] if line]
     if hasattr(got[1], "object_ids"):
-        assert got[1].object_ids == tuple(ids)
+        assert got[1].object_ids == tuple(_ids(text))
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -138,6 +153,9 @@ def test_bad_cells_give_the_reference_message(loader, data_):
     load, load_ref = LOADERS[loader][:2]
     got, want = _outcome(load, text), _outcome(load_ref, text)
     assert want[0] == "error"
+    if (repeat := _repeat(_ids(text))) is not None:
+        assert got[0] == "error" and got[1].endswith(": " + repeat), got
+        return
     assert got == want
 
 

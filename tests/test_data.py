@@ -57,6 +57,15 @@ def test_load_label_matrix_non_integer():
         load_label_matrix(io.StringIO(text))
 
 
+def test_repeated_object_id_names_both_rows():
+    text = "object_id,lf_1\na,1\nb,0\na,1\n"
+    with pytest.raises(DataError, match="labels: object id 'a' repeats in rows 1 and 3"):
+        load_label_matrix(io.StringIO(text))
+    # a repeat is rejected before any cell is parsed
+    with pytest.raises(DataError, match="object id 'x' repeats in rows 1 and 2"):
+        load_real_features(io.StringIO("object_id,v_1\nx,nan\nx,1\n"))
+
+
 def test_binary_features_zero_one_mapping():
     text = "object_id,f_1,f_2\na,0,1\n"
     fm = load_binary_features(io.StringIO(text), "zero_one")

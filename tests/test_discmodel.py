@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oracles import finite_difference, rel_error
@@ -123,10 +125,26 @@ def test_fit_never_increases_loss():
 
 def test_fit_non_finite_loss_raises():
     rng = np.random.default_rng(9)
-    v = FeatureMatrixReal(rng.standard_normal((20, 2)))
+    # finite features whose squares overflow: the Hessian is not finite
+    v = FeatureMatrixReal(rng.standard_normal((20, 2)) * 1e200)
     soft = ProbLabelVector(np.tanh(rng.standard_normal(20)))
     with np.errstate(all="ignore"), pytest.raises(FitError):
-        fit_disc(v, soft, DiscConfig(learning_rate=1e308))
+        fit_disc(v, soft)
+
+
+@given(st.integers(5, 200), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_fit_reaches_a_stationary_point_with_a_constant_column(n, q, seed):
+    # a constant column duplicates the unpenalized bias: with l2 = 0 the
+    # Hessian is singular, and the damped solver must still end stationary
+    rng = np.random.default_rng(seed)
+    v = FeatureMatrixReal(np.column_stack([rng.standard_normal((n, q)), np.full(n, 2.0)]))
+    soft = ProbLabelVector(0.9 * np.tanh(rng.standard_normal(n)))
+    cfg = DiscConfig(l2=0.0)
+    params = fit_disc(v, soft, cfg)
+    g_theta, g_bias = grad_noise_aware_loss(params, v, soft)
+    assert max(np.abs(g_theta).max(), abs(g_bias)) < cfg.grad_tol
+    zero = DiscParams(theta=np.zeros(q + 1), bias=0.0)
+    assert noise_aware_loss(params, v, soft) <= noise_aware_loss(zero, v, soft)
 
 
 def test_fit_zero_iterations_returns_zero_vector():

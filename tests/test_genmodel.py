@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import finite_difference, rel_error
+from oracles import finite_difference, per_object_objective, rel_error
 from weaksup.data import FeatureMatrixBinary, LabelMatrix
 from weaksup.genmodel import (
     FitConfig,
     FitError,
     GenParams,
+    _objective,
     brute_force_joint,
     effective_phi,
     fit_aug,
@@ -22,6 +23,7 @@ from weaksup.genmodel import (
     load_params,
     log_partition,
     marginal_loglik,
+    newton,
     posterior,
     save_params,
 )
@@ -138,6 +140,164 @@ def test_grad_matches_finite_differences():
         assert rel_error(analytic, numeric) < 1e-5
 
 
+def _random_model(rng, m: int, k: int, n: int):
+    """Random parameters over K selected columns of a P = K + 1 feature
+    matrix, with labels and features for n objects."""
+    lm = LabelMatrix(rng.integers(-1, 2, size=(m, n)))
+    x = FeatureMatrixBinary(rng.integers(0, 2, size=(n, k + 1)) * 2 - 1)
+    selected = tuple(int(j) for j in rng.permutation(k + 1)[:k])
+    params = GenParams(rng.uniform(-1.5, 1.5, m), rng.uniform(-1, 1, (k, m)), selected)
+    return lm, x, params
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_compressed_objective_matches_per_object_form(k):
+    rng = np.random.default_rng(100 + k)
+    for m, n in ((1, 7), (3, 400), (5, 2_000)):
+        lm, x, params = _random_model(rng, m, k, n)
+        value, g_phi, g_w = per_object_objective(
+            params.phi, params.w, lm.votes, x.values[:, list(params.selected)], 0.03
+        )
+        assert abs(marginal_loglik(params, lm, x, w_l2=0.03) - value) <= 1e-12 * abs(value)
+        got = np.concatenate([g.ravel() for g in grad_marginal(params, lm, x, w_l2=0.03)])
+        want = np.concatenate([g_phi, g_w.ravel()])
+        assert rel_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_hessian_matches_finite_differences_of_gradient(k):
+    rng = np.random.default_rng(200 + k)
+    lm, x, params = _random_model(rng, 3, k, 80)
+    evaluate = _objective(params, lm, x, 0.03)
+    for _ in range(5):
+        flat = np.concatenate([rng.uniform(-1.5, 1.5, 3), rng.uniform(-1, 1, 3 * k)])
+        hess = evaluate(flat)[2]
+        numeric = np.stack(
+            [finite_difference(lambda f: evaluate(f)[1][i], flat) for i in range(flat.size)]
+        )
+        assert rel_error(hess, numeric) < 1e-5
+        np.testing.assert_array_equal(hess, hess.T)
+
+
+# -- the solver ------------------------------------------------------------------
+
+
+def test_newton_solves_a_concave_quadratic_in_one_full_step():
+    a = np.array([[-2.0, 0.5], [0.5, -1.0]])
+    b = np.array([1.0, -3.0])
+    calls = []
+
+    def quad(x):
+        calls.append(x)
+        return 0.5 * x @ a @ x + b @ x, a @ x + b, a
+
+    x = newton(quad, np.zeros(2), max_iters=1, grad_tol=1e-12)
+    # the 1e-10 floor on the damping is all that stands between one step
+    # and the exact maximizer
+    np.testing.assert_allclose(x, np.linalg.solve(a, -b), rtol=1e-9)
+    assert len(calls) == 2  # the start point and one full step
+
+
+def test_newton_damps_where_the_objective_is_convex():
+    # f(x) = x^2 - x^4 / 4 has a minimum at 0 and maxima at +-sqrt(2); the
+    # undamped Newton step from 0.1 would head for the minimum
+    def f(x):
+        return x @ x - (x**4).sum() / 4, 2 * x - x**3, np.diag(2 - 3 * x**2)
+
+    x = newton(f, np.array([0.1]), max_iters=100, grad_tol=1e-10)
+    assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-5, 5)))
+def test_newton_zero_iterations_returns_the_start_point(x0):
+    def f(x):
+        return -(x @ x), -2 * x, -2 * np.eye(x.size)
+
+    assert newton(f, x0, max_iters=0, grad_tol=1e-9).tobytes() == x0.tobytes()
+
+
+def test_newton_raises_on_a_non_finite_start():
+    def f(x):
+        return float("nan"), np.zeros(1), np.zeros((1, 1))
+
+    with pytest.raises(FitError):
+        newton(f, np.zeros(1), max_iters=5, grad_tol=1e-9)
+
+
+# -- degenerate inputs ---------------------------------------------------------
+
+
+@st.composite
+def vote_matrices(draw, min_m=1, max_m=4, min_n=1, max_n=30):
+    m = draw(st.integers(min_m, max_m))
+    n = draw(st.integers(min_n, max_n))
+    votes = draw(hnp.arrays(np.int8, (m, n), elements=st.sampled_from([-1, 0, 1])))
+    return votes
+
+
+@given(vote_matrices(min_m=2), st.integers(0, 3), st.data())
+def test_all_abstain_source_keeps_its_initial_weights(votes, k, data_):
+    silent = data_.draw(st.integers(0, votes.shape[0] - 1))
+    votes[silent] = 0
+    lm = LabelMatrix(votes)
+    x = FeatureMatrixBinary(data_.draw(
+        hnp.arrays(np.int8, (lm.n, k), elements=st.sampled_from([-1, 1]))))
+    cfg = FitConfig(phi_init=0.3, max_iters=100)
+    fitted = fit_aug(lm, x, list(range(k)), cfg) if k else fit_sp(lm, cfg)
+    assert fitted.phi[silent] == 0.3
+    assert not fitted.w[:, silent].any()
+
+
+@given(st.integers(1, 60), st.integers(0, 60))
+def test_single_source_reaches_the_closed_form_optimum(voting, abstaining):
+    # one source: P(vote) = 2 cosh(phi) / (2 (2 cosh phi + 1)) each way, so the
+    # maximum sits at 2 cosh phi = c / (1 - c) for coverage c > 2/3, else at 0
+    votes = np.array([[1] * voting + [0] * abstaining])
+    lm = LabelMatrix(votes)
+    fitted = fit_sp(lm)
+    c = voting / (voting + abstaining)
+    grad = grad_marginal(fitted, lm)[0]
+    assert np.abs(grad).max() < FitConfig().grad_tol
+    if c >= 0.7 and abstaining:
+        assert fitted.phi[0] == pytest.approx(np.arccosh(c / (2 * (1 - c))), abs=1e-6)
+    elif c <= 0.6:
+        assert abs(fitted.phi[0]) < 1e-5
+
+
+@given(vote_matrices(min_n=1, max_n=1), st.integers(0, 2))
+def test_single_object_fits_without_error(votes, k):
+    lm = LabelMatrix(votes)
+    x = FeatureMatrixBinary(np.ones((1, k), dtype=np.int8))
+    cfg = FitConfig(max_iters=200)
+    fitted = fit_aug(lm, x, list(range(k)), cfg) if k else fit_sp(lm, cfg)
+    init = GenParams(np.full(lm.m, cfg.phi_init), np.zeros((k, lm.m)), tuple(range(k)))
+    assert marginal_loglik(fitted, lm, x, cfg.w_l2) >= marginal_loglik(init, lm, x, cfg.w_l2)
+
+
+@given(finite_phis, st.integers(100, 2_000), st.integers(0, 2**31 - 1))
+def test_constant_column_without_penalty_matches_fit_sp(phi_star, n, seed):
+    # x = +1 everywhere makes (phi_j, W_j) enter only as phi_j + W_j: the
+    # Hessian is singular, and damping must still reach fit_sp's likelihood
+    lm = sample_sp(phi_star, n, seed)
+    x = FeatureMatrixBinary(np.ones((n, 1), dtype=np.int8))
+    cfg = FitConfig(w_l2=0.0)
+    aug = fit_aug(lm, x, [0], cfg)
+    sp = fit_sp(lm, cfg)
+    assert marginal_loglik(aug, lm, x) == pytest.approx(marginal_loglik(sp, lm), abs=1e-9)
+    np.testing.assert_allclose(aug.phi + aug.w[0], sp.phi, atol=1e-4)
+
+
+@given(st.integers(1, 5), hnp.arrays(np.int8, st.integers(1, 40), elements=st.sampled_from([-1, 1])))
+def test_all_votes_agreeing_fits_and_labels_by_the_vote(m, y):
+    # every source votes every object's class: the likelihood rises without
+    # bound in phi, and the fit stops on the gradient tolerance
+    lm = LabelMatrix(np.tile(y, (m, 1)))
+    fitted = fit_sp(lm)
+    assert np.isfinite(fitted.phi).all() and (fitted.phi > 0).all()
+    assert np.abs(grad_marginal(fitted, lm)[0]).max() < FitConfig().grad_tol
+    np.testing.assert_array_equal(np.sign(label_sp(fitted, lm).expected), y)
+
+
 # -- fitting -------------------------------------------------------------------
 
 
@@ -182,7 +342,7 @@ def test_fit_sp_freezes_all_abstain_sources():
 def test_fit_sp_non_finite_objective_raises():
     lm = LabelMatrix(np.array([[1, -1, 1, 1], [1, 1, 0, -1]]))
     with np.errstate(all="ignore"), pytest.raises(FitError):
-        fit_sp(lm, FitConfig(learning_rate=1e308))
+        fit_sp(lm, FitConfig(phi_init=1e308))
 
 
 def test_fit_sp_zero_iterations_returns_init():
@@ -190,6 +350,9 @@ def test_fit_sp_zero_iterations_returns_init():
     fitted = fit_sp(lm, FitConfig(max_iters=0, phi_init=0.3))
     assert fitted.phi.tolist() == [0.3, 0.3]
     assert fitted.w.shape == (0, 2)
+    x = FeatureMatrixBinary(np.ones((200, 3), dtype=np.int8))
+    aug = fit_aug(lm, x, [2, 0], FitConfig(max_iters=0, phi_init=0.3))
+    assert aug.phi.tolist() == [0.3, 0.3] and not aug.w.any() and aug.selected == (2, 0)
 
 
 # -- posterior and labels -----------------------------------------------------

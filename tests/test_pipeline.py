@@ -181,3 +181,45 @@ def test_run_tracks_f1_when_requested():
     report = run(ds, _fast_config(k_max=1, dev_metric="f1"))
     assert report.tracked_metric == "f1"
     assert all(0.0 <= r.dev_metric <= 1.0 for r in report.iterations)
+
+
+def _same_report(a, b) -> bool:
+    same = (a.best_k, a.stop_reason, a.tracked_metric) == (b.best_k, b.stop_reason, b.tracked_metric)
+    same &= a.final_labels.expected.tobytes() == b.final_labels.expected.tobytes()
+    same &= len(a.iterations) == len(b.iterations)
+    for ra, rb in zip(a.iterations, b.iterations):
+        same &= (ra.k, ra.selected, ra.agreement, ra.dev_metric) == (
+            rb.k, rb.selected, rb.agreement, rb.dev_metric)
+        same &= ra.gen_params.phi.tobytes() == rb.gen_params.phi.tobytes()
+        same &= ra.gen_params.w.tobytes() == rb.gen_params.w.tobytes()
+        same &= ra.disc_params.theta.tobytes() == rb.disc_params.theta.tobytes()
+        same &= ra.disc_params.bias == rb.disc_params.bias
+    return same
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+def test_path_stopped_at_k_max_matches_the_full_grid(refresh, monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=11))
+    cfg = _fast_config(k_max=3, patience=3, refresh_disagreement=refresh)
+    full_grid = pipeline.regularization_path
+    stopped, full = [], []
+
+    def recording(into, drop_stop):
+        def path(*args, **kwargs):
+            if drop_stop:
+                assert kwargs.pop("stop_after") == cfg.k_max
+            into.append(full_grid(*args, **kwargs))
+            return into[-1]
+        return path
+
+    monkeypatch.setattr(pipeline, "regularization_path", recording(stopped, False))
+    a = run(ds, cfg)
+    monkeypatch.setattr(pipeline, "regularization_path", recording(full, True))
+    b = run(ds, cfg)
+    assert len(stopped) == len(full) == (3 if refresh else 1)
+    for s, f in zip(stopped, full):
+        assert s.entry_order[: cfg.k_max] == f.entry_order[: cfg.k_max]
+        assert len(s.lambdas) < len(f.lambdas) == cfg.grid_size
+    assert _same_report(a, b)
