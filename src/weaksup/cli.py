@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +355,9 @@ def cmd_check_conditions(args) -> int:
     support = _ints(args.support)
     if not support:
         raise DataError("--support must name at least one feature column")
+    if len(set(support)) != len(support):
+        repeated = next(j for i, j in enumerate(support) if j in support[:i])
+        raise DataError(f"--support names column {repeated} more than once")
     if min(support) < 0 or max(support) >= features.p:
         raise DataError(f"support indices out of range for {features.p} columns")
     rest = sorted(set(range(features.p)) - set(support))
@@ -420,6 +422,8 @@ def _e2e_trial(payload) -> dict:
 
 
 def cmd_simulate_e2e(args) -> int:
+    if int(args.trials) < 1:
+        raise DataError("trials must be positive")
     cfg = _run_config(args)
     work = []
     for t in range(int(args.trials)):
@@ -438,11 +442,7 @@ def cmd_simulate_e2e(args) -> int:
         work.append((t, scenario, cfg))
     if args.dump_data:
         _dump_dataset(synth.gen_e2e(work[0][1]), Path(args.dump_data))
-    if int(args.jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(args.jobs)) as pool:
-            rows = list(pool.map(_e2e_trial, work))
-    else:
-        rows = [_e2e_trial(w) for w in work]
+    rows = synth.map_trials(_e2e_trial, work, int(args.jobs))
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(rows[0].keys())

@@ -289,6 +289,56 @@ def validate(dataset: Dataset) -> ValidationReport:
 # file row order: row i is object i everywhere downstream.
 
 
+# csv.reader treats '"' and '\r' specially and, before Python 3.11, refuses
+# NUL; np.loadtxt strips '\x1c'..'\x1f' as whitespace where int() and float()
+# refuse them.
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(
+    lines: list[str],
+    dtype: type,
+    valid: Callable,
+    vector: bool,
+    header_error: Callable[[tuple[str, ...]], str | None],
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None:
+    """`_read_table` for text without a `_NOT_PLAIN` character, with every
+    value column parsed by one `np.loadtxt` call.  `lines` are as a text
+    stream yields them; without '\r', each ends at its one newline, or the
+    stream yields one line and there is no body.  Returns None where the
+    text is not plain or any check of `_read_table` fails."""
+    try:
+        text = "".join(lines)
+    except TypeError:  # a binary stream, which csv.reader refuses by name
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    rows = [line for line in lines if line != "\n"]  # csv.reader skips empty lines
+    head = rows[0].removesuffix("\n") if rows else ""
+    header, body = head.split(","), rows[1:]
+    c = len(header)
+    names = tuple(header[1:2] if vector else header[1:])
+    if c < 2 or header[0] != "object_id" or not body:
+        return None
+    if max(map(len, rows)) > csv.field_size_limit():  # csv.reader refuses a longer field
+        return None
+    if text.count(",") != (c - 1) * len(rows) or header_error(names) is not None:
+        return None
+    try:  # a vector file's unread columns must parse too
+        values = np.loadtxt(
+            body, dtype=dtype, delimiter=",", comments=None, usecols=range(1, c), ndmin=2
+        )
+    except ValueError:  # a cell that does not parse, or a row too short
+        return None
+    # np.loadtxt refuses a row with fewer than c columns, so the comma total
+    # above leaves every row with exactly c
+    ids = tuple([line.partition(",")[0] for line in body])
+    values = values[:, 0] if vector else values
+    if len(set(ids)) != len(ids) or not valid(values).all():
+        return None
+    return names, ids, values
+
+
 def _read_table(
     reader: TextIO,
     what: str,
@@ -304,8 +354,15 @@ def _read_table(
     cell is read; a repeated object id is rejected next, naming both rows.
     `valid` is the domain test, on the array or on one parsed cell;
     `problem(row, column, cell, value)` words its failure.
+
+    A plain table is parsed in one C pass (`_read_plain`); any other text,
+    and every table that fails a check, goes through `csv.reader`, which
+    alone words the errors.
     """
-    rows = [r for r in csv.reader(reader) if r]  # tolerate trailing blank lines
+    lines = list(reader)  # the lines csv.reader would read, in any newline mode
+    if (table := _read_plain(lines, dtype, valid, vector, header_error)) is not None:
+        return table
+    rows = [r for r in csv.reader(lines) if r]  # tolerate trailing blank lines
     if not rows:
         raise DataError(f"{what}: empty file")
     header, body = rows[0], rows[1:]

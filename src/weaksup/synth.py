@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,6 +207,16 @@ def derive_trial_seed(base_seed: int, cell: int, trial: int) -> int:
     return int(np.random.SeedSequence((base_seed, cell, trial)).generate_state(1)[0])
 
 
+def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
+    """`[trial(w) for w in work]`, spread over `jobs` worker processes when
+    jobs > 1.  Results keep the order of `work`, so they do not depend on
+    `jobs`; `trial` must be a module-level function."""
+    if jobs <= 1:
+        return [trial(w) for w in work]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(trial, work, chunksize=max(1, len(work) // (jobs * 8))))
+
+
 def _recovery_trial(args) -> tuple[int, bool, bool, bool]:
     (cell, kappa, n, p, s_size, rho, seed, policy, delta, grid_size, ratio, tol) = args
     scenario = RecoveryScenario(kappa=kappa, n=n, p=p, s_size=s_size, seed=seed, rho=rho)
@@ -266,11 +276,7 @@ def run_recovery_experiment(
         for ci, (kappa, n) in enumerate(cells)
         for t in range(trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_recovery_trial, work, chunksize=max(1, len(work) // (jobs * 8))))
-    else:
-        results = [_recovery_trial(w) for w in work]
+    results = map_trials(_recovery_trial, work, jobs)
 
     exact = np.zeros(len(cells))
     contained = np.zeros(len(cells))

@@ -371,3 +371,19 @@ def test_swapped_rows_exit_two_naming_the_row(case, tiny_dataset, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "object ids differ: row 3 is " in err and "'2'" in err and "'4'" in err
+
+
+def test_simulate_e2e_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "e2e.csv"
+    assert main(["simulate-e2e", "--trials", "0", "--out", str(out)]) == 2
+    assert "error: trials must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_conditions_rejects_a_repeated_support_column(tiny_dataset, tmp_path, capsys):
+    ds, paths, _ = tiny_dataset
+    dis = tmp_path / "dis.csv"
+    dis.write_text("object_id,disagreement\n" + "".join(f"{i},0.5\n" for i in range(ds.n)))
+    argv = ["check-conditions", "--features", paths["xbin"], "--disagreement", str(dis)]
+    assert main([*argv, "--support", "1,0,1"]) == 2
+    assert "error: --support names column 1 more than once" in capsys.readouterr().err

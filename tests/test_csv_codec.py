@@ -9,6 +9,7 @@ reference's exact `DataError` message, and every writer must produce the
 reference's bytes.
 """
 
+import csv
 import io
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import csv_reference as ref
-from weaksup import data
+from weaksup import cli, data
 from weaksup.data import (
     DataError,
     FeatureMatrixBinary,
@@ -180,6 +181,83 @@ def test_malformed_structure_gives_the_reference_message(loader, text):
     assert got[0] == want[0]
     if want[0] == "error":
         assert got == want
+
+
+# texts at the edge of the one-pass parse of plain tables; `{c}` is the
+# loader's second-column name
+BOUNDARY = {
+    "quoted id": 'object_id,{c}\n"a",1\nb,-1\n',
+    "quoted id holding a comma": 'object_id,{c}\n"a,b",1\nc,-1\n',
+    "crlf line ends": "object_id,{c}\r\na,1\r\nb,-1\r\n",
+    "nul in an id": "object_id,{c}\na\x00,1\nb,-1\n",
+    "id starting with #": "object_id,{c}\n#a,1\nb,-1\n",
+    "empty id": "object_id,{c}\n,1\nb,-1\n",
+    "whitespace-only line": "object_id,{c}\na,1\n \t\nb,-1\n",
+    "blank line in the middle": "object_id,{c}\na,1\n\nb,-1\n",
+    "cell holding x1c": "object_id,{c}\na,\x1c1\nb,-1\n",
+    "cell holding x1f": "object_id,{c}\na,1\x1f\nb,-1\n",
+    "unicode spaces around a cell": "object_id,{c}\na,\xa01\u2003\nb,-1\n",
+    "non-ascii digit": "object_id,{c}\na,\u0661\nb,-1\n",
+    "underscore in a number": "object_id,{c}\na,0_1\nb,-1\n",
+    "float spelling of an integer": "object_id,{c}\na,1.0\nb,-1\n",
+    "one extra column on one row": "object_id,{c}\na,1\nb,-1,1\n",
+    "one row short, one row long": "object_id,{c},c_2\na,1\nb,-1,1,1\n",
+    "one row short, one row long, three columns":
+        "object_id,{c},c_2,c_3\na,1,1\nb,-1,1,1,1\n",
+}
+
+
+def _csv_ids(text: str) -> list[str]:
+    """The object ids csv.reader reads: the first cell of each body row."""
+    return [row[0] for row in csv.reader(io.StringIO(text)) if row][1:]
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("case", sorted(BOUNDARY))
+def test_plain_table_boundary_matches_reference(loader, case):
+    load, load_ref, *_, column = LOADERS[loader]
+    text = BOUNDARY[case].format(c=column or "c_1")
+    got, want = _outcome(load, text), _outcome(load_ref, text)
+    if want[0] == "error":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    assert _same_bits(_array(got[1]), _array(want[1]))
+    ids = got[1][1] if isinstance(got[1], tuple) else got[1].object_ids
+    assert list(ids) == _csv_ids(text)
+    for attr in ("source_names", "column_names"):
+        assert getattr(got[1], attr, None) == getattr(want[1], attr, None)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_crlf_file_opened_by_the_cli_takes_the_plain_parse(loader, tmp_path, monkeypatch):
+    load, load_ref, *_, column = LOADERS[loader]
+    text = f"object_id,{column or 'c_1'}\na,1\n\nb,1\n\n"
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    with monkeypatch.context() as m:
+        m.setattr(csv, "reader", None)  # only the plain-table parse can read it now
+        got = cli._load(str(path), load)
+    want = load_ref(io.StringIO(text))
+    assert _same_bits(_array(got), _array(want))
+    ids = got[1] if isinstance(got, tuple) else got.object_ids
+    assert ids == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: io.StringIO("object_id,c_1\n" + "a" * (csv.field_size_limit() + 1) + ",1\n"),
+        lambda: io.BytesIO(b"object_id,c_1\na,1\n"),
+    ],
+    ids=["field past the csv size limit", "binary stream"],
+)
+def test_csv_module_errors_match_the_reference(stream):
+    with pytest.raises(csv.Error) as got:
+        data.load_label_matrix(stream())
+    with pytest.raises(csv.Error) as want:
+        ref.load_label_matrix(stream())
+    assert str(got.value) == str(want.value)
 
 
 def test_unknown_encoding_message():
