@@ -632,7 +632,7 @@ def main(argv=None) -> int:
         _resolve(args, _option_names(parser))
         return args.func(args)
     except (DataError, FitError, ValueError, IndexError, KeyError, OSError,
-            json.JSONDecodeError) as e:
+            json.JSONDecodeError, csv.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

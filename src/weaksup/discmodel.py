@@ -6,10 +6,12 @@ distribution: with p_o = P(Y_o = +1) and score s_o = theta . v_o + bias,
     loss = mean_o [ p_o log(1 + exp(-s_o)) + (1 - p_o) log(1 + exp(s_o)) ]
            + (l2 / 2) ||theta||^2
 
-The bias is excluded from the penalty.  Hard labels (p in {0,1}) reduce this
-to the standard logistic loss exactly.  The loss is convex, with Hessian
-A^T diag(sigma (1 - sigma)) A / N (plus l2 on theta) for A = [v, 1], so
-`fit_disc` runs the damped-Newton solver of `genmodel` (IRLS).
+Since log(1 + exp(-s)) = log(1 + exp(s)) - s, each summand is computed as
+log(1 + exp(s_o)) - p_o s_o.  The bias is excluded from the penalty.  Hard
+labels (p in {0,1}) reduce this to the standard logistic loss exactly.  The
+loss is convex, with Hessian A^T diag(sigma (1 - sigma)) A / N (plus l2 on
+theta) for A = [v, 1], so `fit_disc` runs the damped-Newton solver of
+`genmodel` (IRLS).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _loss_grad_hess(
     n, q = v.shape
     theta = x[:-1]
     s = v @ theta + x[-1]
-    data = p * _log1pexp(-s) + (1.0 - p) * _log1pexp(s)
+    data = _log1pexp(s) - p * s  # p log(1 + e^-s) + (1 - p) log(1 + e^s)
     sig = _sigmoid(s)
     r = sig - p
     grad = np.append((v.T @ r) / n + l2 * theta, r.mean())
@@ -80,7 +82,7 @@ def _loss_grad_hess(
     weighted = v * weights[:, None]
     hess = np.empty((q + 1, q + 1))
     hess[:q, :q] = weighted.T @ v + l2 * np.eye(q)
-    hess[:q, q] = hess[q, :q] = weighted.sum(axis=0)
+    hess[:q, q] = hess[q, :q] = weights @ v
     hess[q, q] = weights.sum()
     return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad, hess
 
@@ -112,20 +114,30 @@ def grad_noise_aware_loss(
 
 
 def fit_disc(
-    features: FeatureMatrixReal, soft_labels: ProbLabelVector, config: DiscConfig = DiscConfig()
+    features: FeatureMatrixReal,
+    soft_labels: ProbLabelVector,
+    config: DiscConfig = DiscConfig(),
+    *,
+    start: DiscParams | None = None,
 ) -> DiscParams:
-    """Deterministic full-batch damped Newton from the zero vector: ascent on
-    the negated loss over [theta, bias]."""
+    """Deterministic full-batch damped Newton on the negated loss over
+    [theta, bias], from the zero vector or, warm, from `start` (a model over
+    the same feature columns, such as the fit on the previous labels)."""
     _check_n(features, soft_labels)
     v = features.values
     p = soft_labels.probability
     q = v.shape[1]
+    if start is None:
+        start = DiscParams(np.zeros(q))
+    if start.q != q:
+        raise ValueError(f"start has {start.q} feature weights, the features {q} columns")
 
     def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         loss, grad, hess = _loss_grad_hess(x, v, p, config.l2)
         return -loss, -grad, -hess
 
-    x = newton(value_grad_hess, np.zeros(q + 1), config.max_iters, config.grad_tol)
+    x0 = np.append(start.theta, start.bias)
+    x = newton(value_grad_hess, x0, config.max_iters, config.grad_tol)
     return DiscParams(theta=x[:q], bias=x[q])
 
 

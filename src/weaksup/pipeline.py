@@ -4,8 +4,11 @@ feature feedback.
 One run fits the generative model with K = 0 selected features, trains the
 discriminative model on its labels, computes the disagreement vector and the
 LASSO path once, and then grows the number K of subset features passed to the
-same generative model until the tracked metric stops improving.  The tracked
-metric is the dev metric when ground truth is supplied, otherwise the
+same generative model until the tracked metric stops improving.  Model
+K - 1 is model K with the new feature's adjustment row at zero, so each K's
+fits start from the K - 1 optimum: the generative fit from the K - 1 model
+padded with a zero row, the discriminative fit from the K - 1 weights.  The
+tracked metric is the dev metric when ground truth is supplied, otherwise the
 generative/discriminative agreement rate.  The final labels come from the
 best K's model, whatever K is.
 """
@@ -118,7 +121,10 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     The disagreement vector and the regularization path are computed once
     from the K=0 models; `refresh_disagreement` recomputes them each K
     instead (off by default).  The path stops once k_max features have
-    entered, since only the first k_max entries are ever selected.
+    entered, since only the first k_max entries are ever selected.  Each
+    K's fits start from the K - 1 models; where a refreshed path no longer
+    extends the K - 1 selection, the generative fit starts from the K = 0
+    model instead.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
@@ -182,9 +188,12 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             stop_reason = "path_exhausted"
             break
         selected = tuple(select_features(path, k))
-        gen_k = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen)
+        warm = records[-1].gen_params
+        if warm.selected != selected[: warm.k]:  # a refreshed path reordered the entries
+            warm = records[0].gen_params
+        gen_k = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen, start=warm)
         yg_k = label_aug(gen_k, dataset.labels, dataset.bin_features)
-        disc_k = fit_disc(real, yg_k, config.disc)
+        disc_k = fit_disc(real, yg_k, config.disc, start=records[-1].disc_params)
         yd_k = predict(disc_k, real)
         records.append(
             IterationRecord(

@@ -387,3 +387,13 @@ def test_check_conditions_rejects_a_repeated_support_column(tiny_dataset, tmp_pa
     argv = ["check-conditions", "--features", paths["xbin"], "--disagreement", str(dis)]
     assert main([*argv, "--support", "1,0,1"]) == 2
     assert "error: --support names column 1 more than once" in capsys.readouterr().err
+
+
+def test_csv_module_error_exits_two(tmp_path, capsys):
+    # csv.reader refuses a field above its 131,072-character limit
+    labels = tmp_path / "big.csv"
+    labels.write_text("object_id,lf_1,lf_2\n" + "a" * 140_000 + ",1,-1\nb,1,1\n")
+    assert main(["fit-gen", "--labels", str(labels), "--out", str(tmp_path / "model.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field larger than field limit" in err
+    assert not (tmp_path / "model.json").exists()

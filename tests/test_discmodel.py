@@ -9,6 +9,7 @@ from weaksup.data import FeatureMatrixReal, ProbLabelVector
 from weaksup.discmodel import (
     DiscConfig,
     DiscParams,
+    _loss_grad_hess,
     decision_scores,
     fit_disc,
     grad_noise_aware_loss,
@@ -73,6 +74,48 @@ def test_grad_matches_finite_differences():
         )
         numeric = finite_difference(f, np.concatenate([theta, [bias]]))
         assert rel_error(np.concatenate([analytic_t, [analytic_b]]), numeric) < 1e-5
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((60, 4))
+    p = rng.uniform(0, 1, 60)
+    step = 1e-5 * np.eye(5)
+    for _ in range(5):
+        x = rng.standard_normal(5)
+        hess = _loss_grad_hess(x, v, p, 0.05)[2]
+        numeric = np.stack(
+            [(_loss_grad_hess(x + e, v, p, 0.05)[1] - _loss_grad_hess(x - e, v, p, 0.05)[1]) / 2e-5
+             for e in step],
+            axis=1,
+        )
+        assert rel_error(hess, numeric) < 1e-6
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("score", [-800.0, -40.0, 40.0, 800.0])
+@pytest.mark.parametrize("p", [0.0, 1e-12, 1.0])
+def test_loss_at_extreme_scores_matches_the_two_term_form(score, p):
+    # one object with a zero feature, so the score is the bias
+    loss = _loss_grad_hess(np.array([0.0, score]), np.zeros((1, 1)), np.array([p]), 0.0)[0]
+    two_term = p * np.logaddexp(0.0, -score) + (1.0 - p) * np.logaddexp(0.0, score)
+    assert np.isfinite(loss)
+    assert abs(loss - two_term) <= 1e-12
+
+
+def test_fit_from_a_start_reaches_the_optimum_from_zero():
+    rng = np.random.default_rng(8)
+    v = FeatureMatrixReal(rng.standard_normal((300, 3)))
+    soft = ProbLabelVector(np.tanh(v.values @ np.array([1.0, -2.0, 0.5]) + 0.3))
+    cold = fit_disc(v, soft)
+    warm = fit_disc(v, soft, start=DiscParams(rng.standard_normal(3), bias=-1.0))
+    # both stop once max|gradient| < 1e-6
+    np.testing.assert_allclose(warm.theta, cold.theta, atol=1e-5)
+    assert warm.bias == pytest.approx(cold.bias, abs=1e-5)
+    same = fit_disc(v, soft, DiscConfig(max_iters=0), start=cold)
+    assert same.theta.tobytes() == cold.theta.tobytes() and same.bias == cold.bias
+    with pytest.raises(ValueError, match="feature weights"):
+        fit_disc(v, soft, start=DiscParams(np.zeros(2)))
 
 
 def test_fit_matches_sklearn_on_hard_labels():

@@ -6,12 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import weaksup.genmodel as genmodel
 from oracles import finite_difference, per_object_objective, rel_error
 from weaksup.data import FeatureMatrixBinary, LabelMatrix
 from weaksup.genmodel import (
     FitConfig,
     FitError,
     GenParams,
+    _distinct,
+    _flat,
     _objective,
     brute_force_joint,
     effective_phi,
@@ -153,7 +156,7 @@ def _random_model(rng, m: int, k: int, n: int):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_compressed_objective_matches_per_object_form(k):
     rng = np.random.default_rng(100 + k)
-    for m, n in ((1, 7), (3, 400), (5, 2_000)):
+    for m, n in ((1, 7), (3, 400), (5, 2_000), (20, 2_000)):
         lm, x, params = _random_model(rng, m, k, n)
         value, g_phi, g_w = per_object_objective(
             params.phi, params.w, lm.votes, x.values[:, list(params.selected)], 0.03
@@ -167,16 +170,45 @@ def test_compressed_objective_matches_per_object_form(k):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_hessian_matches_finite_differences_of_gradient(k):
     rng = np.random.default_rng(200 + k)
-    lm, x, params = _random_model(rng, 3, k, 80)
-    evaluate = _objective(params, lm, x, 0.03)
-    for _ in range(5):
-        flat = np.concatenate([rng.uniform(-1.5, 1.5, 3), rng.uniform(-1, 1, 3 * k)])
-        hess = evaluate(flat)[2]
-        numeric = np.stack(
-            [finite_difference(lambda f: evaluate(f)[1][i], flat) for i in range(flat.size)]
+    for m in (3, 20):
+        lm, x, params = _random_model(rng, m, k, 80)
+        evaluate = _objective(params, lm, x, 0.03)
+        for _ in range(5):
+            flat = np.concatenate([rng.uniform(-1.5, 1.5, m), rng.uniform(-1, 1, m * k)])
+            hess = evaluate(flat)[2]
+            # column j: central differences of the whole gradient along x_j, the
+            # same evaluations as finite_difference makes for each entry
+            step = 1e-5 * np.eye(flat.size)
+            numeric = np.stack(
+                [(evaluate(flat + e)[1] - evaluate(flat - e)[1]) / 2e-5 for e in step], axis=1
+            )
+            assert rel_error(hess, numeric) < 1e-5
+            np.testing.assert_array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("width", [1, 5, 25, 39, 40, 41, 60])
+def test_distinct_rows_partition_like_np_unique(width):
+    # widths past 39 columns make the running base-3 key re-rank
+    rng = np.random.default_rng(width)
+    for n, values in ((1, 3), (500, 3), (3_000, 2)):  # few values: many repeated rows
+        rows = rng.integers(-1, values - 1, size=(n, width)).astype(np.int8)
+        rows[n // 2 :] = rows[: n - n // 2]
+        member, inverse, count = _distinct(rows)
+        unique, want_inverse, want_count = np.unique(
+            rows, axis=0, return_inverse=True, return_counts=True
         )
-        assert rel_error(hess, numeric) < 1e-5
-        np.testing.assert_array_equal(hess, hess.T)
+        np.testing.assert_array_equal(rows[member], unique)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+        np.testing.assert_array_equal(count, want_count)
+
+
+def test_distinct_rows_tell_apart_rows_that_differ_past_the_first_key():
+    rows = np.zeros((4, 80), np.int8)
+    rows[1, 79], rows[2, 40], rows[3, 0] = 1, -1, -1
+    member, inverse, count = _distinct(rows)
+    np.testing.assert_array_equal(inverse, [2, 3, 1, 0])
+    np.testing.assert_array_equal(count, [1, 1, 1, 1])
+    np.testing.assert_array_equal(member, [3, 2, 0, 1])
 
 
 # -- the solver ------------------------------------------------------------------
@@ -569,6 +601,81 @@ def test_fit_aug_constant_column_equivalent_to_sp():
     assert marginal_loglik(aug, lm, x) == pytest.approx(
         marginal_loglik(sp, lm), abs=1e-3
     )
+
+
+# -- warm starts -----------------------------------------------------------------
+
+
+def _counting_newton(monkeypatch) -> list[int]:
+    """Replace genmodel.newton by a wrapper that counts each fit's objective
+    evaluations, one list entry per fit."""
+    counts: list[int] = []
+    solve = genmodel.newton
+
+    def counting(value_grad_hess, x0, max_iters, grad_tol):
+        counts.append(0)
+
+        def counted(x):
+            counts[-1] += 1
+            return value_grad_hess(x)
+
+        return solve(counted, x0, max_iters, grad_tol)
+
+    monkeypatch.setattr(genmodel, "newton", counting)
+    return counts
+
+
+def test_warm_fit_aug_takes_few_evaluations_and_reaches_the_cold_optimum(monkeypatch):
+    from weaksup.synth import E2EScenario, gen_e2e
+
+    ds = gen_e2e(E2EScenario(n=10_000, m=5, p=20, seed=44))
+    labels, x = ds.labels, ds.bin_features
+    counts = _counting_newton(monkeypatch)
+    previous = fit_sp(labels)
+    for selected in ((0,), (0, 8), (0, 8, 7)):
+        cold = fit_aug(labels, x, selected)
+        warm = fit_aug(labels, x, selected, start=previous)
+        assert counts[-1] <= 6
+        assert counts[-1] < counts[-2]
+        assert np.abs(_flat(warm) - _flat(cold)).max() < 1e-5
+        # model K - 1 is model K at W_K = 0, and the line search is monotone
+        assert marginal_loglik(warm, labels, x, 0.01) >= marginal_loglik(previous, labels, x, 0.01)
+        previous = warm
+
+
+def test_fit_aug_rejects_a_start_of_another_shape():
+    rng = np.random.default_rng(5)
+    lm, x, _ = _random_model(rng, 3, 3, 200)
+    start = fit_aug(lm, x, [0, 2])
+    assert fit_aug(lm, x, [0, 2, 1], start=start).selected == (0, 2, 1)
+    for selected in ([2, 0, 1], [0, 1, 2], [0]):
+        with pytest.raises(ValueError, match="prefix"):
+            fit_aug(lm, x, selected, start=start)
+    with pytest.raises(ValueError, match="sources"):
+        fit_aug(LabelMatrix(lm.votes[:2]), x, [0, 2, 1], start=start)
+
+
+def test_warm_fit_aug_from_a_symmetric_saddle_stays_on_it():
+    # Two sources vote on every object but one and agree on 70 of 135.  The
+    # likelihood is symmetric in the two sources, and fit_sp stops at the
+    # symmetric stationary point, a saddle at -2.1155.  With W = 0 that point
+    # is stationary for K = 1 too, so the warm fit takes no step: it inherits
+    # the saddle.  Leaving it takes a step along the negative curvature,
+    # which newton does not make.
+    rng = np.random.default_rng(0)
+    first = rng.choice([-1, 1], 135)
+    agree = rng.permutation(np.arange(135) < 70)
+    votes = np.stack([np.append(first, 0), np.append(np.where(agree, first, -first), 0)])
+    lm = LabelMatrix(votes)
+    x = FeatureMatrixBinary(np.ones((lm.n, 1), dtype=int))
+    config = FitConfig(w_l2=0.0)
+    sp = fit_sp(lm, config)
+    warm = fit_aug(lm, x, [0], config, start=sp)
+    assert sp.phi[0] == sp.phi[1] == pytest.approx(0.7734, abs=1e-4)
+    assert marginal_loglik(sp, lm) == pytest.approx(-2.1155, abs=1e-4)
+    assert warm.phi.tobytes() == sp.phi.tobytes() and not warm.w.any()
+    hess = _objective(warm, lm, x, 0.0)(_flat(warm))[2]
+    assert np.linalg.eigvalsh(hess).max() > 0.5  # not a maximum
 
 
 def test_label_sp_rejects_selected_features():

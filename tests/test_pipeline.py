@@ -3,7 +3,7 @@ import pytest
 
 from weaksup.data import DataError, Dataset, HardLabelVector, ProbLabelVector
 from weaksup.discmodel import DiscConfig
-from weaksup.genmodel import FitConfig, fit_sp, label_sp
+from weaksup.genmodel import FitConfig, fit_sp, label_sp, marginal_loglik
 from weaksup.pipeline import RunConfig, agreement_rate, run, stopping_rule
 from weaksup.synth import E2EScenario, gen_e2e
 
@@ -84,6 +84,65 @@ def test_run_selected_is_prefix_across_iterations():
     report = run(ds, _fast_config(k_max=4, patience=4))
     for prev, cur in zip(report.iterations[1:], report.iterations[2:]):
         assert cur.selected[: len(prev.selected)] == prev.selected
+
+
+@pytest.mark.parametrize("seed, grad_tol", [(3, 1e-6), (12, 1e-6), (27, 1e-2)])
+def test_run_penalized_loglik_never_falls_from_k_minus_1_to_k(seed, grad_tol):
+    # each K's generative fit starts from the K - 1 optimum padded with a
+    # zero W row, which scores the same, and its line search is monotone;
+    # from phi_init, the K = 2 fit of seed 27 stops 1.3e-4 below K = 1
+    ds = gen_e2e(_small_scenario(seed=seed))
+    cfg = _fast_config(k_max=4, patience=4, gen=FitConfig(max_iters=400, grad_tol=grad_tol))
+    report = run(ds, cfg)
+    values = [
+        marginal_loglik(r.gen_params, ds.labels, ds.bin_features, cfg.gen.w_l2)
+        for r in report.iterations
+    ]
+    assert len(values) == 5
+    assert all(later >= earlier for earlier, later in zip(values, values[1:]))
+
+
+def _recording(monkeypatch, module, names):
+    """Record the positional and keyword arguments of each call of
+    module.<name>, one list per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _fit=getattr(module, name), _into=calls[name], **kwargs):
+            _into.append((args, kwargs))
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_run_starts_each_k_from_the_previous_fits(monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=3))
+    calls = _recording(monkeypatch, pipeline, ["fit_aug", "fit_disc"])
+    report = run(ds, _fast_config(k_max=3, patience=3))
+    assert len(calls["fit_aug"]) == 3 and len(calls["fit_disc"]) == 4
+    assert calls["fit_disc"][0][1] == {}
+    for k, record in enumerate(report.iterations[1:], start=1):
+        args, kwargs = calls["fit_aug"][k - 1]
+        assert args[:3] == (ds.labels, ds.bin_features, record.selected)
+        assert kwargs["start"] is report.iterations[k - 1].gen_params
+        assert calls["fit_disc"][k][1]["start"] is report.iterations[k - 1].disc_params
+
+
+def test_run_starts_a_selection_that_drops_earlier_columns_from_k0(monkeypatch):
+    # a refreshed path can reorder its entries, so that K's selection no
+    # longer extends K - 1's; its generative fit then starts from K = 0
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=9))
+    selections = {1: [0], 2: [1, 0], 3: [1, 0, 2]}
+    monkeypatch.setattr(pipeline, "select_features", lambda path, k: selections[k])
+    calls = _recording(monkeypatch, pipeline, ["fit_aug"])
+    report = run(ds, _fast_config(k_max=3, patience=3, refresh_disagreement=True))
+    assert [r.selected for r in report.iterations] == [(), (0,), (1, 0), (1, 0, 2)]
+    starts = [kwargs["start"] for _, kwargs in calls["fit_aug"]]
+    assert all(s is report.iterations[i].gen_params for s, i in zip(starts, (0, 0, 2)))
 
 
 def test_run_best_k_maximizes_tracked_metric():
