@@ -10,8 +10,15 @@ the 1/N scaling and are never standardized; the constructor of
 FeatureMatrixBinary is the guard.
 
 Coordinate descent runs on precomputed Gram/correlation statistics (the
-covariance-update strategy), so each sweep costs O(P * |active|) independent
-of N.  The cyclic order 0..P-1 is fixed and fits are fully deterministic.
+covariance-update strategy), so a sweep costs no pass over the N objects.
+Each round sweeps only the working set, in ascending column order: the
+active columns plus every column whose residual correlation exceeds lambda,
+the only ones a coordinate step can move.  Sweeps over the active columns
+follow until they settle (glmnet's active-set cycling), and a fit is
+accepted only after a KKT check over all P columns, as in the strong rules'
+re-check.  Fits are fully deterministic.  A path reports each fit's KKT
+residual from the N objects themselves, not from the Gram matrix, computed
+for all grid points in one regrouped pass after the grid loop.
 """
 
 from __future__ import annotations
@@ -93,14 +100,25 @@ def soft_threshold(x: float, t: float) -> float:
     return 0.0
 
 
-def _stats(features: FeatureMatrixBinary, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix (1/N) X^T X and correlations (1/N) X^T y."""
-    x = features.values.astype(np.float64)
-    if target.shape != (features.n,):
-        raise ValueError(f"target length {target.shape} != object count {features.n}")
-    if not np.isfinite(target).all():
+def _design_and_target(features: FeatureMatrixBinary, target) -> tuple[np.ndarray, np.ndarray]:
+    """The float copy of X that every statistic of one call is read from,
+    and the checked target y."""
+    y = _target_values(target)
+    if y.shape != (features.n,):
+        raise ValueError(f"target length {y.shape} != object count {features.n}")
+    if not np.isfinite(y).all():
         raise DataError("non-finite target")
-    return (x.T @ x) / features.n, (x.T @ target) / features.n
+    return features.values.astype(np.float64), y
+
+
+def _corr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Correlations (1/N) X^T y."""
+    return (x.T @ y) / x.shape[0]
+
+
+def _stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix (1/N) X^T X and correlations (1/N) X^T y."""
+    return (x.T @ x) / x.shape[0], _corr(x, y)
 
 
 def _target_values(target) -> np.ndarray:
@@ -115,56 +133,56 @@ def _cd_solve(
     tol: float,
     max_sweeps: int,
 ) -> tuple[np.ndarray, int]:
-    """Cyclic coordinate descent; `theta` is updated in place.
+    """Working-set coordinate descent; `theta` is updated in place.
 
-    Maintains q = corr - gram @ theta (the residual correlations, and exactly
-    the KKT vector).  A fit is converged when a full sweep moves no coordinate
-    by tol or more and the Gram-based KKT violation is within 5 * tol.
+    Each round starts from the fresh residual correlations
+    q = corr - gram @ theta (exactly the KKT vector; no drift carries over)
+    and sweeps, in ascending column order, only the working set: the active
+    columns plus every column with |q_j| > lam, the only columns a step can
+    move.  The fit is converged when that sweep moves no coordinate by tol
+    or more and the Gram-based KKT violation over all P columns is within
+    5 * tol; a column that violates it has |q_j| > lam and joins the next
+    round.  Otherwise sweeps over the active columns follow until one moves
+    no coordinate by tol or more, and a new round begins.  A sweep is one
+    pass over the working set or the active set, not over all P columns;
+    `max_sweeps` bounds their total.
     """
-    p = theta.shape[0]
     sweeps = 0
     while sweeps < max_sweeps:
-        q = corr - gram @ theta  # fresh start each full sweep: no drift
-        max_delta = 0.0
-        for j in range(p):
-            rho = q[j] + theta[j]
-            new = soft_threshold(rho, lam)
-            d = new - theta[j]
-            if d != 0.0:
-                q -= gram[j] * d
-                theta[j] = new
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
+        q = corr - gram @ theta
+        max_delta = _sweep(gram, q, theta, lam, np.flatnonzero((theta != 0.0) | (np.abs(q) > lam)))
         sweeps += 1
         if max_delta < tol and _kkt_from_q(q, theta, lam) <= 5.0 * tol:
             break
-        # inner sweeps over the active set only (cheap), then re-check fully
         active = np.flatnonzero(theta)
         while sweeps < max_sweeps and active.size:
-            inner_delta = 0.0
-            for j in active:
-                rho = q[j] + theta[j]
-                new = soft_threshold(rho, lam)
-                d = new - theta[j]
-                if d != 0.0:
-                    q -= gram[j] * d
-                    theta[j] = new
-                    if abs(d) > inner_delta:
-                        inner_delta = abs(d)
             sweeps += 1
-            if inner_delta < tol:
+            if _sweep(gram, q, theta, lam, active) < tol:
                 break
     return theta, sweeps
 
 
+def _sweep(gram: np.ndarray, q: np.ndarray, theta: np.ndarray, lam: float, columns: np.ndarray) -> float:
+    """One coordinate-descent pass over `columns` in order, updating theta
+    and q = corr - gram @ theta in place; returns the largest step."""
+    max_delta = 0.0
+    for j in columns.tolist():
+        old = theta[j]
+        new = soft_threshold(q[j] + old, lam)
+        if new != old:
+            d = new - old
+            q -= gram[j] * d
+            theta[j] = new
+            max_delta = max(max_delta, abs(d))
+    return max_delta
+
+
 def _kkt_from_q(q: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    active = theta != 0.0
-    viol = 0.0
-    if active.any():
-        viol = float(np.abs(q[active] - lam * np.sign(theta[active])).max())
-    if (~active).any():
-        viol = max(viol, float(max(0.0, np.abs(q[~active]).max() - lam)))
-    return viol
+    """Largest KKT violation given the residual correlations q: |q_j - lam *
+    sign(theta_j)| on active columns, |q_j| - lam on inactive ones, floored
+    at 0."""
+    viol = np.where(theta != 0.0, np.abs(q - lam * np.sign(theta)), np.abs(q) - lam)
+    return float(np.max(viol, initial=0.0))
 
 
 def lasso_objective(features: FeatureMatrixBinary, target, coef: np.ndarray, lam: float) -> float:
@@ -194,11 +212,14 @@ def lasso_fit(
     max_sweeps: int = 10_000,
     init: np.ndarray | None = None,
 ) -> LassoFit:
-    """Solve the canonical LASSO at one lambda by cyclic coordinate descent."""
+    """Solve the canonical LASSO at one lambda by cyclic coordinate descent.
+
+    `max_sweeps` counts sweeps over the working set or the active set, not
+    over all P columns (see `_cd_solve`)."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    y = _target_values(target)
-    gram, corr = _stats(features, y)
+    x, y = _design_and_target(features, target)
+    gram, corr = _stats(x, y)
     theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
     if theta.shape != (features.p,):
         raise ValueError("init must have one entry per feature column")
@@ -215,8 +236,7 @@ def lasso_fit(
 
 def lambda_max(features: FeatureMatrixBinary, target) -> float:
     """Smallest lambda whose solution is exactly zero: || (1/N) X^T y ||_inf."""
-    _, corr = _stats(features, _target_values(target))
-    return float(np.abs(corr).max())
+    return float(np.abs(_corr(*_design_and_target(features, target))).max())
 
 
 def regularization_path(
@@ -234,13 +254,22 @@ def regularization_path(
     at the same grid point are ordered by larger |coef|, then lower index.
     With `stop_after`, the descent stops early once that many features have
     activated (the remaining grid points are dropped).
+
+    Each fit's kkt_residual is the N-object check of `kkt_residual`, taken
+    for every grid point at once after the loop:
+    Q = (X^T y - Theta_U (X_U^T X)) / N, with Theta the grid points' stacked
+    coefficients and U the columns active at any of them.  That is
+    X^T (y - X theta) / N per row, regrouped into one product for the whole
+    path in place of one pass over the N objects per grid point.  It reads
+    X and y, never the solver's Gram statistics, so it still checks the
+    fits against the data.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < lambda_min_ratio < 1.0:
         raise ValueError("lambda_min_ratio must lie in (0,1)")
-    y = _target_values(target)
-    gram, corr = _stats(features, y)
+    x, y = _design_and_target(features, target)
+    gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())
     if lam_max == 0.0:
         raise DataError("no disagreement signal: target is uncorrelated with every feature")
@@ -249,36 +278,39 @@ def regularization_path(
     grid[0] = lam_max  # exact, so the first fit is all-zero by construction
 
     theta = np.zeros(features.p)
-    fits: list[LassoFit] = []
+    coefs: list[np.ndarray] = []
     entry_order: list[int] = []
     entry_lambdas: list[float] = []
     seen = np.zeros(features.p, dtype=bool)
-    lambdas: list[float] = []
-    x = features.values.astype(np.float64)
-    for lam in grid:
-        theta, _ = _cd_solve(gram, corr, float(lam), theta, tol, max_sweeps)
-        active = np.flatnonzero(theta)
-        q = (x.T @ (y - x @ theta)) / features.n
-        fit = LassoFit(
-            coef=theta.copy(),
-            lam=float(lam),
-            active_set=tuple(active.tolist()),
-            kkt_residual=_kkt_from_q(q, theta, float(lam)),
-        )
-        fits.append(fit)
-        lambdas.append(float(lam))
-        fresh = [int(j) for j in active if not seen[j]]
+    for lam in grid.tolist():
+        theta, _ = _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
+        coefs.append(theta.copy())
+        fresh = [j for j in np.flatnonzero(theta).tolist() if not seen[j]]
         fresh.sort(key=lambda j: (-abs(theta[j]), j))
         for j in fresh:
             seen[j] = True
             entry_order.append(j)
-            entry_lambdas.append(float(lam))
+            entry_lambdas.append(lam)
         if stop_after is not None and len(entry_order) >= stop_after:
             break
+
+    lambdas = grid[: len(coefs)].tolist()
+    thetas = np.array(coefs)
+    used = np.flatnonzero(thetas.any(axis=0))
+    kkt = (x.T @ y - thetas[:, used] @ (x[:, used].T @ x)) / features.n
+    fits = tuple(
+        LassoFit(
+            coef=c,
+            lam=lam,
+            active_set=tuple(np.flatnonzero(c).tolist()),
+            kkt_residual=_kkt_from_q(q, c, lam),
+        )
+        for c, lam, q in zip(coefs, lambdas, kkt)
+    )
     return RegPath(
         lambdas=tuple(lambdas),
         entry_order=tuple(entry_order),
-        fits=tuple(fits),
+        fits=fits,
         entry_lambdas=tuple(entry_lambdas),
     )
 

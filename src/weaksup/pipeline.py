@@ -166,6 +166,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         )
     ]
     history = [records[0].dev_metric if use_dev else records[0].agreement]
+    gen_labels = [yg]  # each K's generative labels; the best K's are returned
 
     path = None
     stop_reason = "k_max"
@@ -206,6 +207,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             )
         )
         history.append(records[-1].dev_metric if use_dev else records[-1].agreement)
+        gen_labels.append(yg_k)
         if config.refresh_disagreement:
             yg, yd = yg_k, yd_k
         if stopping_rule(history, config.patience):
@@ -217,6 +219,6 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         iterations=tuple(records),
         best_k=best_k,
         stop_reason=stop_reason,
-        final_labels=label_aug(records[best_k].gen_params, dataset.labels, dataset.bin_features),
+        final_labels=gen_labels[best_k],
         tracked_metric=tracked_name,
     )

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the implementations under test: gradients
 come from central finite differences, LASSO solutions from multi-resolution
-dense grid search over coefficient space, likelihoods from exhaustive
+dense grid search over coefficient space, LASSO paths from plain cyclic
+coordinate descent over all P columns, likelihoods from exhaustive
 state enumeration (weaksup.genmodel.brute_force_joint), and the generative
 objective also from a plain per-object formula.  The Bayes labelers
 of a planted-subset scenario are built from the scenario's true parameters
@@ -80,6 +81,88 @@ def lasso_grid_search(x, y, lam, span=2.0, final_step=1e-3):
         if step <= final_step:
             return center
         step = max(step / 10.0, final_step)
+
+
+def _soft_threshold(x, t):
+    return x - t if x > t else x + t if x < -t else 0.0
+
+
+def _kkt(q, theta, lam):
+    active = theta != 0.0
+    viol = 0.0
+    if active.any():
+        viol = float(np.abs(q[active] - lam * np.sign(theta[active])).max())
+    if (~active).any():
+        viol = max(viol, float(max(0.0, np.abs(q[~active]).max() - lam)))
+    return viol
+
+
+def full_sweep_cd(gram, corr, lam, theta, tol, max_sweeps):
+    """Cyclic coordinate descent over all P columns in order 0..P-1, with
+    inner sweeps over the active set between full sweeps; `theta` is updated
+    in place.  Converged when a full sweep moves no coordinate by tol or more
+    and the KKT violation from q = corr - gram @ theta is within 5 * tol."""
+    p = theta.shape[0]
+    sweeps = 0
+    while sweeps < max_sweeps:
+        q = corr - gram @ theta
+        max_delta = 0.0
+        for j in range(p):
+            new = _soft_threshold(q[j] + theta[j], lam)
+            d = new - theta[j]
+            if d != 0.0:
+                q -= gram[j] * d
+                theta[j] = new
+                max_delta = max(max_delta, abs(d))
+        sweeps += 1
+        if max_delta < tol and _kkt(q, theta, lam) <= 5.0 * tol:
+            break
+        active = np.flatnonzero(theta)
+        while sweeps < max_sweeps and active.size:
+            inner_delta = 0.0
+            for j in active:
+                new = _soft_threshold(q[j] + theta[j], lam)
+                d = new - theta[j]
+                if d != 0.0:
+                    q -= gram[j] * d
+                    theta[j] = new
+                    inner_delta = max(inner_delta, abs(d))
+            sweeps += 1
+            if inner_delta < tol:
+                break
+    return theta
+
+
+def reference_path(x, y, grid_size=100, lambda_min_ratio=1e-3, tol=1e-8, max_sweeps=10_000,
+                   stop_after=None):
+    """Warm-started LASSO path by `full_sweep_cd` on the geometric grid from
+    lambda_max = ||X^T y / N||_inf down to lambda_min_ratio * lambda_max.
+
+    Returns (lambdas, entry_order, entry_lambdas, coefs): a feature
+    enters at its first nonzero grid point, ties ordered by larger |coef|
+    and then lower index; the descent stops once `stop_after` have entered.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = x.shape
+    gram, corr = (x.T @ x) / n, (x.T @ y) / n
+    lam_max = float(np.abs(corr).max())
+    grid = np.geomspace(lam_max, lam_max * lambda_min_ratio, grid_size)
+    grid[0] = lam_max
+    theta = np.zeros(p)
+    lambdas, entry_order, entry_lambdas, coefs = [], [], [], []
+    for lam in grid:
+        lam = float(lam)
+        theta = full_sweep_cd(gram, corr, lam, theta, tol, max_sweeps)
+        lambdas.append(lam)
+        coefs.append(theta.copy())
+        fresh = sorted((j for j in np.flatnonzero(theta) if int(j) not in entry_order),
+                       key=lambda j: (-abs(theta[j]), j))
+        entry_order += [int(j) for j in fresh]
+        entry_lambdas += [lam] * len(fresh)
+        if stop_after is not None and len(entry_order) >= stop_after:
+            break
+    return lambdas, entry_order, entry_lambdas, np.array(coefs)
 
 
 def planted_joint(scenario):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lasso_grid_search
+from oracles import lasso_grid_search, reference_path
 from weaksup.data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector
 from weaksup.diffmodel import (
     LassoFit,
@@ -16,6 +16,9 @@ from weaksup.diffmodel import (
     select_features,
     soft_threshold,
 )
+from weaksup.discmodel import fit_disc, predict
+from weaksup.genmodel import fit_sp, label_sp
+from weaksup.synth import E2EScenario, RecoveryScenario, gen_e2e, gen_recovery
 
 
 def hadamard8() -> np.ndarray:
@@ -233,3 +236,52 @@ def test_lambda_above_max_gives_zero(seed):
     y = rng.uniform(-1, 1, 12)
     fit = lasso_fit(x, y, lambda_max(x, y) * (1 + rng.random()))
     assert fit.coef.tolist() == [0.0] * 4
+
+
+# -- working-set solver against the full-sweep reference -------------------------
+
+
+def _design_cases():
+    rng = np.random.default_rng(11)
+    for p in (1, 2, 5, 30):
+        yield f"random P={p}", random_pm1(rng, 200, p), rng.uniform(-1, 1, 200)
+    h = np.kron(hadamard8(), np.array([[1, 1], [1, -1]]))  # 16 x 16, orthogonal columns
+    x = FeatureMatrixBinary(np.tile(h[:, 1:], (4, 1)))
+    yield "Hadamard, tied correlations", x, x.values[:, :3].sum(axis=1) / 4.0
+    base = rng.integers(0, 2, size=(300, 6)) * 2 - 1
+    x = FeatureMatrixBinary(np.column_stack([base, base[:, 1], -base[:, 2]]))
+    y = np.clip(0.4 * base[:, 1] - 0.3 * base[:, 2] + rng.normal(0, 0.3, 300), -1, 1)
+    yield "duplicated and negated column", x, y
+    ds = gen_e2e(E2EScenario(n=3000, m=5, p=20, seed=44))
+    yg = label_sp(fit_sp(ds.labels), ds.labels)
+    yd = predict(fit_disc(ds.real_features, yg), ds.real_features)
+    yield "planted scenario", ds.bin_features, disagreement(yg, yd).values
+    for p in (100, 300):
+        x, target, _ = gen_recovery(RecoveryScenario(kappa=0.4, n=1000, p=p, seed=p))
+        yield f"gen_recovery P={p}", x, target.values
+
+
+DESIGNS = list(_design_cases())
+
+
+@pytest.mark.parametrize("stop_after", [None, 3])
+@pytest.mark.parametrize("case", range(len(DESIGNS)), ids=[name for name, _, _ in DESIGNS])
+def test_path_matches_the_full_sweep_reference(case, stop_after):
+    _, x, y = DESIGNS[case]
+    tol = 1e-8
+    path = regularization_path(x, y, tol=tol, stop_after=stop_after)
+    lambdas, entry_order, entry_lambdas, coefs = reference_path(x.values, y, tol=tol,
+                                                                stop_after=stop_after)
+    assert path.lambdas == tuple(lambdas)
+    assert path.entry_order == tuple(entry_order)
+    assert path.entry_lambdas == tuple(entry_lambdas)
+    np.testing.assert_allclose(np.array([f.coef for f in path.fits]), coefs, rtol=0, atol=1e-6)
+    assert max(f.kkt_residual for f in path.fits) <= 10 * tol
+
+
+@pytest.mark.parametrize("p", [20, 60, 300])
+def test_path_kkt_residual_is_the_n_object_check(p):
+    x, target, _ = gen_recovery(RecoveryScenario(kappa=0.3, n=2000, p=p, seed=p))
+    for stop_after in (None, 3):
+        for fit in regularization_path(x, target, stop_after=stop_after).fits:
+            assert abs(fit.kkt_residual - kkt_residual(x, target, fit)) <= 1e-12

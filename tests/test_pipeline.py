@@ -3,7 +3,7 @@ import pytest
 
 from weaksup.data import DataError, Dataset, HardLabelVector, ProbLabelVector
 from weaksup.discmodel import DiscConfig
-from weaksup.genmodel import FitConfig, fit_sp, label_sp, marginal_loglik
+from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
 from weaksup.pipeline import RunConfig, agreement_rate, run, stopping_rule
 from weaksup.synth import E2EScenario, gen_e2e
 
@@ -143,6 +143,20 @@ def test_run_starts_a_selection_that_drops_earlier_columns_from_k0(monkeypatch):
     assert [r.selected for r in report.iterations] == [(), (0,), (1, 0), (1, 0, 2)]
     starts = [kwargs["start"] for _, kwargs in calls["fit_aug"]]
     assert all(s is report.iterations[i].gen_params for s, i in zip(starts, (0, 0, 2)))
+
+
+@pytest.mark.parametrize("seed, best_k", [(0, 0), (2, 1), (9, 2)])
+def test_run_labels_each_k_once_and_returns_the_best_ks_labels(seed, best_k, monkeypatch):
+    import weaksup.genmodel as genmodel
+
+    ds = gen_e2e(_small_scenario(seed=seed))
+    calls = _recording(monkeypatch, genmodel, ["_label"])
+    report = run(ds, _fast_config(k_max=2, patience=2))
+    assert report.best_k == best_k  # the seeds cover a best K of 0 and above
+    assert len(calls["_label"]) == len(report.iterations) == 3
+    monkeypatch.undo()
+    again = label_aug(report.best.gen_params, ds.labels, ds.bin_features)
+    assert report.final_labels.expected.tobytes() == again.expected.tobytes()
 
 
 def test_run_best_k_maximizes_tracked_metric():
