@@ -75,14 +75,14 @@ class RegPath:
     lambdas: tuple[float, ...]
     entry_order: tuple[int, ...]
     fits: tuple[LassoFit, ...]
-    entry_lambdas: tuple[float, ...] = ()
+    entry_lambdas: tuple[float, ...]
 
     def __post_init__(self):
         if any(a <= b for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("lambda grid must be strictly decreasing")
         if len(set(self.entry_order)) != len(self.entry_order):
             raise ValueError("entry_order must not repeat features")
-        if self.entry_lambdas and len(self.entry_lambdas) != len(self.entry_order):
+        if len(self.entry_lambdas) != len(self.entry_order):
             raise ValueError("entry_lambdas must parallel entry_order")
 
 
@@ -132,7 +132,7 @@ def _cd_solve(
     theta: np.ndarray,
     tol: float,
     max_sweeps: int,
-) -> tuple[np.ndarray, int]:
+) -> bool:
     """Working-set coordinate descent; `theta` is updated in place.
 
     Each round starts from the fresh residual correlations
@@ -145,7 +145,8 @@ def _cd_solve(
     round.  Otherwise sweeps over the active columns follow until one moves
     no coordinate by tol or more, and a new round begins.  A sweep is one
     pass over the working set or the active set, not over all P columns;
-    `max_sweeps` bounds their total.
+    `max_sweeps` bounds their total.  Returns whether the fit converged
+    within them.
     """
     sweeps = 0
     while sweeps < max_sweeps:
@@ -153,13 +154,24 @@ def _cd_solve(
         max_delta = _sweep(gram, q, theta, lam, np.flatnonzero((theta != 0.0) | (np.abs(q) > lam)))
         sweeps += 1
         if max_delta < tol and _kkt_from_q(q, theta, lam) <= 5.0 * tol:
-            break
+            return True
         active = np.flatnonzero(theta)
         while sweeps < max_sweeps and active.size:
             sweeps += 1
             if _sweep(gram, q, theta, lam, active) < tol:
                 break
-    return theta, sweeps
+    return False
+
+
+def _warn_unconverged(lam: float, max_sweeps: int) -> None:
+    """Warn, at the caller of the public fit, that the fit at `lam` used up
+    its `max_sweeps` sweeps before it converged."""
+    warnings.warn(
+        f"coordinate descent at lambda={lam!r} did not converge within "
+        f"max_sweeps={max_sweeps}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _sweep(gram: np.ndarray, q: np.ndarray, theta: np.ndarray, lam: float, columns: np.ndarray) -> float:
@@ -215,7 +227,8 @@ def lasso_fit(
     """Solve the canonical LASSO at one lambda by cyclic coordinate descent.
 
     `max_sweeps` counts sweeps over the working set or the active set, not
-    over all P columns (see `_cd_solve`)."""
+    over all P columns (see `_cd_solve`); a fit that uses them all up warns
+    with a RuntimeWarning."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     x, y = _design_and_target(features, target)
@@ -223,15 +236,14 @@ def lasso_fit(
     theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
     if theta.shape != (features.p,):
         raise ValueError("init must have one entry per feature column")
-    theta, _ = _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
-    fit = LassoFit(
+    if not _cd_solve(gram, corr, lam, theta, tol, max_sweeps):
+        _warn_unconverged(lam, max_sweeps)
+    return LassoFit(
         coef=theta,
         lam=float(lam),
         active_set=tuple(np.flatnonzero(theta).tolist()),
-        kkt_residual=0.0,
+        kkt_residual=_kkt_from_q(_corr(x, y - x @ theta), theta, lam),
     )
-    _set(fit, kkt_residual=kkt_residual(features, y, fit))
-    return fit
 
 
 def lambda_max(features: FeatureMatrixBinary, target) -> float:
@@ -253,7 +265,8 @@ def regularization_path(
     entry_order records each feature's first activation; features activating
     at the same grid point are ordered by larger |coef|, then lower index.
     With `stop_after`, the descent stops early once that many features have
-    activated (the remaining grid points are dropped).
+    activated (the remaining grid points are dropped).  Each grid point
+    whose fit uses up `max_sweeps` warns with a RuntimeWarning.
 
     Each fit's kkt_residual is the N-object check of `kkt_residual`, taken
     for every grid point at once after the loop:
@@ -283,7 +296,8 @@ def regularization_path(
     entry_lambdas: list[float] = []
     seen = np.zeros(features.p, dtype=bool)
     for lam in grid.tolist():
-        theta, _ = _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
+        if not _cd_solve(gram, corr, lam, theta, tol, max_sweeps):
+            _warn_unconverged(lam, max_sweeps)
         coefs.append(theta.copy())
         fresh = [j for j in np.flatnonzero(theta).tolist() if not seen[j]]
         fresh.sort(key=lambda j: (-abs(theta[j]), j))

@@ -17,7 +17,7 @@ theta) for A = [v, 1], so `fit_disc` runs the damped-Newton solver of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
@@ -156,17 +156,8 @@ def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:
 def params_to_dict(params: DiscParams, config: DiscConfig | None = None) -> dict:
     body = {"theta": params.theta.tolist(), "bias": params.bias}
     if config is not None:
-        body["config"] = {
-            "max_iters": config.max_iters,
-            "grad_tol": config.grad_tol,
-            "l2": config.l2,
-        }
+        body["config"] = asdict(config)
     return body
-
-
-def save_params(params: DiscParams, writer: TextIO, config: DiscConfig | None = None) -> None:
-    json.dump(params_to_dict(params, config), writer, indent=2, sort_keys=True)
-    writer.write("\n")
 
 
 def load_params(reader: TextIO) -> DiscParams:

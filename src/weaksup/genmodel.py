@@ -19,9 +19,8 @@ per distinct selected-feature row.  Every fit runs through `newton`.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -474,68 +473,12 @@ def label_aug(
     return _label(params, labels, features)
 
 
-# -- exhaustive-enumeration oracle -------------------------------------------
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Exact joint distribution over all (vote vector, class) states."""
-
-    vote_states: np.ndarray  # S x M
-    class_states: np.ndarray  # S
-    probs: np.ndarray  # S, sums to 1
-    log_z: float
-
-    def marginal_prob(self, vote_column: np.ndarray) -> float:
-        """P(votes = vote_column), class summed out."""
-        mask = (self.vote_states == np.asarray(vote_column)).all(axis=1)
-        return float(self.probs[mask].sum())
-
-    def posterior_positive(self, vote_column: np.ndarray) -> float:
-        """P(Y = +1 | votes = vote_column)."""
-        mask = (self.vote_states == np.asarray(vote_column)).all(axis=1)
-        joint = self.probs[mask]
-        pos = self.probs[mask & (self.class_states == 1)]
-        return float(pos.sum() / joint.sum())
-
-    def expected_label(self, vote_column: np.ndarray) -> float:
-        return 2.0 * self.posterior_positive(vote_column) - 1.0
-
-
-def brute_force_joint(phi_eff: np.ndarray) -> JointTable:
-    """Enumerate all 2 * 3^M states of the model with weights phi_eff.
-
-    Test oracle: every closed-form quantity (partition, marginals,
-    posteriors) is recoverable from the table.  M is capped at 8.
-    """
-    phi_eff = np.asarray(phi_eff, dtype=np.float64)
-    m = phi_eff.shape[0]
-    if m > 8:
-        raise ValueError(f"enumeration over 2 * 3^{m} states is too large (M <= 8)")
-    votes = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.float64)
-    votes = np.repeat(votes, 2, axis=0)
-    ys = np.tile(np.array([-1.0, 1.0]), 3**m)
-    weights = np.exp((votes @ phi_eff) * ys)
-    z = weights.sum()
-    return JointTable(
-        vote_states=_frozen(votes.astype(np.int8)),
-        class_states=_frozen(ys.astype(np.int8)),
-        probs=_frozen(weights / z),
-        log_z=float(np.log(z)),
-    )
-
-
 # -- serialization -----------------------------------------------------------
 
 
 def params_to_dict(params: GenParams, config: FitConfig | None = None) -> dict:
     body = {"phi": params.phi.tolist(), "w": params.w.tolist(), "selected": list(params.selected)}
-    body["config"] = {} if config is None else {
-        "max_iters": config.max_iters,
-        "grad_tol": config.grad_tol,
-        "phi_init": config.phi_init,
-        "w_l2": config.w_l2,
-    }
+    body["config"] = {} if config is None else asdict(config)
     return body
 
 

@@ -4,13 +4,14 @@ Nothing here shares code paths with the implementations under test: gradients
 come from central finite differences, LASSO solutions from multi-resolution
 dense grid search over coefficient space, LASSO paths from plain cyclic
 coordinate descent over all P columns, likelihoods from exhaustive
-state enumeration (weaksup.genmodel.brute_force_joint), and the generative
-objective also from a plain per-object formula.  The Bayes labelers
+state enumeration (`brute_force_joint`), and the generative objective also
+from a plain per-object formula.  The Bayes labelers
 of a planted-subset scenario are built from the scenario's true parameters
 alone, by enumerating every (class, indicator, vote) state.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,52 @@ def rel_error(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / scale)
+
+
+@dataclass(frozen=True)
+class JointTable:
+    """Exact joint distribution over all (vote vector, class) states."""
+
+    vote_states: np.ndarray  # S x M
+    class_states: np.ndarray  # S
+    probs: np.ndarray  # S, sums to 1
+    log_z: float
+
+    def marginal_prob(self, vote_column):
+        """P(votes = vote_column), class summed out."""
+        mask = (self.vote_states == np.asarray(vote_column)).all(axis=1)
+        return float(self.probs[mask].sum())
+
+    def posterior_positive(self, vote_column):
+        """P(Y = +1 | votes = vote_column)."""
+        mask = (self.vote_states == np.asarray(vote_column)).all(axis=1)
+        joint = self.probs[mask]
+        pos = self.probs[mask & (self.class_states == 1)]
+        return float(pos.sum() / joint.sum())
+
+    def expected_label(self, vote_column):
+        return 2.0 * self.posterior_positive(vote_column) - 1.0
+
+
+def brute_force_joint(phi_eff):
+    """Enumerate all 2 * 3^M states of the generative model with weights
+    phi_eff: every closed-form quantity (partition, marginals, posteriors)
+    is recoverable from the table.  M is capped at 8."""
+    phi_eff = np.asarray(phi_eff, dtype=np.float64)
+    m = phi_eff.shape[0]
+    if m > 8:
+        raise ValueError(f"enumeration over 2 * 3^{m} states is too large (M <= 8)")
+    votes = np.array(list(itertools.product((-1, 0, 1), repeat=m)), dtype=np.float64)
+    votes = np.repeat(votes, 2, axis=0)
+    ys = np.tile(np.array([-1.0, 1.0]), 3**m)
+    weights = np.exp((votes @ phi_eff) * ys)
+    z = weights.sum()
+    return JointTable(
+        vote_states=votes.astype(np.int8),
+        class_states=ys.astype(np.int8),
+        probs=weights / z,
+        log_z=float(np.log(z)),
+    )
 
 
 def per_object_objective(phi, w, votes, x_sel, w_l2):

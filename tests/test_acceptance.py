@@ -27,6 +27,7 @@ import pytest
 from oracles import (
     bayes_ceiling,
     bayes_labels,
+    brute_force_joint,
     finite_difference,
     lasso_grid_search,
     rel_error,
@@ -37,7 +38,6 @@ from weaksup.diffmodel import lambda_max, lasso_fit
 from weaksup.discmodel import DiscParams, grad_noise_aware_loss, noise_aware_loss
 from weaksup.genmodel import (
     GenParams,
-    brute_force_joint,
     effective_phi,
     grad_marginal,
     label_sp,

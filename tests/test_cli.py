@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 from weaksup import data as wdata
 from weaksup.cli import main
-from weaksup.synth import E2EScenario, gen_e2e
+from weaksup.discmodel import DiscConfig
+from weaksup.genmodel import FitConfig
+from weaksup.synth import E2EScenario, gen_e2e, run_recovery_experiment
 
 
 @pytest.fixture()
@@ -49,6 +52,9 @@ def test_fit_gen_and_label_round_trip(tiny_dataset, tmp_path):
     body = json.loads(Path(model).read_text())
     assert body["selected"] == [] and len(body["phi"]) == 3
     assert body["config"]["max_iters"] == 200
+    # every FitConfig field, plus the inputs and seed the command echoes
+    assert set(body["config"]) == {f.name for f in dataclasses.fields(FitConfig)} | {
+        "labels", "bin_features", "selected", "encoding", "seed"}
     assert main(["label", "--labels", paths["labels"], "--model", model, "--out", out]) == 0
     soft, ids = _load_soft(out)
     assert soft.n == 400
@@ -97,6 +103,8 @@ def test_train_disc_writes_model(tiny_dataset, tmp_path):
     body = json.loads(Path(disc).read_text())
     assert len(body["theta"]) == 3 and "bias" in body
     assert body["preprocess"]["standardize"] is True
+    assert set(body["config"]) == {f.name for f in dataclasses.fields(DiscConfig)} | {
+        "real_features", "soft_labels", "standardize", "seed"}
 
 
 def test_run_writes_report_and_labels(tiny_dataset, tmp_path):
@@ -176,6 +184,9 @@ def test_simulate_recovery_grid_shape(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "kappa,n,trials,recovered_fraction"
     assert len(lines) == 5  # header + 2x2 grid
+    cells = run_recovery_experiment([0.4, 0.6], [100, 200], trials=3, p=12, seed=1)
+    assert [float(line.split(",")[3]) for line in lines[1:]] == [
+        c.recovered_fraction for c in cells]
 
 
 def test_simulate_e2e_csv(tmp_path):

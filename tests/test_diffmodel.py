@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -140,11 +142,12 @@ def test_objective_nonincreasing_across_sweeps():
     lam = 0.05
     theta = np.zeros(6)
     prev = lasso_objective(x, y, theta, lam)
-    for _ in range(12):
-        theta = lasso_fit(x, y, lam, max_sweeps=1, init=theta).coef
-        cur = lasso_objective(x, y, theta, lam)
-        assert cur <= prev + 1e-12
-        prev = cur
+    with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
+        for _ in range(12):
+            theta = lasso_fit(x, y, lam, max_sweeps=1, init=theta).coef
+            cur = lasso_objective(x, y, theta, lam)
+            assert cur <= prev + 1e-12
+            prev = cur
 
 
 def test_non_finite_target_rejected():
@@ -178,6 +181,17 @@ def test_path_rejects_zero_target():
     x = FeatureMatrixBinary(np.array([[1], [-1]]))
     with pytest.raises(DataError, match="no disagreement signal"):
         regularization_path(x, np.zeros(2))
+
+
+def test_path_warns_when_sweeps_run_out():
+    rng = np.random.default_rng(6)
+    x = random_pm1(rng, 60, 10)
+    y = rng.uniform(-1, 1, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        regularization_path(x, y, grid_size=30)
+    with pytest.warns(RuntimeWarning, match=r"at lambda=.* max_sweeps=1"):
+        regularization_path(x, y, grid_size=30, max_sweeps=1)
 
 
 def test_path_column_permutation_equivariance():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weaksup.genmodel as genmodel
-from oracles import finite_difference, per_object_objective, rel_error
+from oracles import brute_force_joint, finite_difference, per_object_objective, rel_error
 from weaksup.data import FeatureMatrixBinary, LabelMatrix
 from weaksup.genmodel import (
     FitConfig,
@@ -16,7 +16,6 @@ from weaksup.genmodel import (
     _distinct,
     _flat,
     _objective,
-    brute_force_joint,
     effective_phi,
     fit_aug,
     fit_sp,
@@ -724,20 +723,3 @@ def test_index_errors():
     with pytest.raises(IndexError):
         fit_aug(lm, x, [5])
 
-
-# -- enumeration table ---------------------------------------------------------
-
-
-def test_joint_table_normalized():
-    table = brute_force_joint(np.array([0.3, -1.2, 0.8]))
-    assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_joint_table_uniform_at_zero():
-    table = brute_force_joint(np.zeros(2))
-    np.testing.assert_allclose(table.probs, 1.0 / 18.0, atol=1e-14)
-
-
-def test_joint_table_rejects_large_m():
-    with pytest.raises(ValueError):
-        brute_force_joint(np.zeros(9))

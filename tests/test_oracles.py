@@ -1,9 +1,10 @@
-"""Checks of the planted-subset Bayes oracles against the generator."""
+"""Checks of the oracles themselves: the planted-subset Bayes oracles against
+the generator, and the enumerated joint table of the generative model."""
 
 import numpy as np
 import pytest
 
-from oracles import bayes_ceiling, bayes_labels
+from oracles import bayes_ceiling, bayes_labels, brute_force_joint
 from weaksup.synth import E2EScenario, PlantedSubset, gen_e2e
 
 
@@ -28,3 +29,18 @@ def test_bayes_labels_score_the_population_ceiling(extra):
     for labels, population in zip(bayes_labels(scenario, ds), bayes_ceiling(scenario)):
         sample = np.mean(labels == ds.truth.labels)
         assert abs(sample - population) < 4 * np.sqrt(population * (1 - population) / n)
+
+
+def test_joint_table_normalized():
+    table = brute_force_joint(np.array([0.3, -1.2, 0.8]))
+    assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_joint_table_uniform_at_zero():
+    table = brute_force_joint(np.zeros(2))
+    np.testing.assert_allclose(table.probs, 1.0 / 18.0, atol=1e-14)
+
+
+def test_joint_table_rejects_large_m():
+    with pytest.raises(ValueError):
+        brute_force_joint(np.zeros(9))
