@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -125,7 +126,7 @@ def _option_names(parser: argparse.ArgumentParser) -> set[str]:
     return {a.dest for p in sub.choices.values() for a in p._actions}
 
 
-def _resolve(args: argparse.Namespace, known: set[str]) -> None:
+def _resolve(args: argparse.Namespace, known: frozenset[str]) -> None:
     """Merge --config file values and built-in defaults into unset flags.
     A file key that no subcommand reads (`known`) is a data error; keys of
     other subcommands are accepted and ignored."""
@@ -463,8 +464,20 @@ def _dump_dataset(dataset: data.Dataset, out_dir: Path) -> None:
         data.save_hard_labels(dataset.truth, None, f)
 
 
+def _load_predictions(path: str) -> tuple[data.HardLabelVector, tuple[str, ...]]:
+    """Hard labels, or the signs of the soft labels that `label` and `run`
+    write, told apart by the header's second column."""
+    with open(path) as f:
+        header = next((row for row in csv.reader(f) if row), [])
+        f.seek(0)
+        if header[1:2] == ["expected_label"]:
+            soft, ids = data.load_soft_labels(f)
+            return metrics.sign_labels(soft), ids
+        return data.load_hard_labels(f, "predictions")
+
+
 def cmd_metrics(args) -> int:
-    pred, pred_ids = _load(args.pred, data.load_hard_labels, "predictions")
+    pred, pred_ids = _load_predictions(args.pred)
     truth, truth_ids = _load(args.truth, data.load_hard_labels)
     data.check_ids(pred=pred_ids, truth=truth_ids)
     scores = metrics.score(pred, truth, positive_class=int(args.positive_class))
@@ -612,7 +625,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate_e2e)
 
     p = sub.add_parser("metrics", help="score predictions against truth")
-    p.add_argument("--pred", required=True)
+    p.add_argument("--pred", required=True,
+                   help="hard labels CSV, or soft labels CSV, scored by sign")
     p.add_argument("--truth", required=True)
     p.add_argument("--positive-class", type=int, choices=[1, -1])
     p.add_argument("--out", default="-")
@@ -622,14 +636,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[_Parser, frozenset[str]]:
+    """The parser and its option names, built once per process: a build
+    costs more than most parses, and parsing leaves the parser as it was."""
     parser = build_parser()
+    return parser, frozenset(_option_names(parser))
+
+
+def main(argv=None) -> int:
+    parser, known = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _resolve(args, _option_names(parser))
+        _resolve(args, known)
         return args.func(args)
     except (DataError, FitError, ValueError, IndexError, KeyError, OSError,
             json.JSONDecodeError, csv.Error) as e:

@@ -9,6 +9,8 @@ read-only across workers.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -295,18 +297,36 @@ def validate(dataset: Dataset) -> ValidationReport:
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
+def _loadtxt(body: list[str], dtypes: Sequence[type], c: int) -> np.ndarray | None:
+    """Value columns 1..c-1 of `body` in the first of `dtypes` that parses
+    every cell of it, or None where none does or a row is too short."""
+    for dtype in dtypes:
+        with warnings.catch_warnings():
+            # numpy < 2 parses '1.0' as an integer with this warning, where
+            # int() refuses it
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            try:
+                return np.loadtxt(
+                    body, dtype=dtype, delimiter=",", comments=None, usecols=range(1, c), ndmin=2
+                )
+            except (ValueError, DeprecationWarning):
+                pass
+    return None
+
+
 def _read_plain(
     lines: list[str],
-    dtype: type,
+    dtypes: Sequence[type],
     valid: Callable,
     vector: bool,
     header_error: Callable[[tuple[str, ...]], str | None],
 ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None:
     """`_read_table` for text without a `_NOT_PLAIN` character, with every
-    value column parsed by one `np.loadtxt` call.  `lines` are as a text
-    stream yields them; without '\r', each ends at its one newline, or the
-    stream yields one line and there is no body.  Returns None where the
-    text is not plain or any check of `_read_table` fails."""
+    value column parsed by one `np.loadtxt` call in the first of `dtypes`
+    that parses it.  `lines` are as a text stream yields them; without '\r',
+    each ends at its one newline, or the stream yields one line and there is
+    no body.  Returns None where the text is not plain or any check of
+    `_read_table` fails."""
     try:
         text = "".join(lines)
     except TypeError:  # a binary stream, which csv.reader refuses by name
@@ -324,11 +344,8 @@ def _read_plain(
         return None
     if text.count(",") != (c - 1) * len(rows) or header_error(names) is not None:
         return None
-    try:  # a vector file's unread columns must parse too
-        values = np.loadtxt(
-            body, dtype=dtype, delimiter=",", comments=None, usecols=range(1, c), ndmin=2
-        )
-    except ValueError:  # a cell that does not parse, or a row too short
+    values = _loadtxt(body, dtypes, c)  # a vector file's unread columns must parse too
+    if values is None:
         return None
     # np.loadtxt refuses a row with fewer than c columns, so the comma total
     # above leaves every row with exactly c
@@ -347,20 +364,24 @@ def _read_table(
     problem: Callable[[int, str, str, object], str],
     vector: bool = False,
     header_error: Callable[[tuple[str, ...]], str | None] = lambda names: None,
+    try_first: type | None = None,
 ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Parse a table into `(names, ids, values)`: one `dtype` array, N x C,
+    """Parse a table into `(names, ids, values)`: one array, N x C,
     or of length N for a `vector` file, which reads its first value column
     only.  `header_error(names)` may reject the value-column names before any
     cell is read; a repeated object id is rejected next, naming both rows.
     `valid` is the domain test, on the array or on one parsed cell;
     `problem(row, column, cell, value)` words its failure.
 
-    A plain table is parsed in one C pass (`_read_plain`); any other text,
-    and every table that fails a check, goes through `csv.reader`, which
-    alone words the errors.
+    A plain table is parsed in one C pass (`_read_plain`), in `try_first`
+    where every cell parses as one (a narrower dtype whose values `dtype`
+    would parse equal), else in `dtype`; any other text, and every table
+    that fails a check, goes through `csv.reader`, which alone words the
+    errors.
     """
     lines = list(reader)  # the lines csv.reader would read, in any newline mode
-    if (table := _read_plain(lines, dtype, valid, vector, header_error)) is not None:
+    dtypes = (dtype,) if try_first is None else (try_first, dtype)
+    if (table := _read_plain(lines, dtypes, valid, vector, header_error)) is not None:
         return table
     rows = [r for r in csv.reader(lines) if r]  # tolerate trailing blank lines
     if not rows:
@@ -411,15 +432,56 @@ def _read_table(
     raise AssertionError(f"{what}: the table failed its checks but no cell does")
 
 
+def _csv_quotes(char: str) -> bool:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((char, ""))
+    return out.getvalue().startswith('"')
+
+
+# the characters for which csv.writer (QUOTE_MINIMAL, '\n' line ends) quotes
+# a field, asked of csv.writer itself: Python 3.11's leaves a lone '\r' bare
+_QUOTED = "".join(filter(_csv_quotes, ',"\r\n'))
+
+# rows joined per write; larger blocks hold more text at once and save no time
+_BLOCK_ROWS = 1024
+
+
+def _csv_fields(texts: Sequence[str]) -> list[str]:
+    """`texts` as csv.writer writes them in a row of two or more fields:
+    one holding a `_QUOTED` character is quoted, its quotes doubled."""
+    joined = "".join(texts)
+    if not any(c in joined for c in _QUOTED):
+        return list(texts)
+    return [
+        '"' + t.replace('"', '""') + '"' if any(c in t for c in _QUOTED) else t for t in texts
+    ]
+
+
+def _cell_text(column: np.ndarray) -> Callable[[np.ndarray], list[str]]:
+    """The text of a block of `column`'s cells: repr for floats, so they
+    read back exactly; for integers, a lookup in the text of the column's
+    range (the containers hold -1, 0 and 1 only)."""
+    if column.dtype.kind == "f":
+        return lambda block: list(map(repr, block.tolist()))
+    lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
+    text = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    return lambda block: text[block.astype(np.intp) - lo].tolist()
+
+
 def _write_table(
     writer: TextIO, names: Sequence[str], ids: Sequence[str] | None, columns: Sequence[np.ndarray]
 ) -> None:
-    """Write `object_id,<names>` and one row per object; ids default to the
-    row index.  Floats are written with repr, so they read back exactly."""
-    ids = ids if ids is not None else [str(i) for i in range(len(columns[0]))]
-    w = csv.writer(writer, lineterminator="\n")
-    w.writerow(("object_id", *names))
-    w.writerows(zip(ids, *(c.tolist() for c in columns)))
+    """Write `object_id,<names>` and one row per object, in the bytes
+    csv.writer writes; ids default to the row index.  Each column is turned
+    into text a block of rows at a time, and each block is one write."""
+    n = len(columns[0])
+    ids = [str(i) for i in range(n)] if ids is None else _csv_fields(ids)
+    formats = [_cell_text(c) for c in columns]
+    writer.write(",".join(_csv_fields(("object_id", *names))) + "\n")
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        cells = [ids[rows], *(fmt(c[rows]) for fmt, c in zip(formats, columns))]
+        writer.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def load_label_matrix(reader: TextIO) -> LabelMatrix:
@@ -448,6 +510,7 @@ def load_binary_features(reader: TextIO, encoding: str = "pm1") -> FeatureMatrix
         lambda i, col, cell, v: (
             f"binary features: row {i}, column {col}: {cell!r} invalid for encoding {encoding}"
         ),
+        try_first=np.int8,
     )
     if encoding == "zero_one":
         values = np.where(values == 1.0, 1, -1)

@@ -94,9 +94,13 @@ def score(
     )
 
 
+def sign_labels(soft: ProbLabelVector) -> HardLabelVector:
+    """sign(expected label) per object, with sign(0) = +1."""
+    return HardLabelVector(np.where(soft.expected >= 0.0, 1, -1))
+
+
 def soft_label_accuracy(soft: ProbLabelVector, truth: HardLabelVector) -> float:
     """Accuracy of sign(expected label) against truth, with sign(0) = +1."""
     if soft.n != truth.n:
         raise ValueError(f"label length {soft.n} != truth length {truth.n}")
-    hard = np.where(soft.expected >= 0.0, 1, -1)
-    return float((hard == truth.labels).mean())
+    return float((sign_labels(soft).labels == truth.labels).mean())

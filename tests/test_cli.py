@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weaksup import cli
 from weaksup import data as wdata
-from weaksup.cli import main
+from weaksup.cli import build_parser, main
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import FitConfig
+from weaksup.metrics import soft_label_accuracy
 from weaksup.synth import E2EScenario, gen_e2e, run_recovery_experiment
 
 
@@ -215,6 +218,37 @@ def test_metrics_negative_positive_class(tiny_dataset, capsys):
     assert code == 0
     body = json.loads(capsys.readouterr().out)
     assert body["config"]["positive_class"] == -1 and body["f1"] == 1.0
+
+
+def test_metrics_scores_soft_labels_by_sign(tmp_path, capsys):
+    pred, truth = tmp_path / "soft.csv", tmp_path / "truth.csv"
+    pred.write_text("object_id,expected_label,probability\na,0.0,0.5\nb,-0.5,0.25\nc,0.9,0.95\n")
+    truth.write_text("object_id,y\na,1\nb,1\nc,-1\n")
+    assert main(["metrics", "--pred", str(pred), "--truth", str(truth)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert (body["tp"], body["fp"], body["tn"], body["fn"]) == (1, 1, 0, 1)  # sign(0) = +1
+
+
+def test_metrics_scores_the_labels_run_writes(tiny_dataset, tmp_path, capsys):
+    ds, paths, _ = tiny_dataset
+    out_dir = tmp_path / "out"
+    assert main(["run", "--labels", paths["labels"], "--bin-features", paths["xbin"],
+                 "--real-features", paths["vreal"], "--k-max", "1", "--out-dir", str(out_dir),
+                 *FAST, *FAST_DISC]) == 0
+    labels_out = str(out_dir / "labels_out.csv")
+    assert main(["metrics", "--pred", labels_out, "--truth", paths["truth"]]) == 0
+    body = json.loads(capsys.readouterr().out)
+    soft, _ = _load_soft(labels_out)
+    assert body["accuracy"] == soft_label_accuracy(soft, ds.truth)
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    assert main(["--version"]) == 0
+    assert main(["not-a-command"]) == 1
+    assert len(built) == 1
 
 
 def test_usage_errors_exit_one():

@@ -11,6 +11,7 @@ reference's bytes.
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,53 @@ def test_plain_table_boundary_matches_reference(loader, case):
         assert getattr(got[1], attr, None) == getattr(want[1], attr, None)
 
 
+# cells at the edge of the binary-feature parse, which tries int8 before
+# float64: float spellings of an integer, integer spellings int() accepts,
+# and integers outside int8
+BINARY_EDGE = ["1.0", "1e0", "+1", " 1", "01", "-0", "1.5", "300", "-129"]
+
+
+def _assert_same_outcome(load, load_ref, text: str) -> None:
+    """The reference's error message, or its parsed array bit for bit."""
+    got, want = _outcome(load, text), _outcome(load_ref, text)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "ok", got
+        assert _same_bits(_array(got[1]), _array(want[1]))
+
+
+@pytest.mark.parametrize("loader", ["binary_pm1", "binary_zero_one"])
+@pytest.mark.parametrize("cell", BINARY_EDGE)
+def test_binary_parse_edge_cells_match_reference(loader, cell):
+    load, load_ref = LOADERS[loader][:2]
+    _assert_same_outcome(load, load_ref, f"object_id,f_1,f_2\na,{cell},1\nb,1,{cell}\n")
+
+
+def _numpy_1_loadtxt(real_loadtxt):
+    """np.loadtxt as numpy < 2 has it: an integer parse of a cell that only
+    parses as a float warns and truncates where numpy 2 refuses."""
+    def loadtxt(lines, dtype, **kwargs):
+        try:
+            return real_loadtxt(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            if np.dtype(dtype).kind != "i":
+                raise
+        warnings.warn(
+            "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
+        )
+        return real_loadtxt(lines, dtype=np.float64, **kwargs).astype(dtype)
+    return loadtxt
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("cell", ["1.0", "1.5", "-1.0"])
+def test_integer_parse_via_a_float_is_refused(loader, cell, monkeypatch):
+    load, load_ref, *_, column = LOADERS[loader]
+    monkeypatch.setattr(np, "loadtxt", _numpy_1_loadtxt(np.loadtxt))
+    _assert_same_outcome(load, load_ref, f"object_id,{column or 'c_1'}\na,{cell}\nb,-1\n")
+
+
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_crlf_file_opened_by_the_cli_takes_the_plain_parse(loader, tmp_path, monkeypatch):
     load, load_ref, *_, column = LOADERS[loader]
@@ -278,10 +326,14 @@ def _written(save, *args) -> str:
 @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**31 - 1), st.data())
 def test_writers_match_reference_bytes(m, n, seed, data_):
     rng = np.random.default_rng(seed)
-    # ids that need csv quoting, or none (written as the row index)
-    ids = data_.draw(st.one_of(st.none(), st.lists(
-        st.from_regex(r'[a-z0-9 ,"]{0,4}', fullmatch=True), min_size=n, max_size=n).map(tuple)))
-    names = data_.draw(st.one_of(st.none(), st.just(tuple(f"c{j}" for j in range(m)))))
+    # ids, empty ones included, that need csv quoting, or none (written as
+    # the row index); names that need quoting too
+    text = st.from_regex(r'[a-z0-9 ,"\r\n]{0,4}', fullmatch=True)
+    ids = data_.draw(st.one_of(
+        st.none(), st.lists(text, min_size=n, max_size=n).map(tuple)))
+    names = data_.draw(st.one_of(
+        st.none(), st.just(tuple(f"c{j}" for j in range(m))),
+        st.lists(text, min_size=m, max_size=m).map(tuple)))
     # real values include -0.0, subnormals and values that need 17 digits
     real = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-320, 300, size=(n, m))
     real[0, 0] = -0.0
@@ -303,6 +355,28 @@ def test_writers_match_reference_bytes(m, n, seed, data_):
         ref.save_soft_labels, soft, ids)
     assert _written(data.save_hard_labels, hard_v, ids) == _written(
         ref.save_hard_labels, hard_v, ids)
+
+
+def test_writers_match_reference_bytes_past_two_write_blocks():
+    m, n = 4, 2 * data._BLOCK_ROWS + 37
+    rng = np.random.default_rng(10)
+    quoted = {0: 'o,"{}"\n', 250: "o\r{}", 500: ""}  # every 250th id needs quoting or is empty
+    ids = tuple(quoted.get(i % 750, "o{}").format(i) for i in range(n))
+    names = ("a", "b,c", 'd"', "e\rf")
+    labels = LabelMatrix(rng.integers(-1, 2, size=(m, n)), object_ids=ids, source_names=names)
+    binary = FeatureMatrixBinary(rng.choice([-1, 1], size=(n, m)), object_ids=ids)
+    reals = FeatureMatrixReal(rng.standard_normal((n, m)), column_names=names)
+    soft = ProbLabelVector(np.clip(rng.standard_normal(n), -1.0, 1.0))
+    hard = HardLabelVector(rng.choice([-1, 1], size=n))
+
+    assert _written(data.save_label_matrix, labels) == _written(ref.save_label_matrix, labels)
+    assert _written(data.save_binary_features, binary) == _written(
+        ref.save_binary_features, binary)
+    assert _written(data.save_real_features, reals) == _written(ref.save_real_features, reals)
+    assert _written(data.save_soft_labels, soft, ids) == _written(
+        ref.save_soft_labels, soft, ids)
+    assert _written(data.save_hard_labels, hard, None) == _written(
+        ref.save_hard_labels, hard, None)
 
 
 def test_real_features_round_trip_exactly():
