@@ -9,7 +9,6 @@ read-only across workers.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
@@ -47,8 +46,9 @@ class LabelMatrix:
             raise DataError("label matrix must be 2-dimensional (sources x objects)")
         if votes.shape[0] < 1 or votes.shape[1] < 1:
             raise DataError("label matrix needs at least one source and one object")
-        if not np.isin(votes, (-1, 0, 1)).all():
-            j, o = np.argwhere(~np.isin(votes, (-1, 0, 1)))[0]
+        in_domain = (votes == -1) | (votes == 0) | (votes == 1)
+        if not in_domain.all():
+            j, o = np.argwhere(~in_domain)[0]
             raise DataError(f"vote outside {{-1,0,1}} at source {j}, object {o}")
         _set(self, votes=_frozen(votes.astype(np.int8)))
         if self.object_ids is not None and len(self.object_ids) != self.n:
@@ -77,8 +77,9 @@ class FeatureMatrixBinary:
         values = np.asarray(self.values)
         if values.ndim != 2:
             raise DataError("binary feature matrix must be 2-dimensional")
-        if not np.isin(values, (-1, 1)).all():
-            o, j = np.argwhere(~np.isin(values, (-1, 1)))[0]
+        in_domain = (values == 1) | (values == -1)
+        if not in_domain.all():
+            o, j = np.argwhere(~in_domain)[0]
             raise DataError(f"binary feature outside {{-1,+1}} at object {o}, column {j}")
         _set(self, values=_frozen(values.astype(np.int8)))
         if self.column_names is not None and len(self.column_names) != self.p:
@@ -432,23 +433,18 @@ def _read_table(
     raise AssertionError(f"{what}: the table failed its checks but no cell does")
 
 
-def _csv_quotes(char: str) -> bool:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((char, ""))
-    return out.getvalue().startswith('"')
-
-
-# the characters for which csv.writer (QUOTE_MINIMAL, '\n' line ends) quotes
-# a field, asked of csv.writer itself: Python 3.11's leaves a lone '\r' bare
-_QUOTED = "".join(filter(_csv_quotes, ',"\r\n'))
+# the characters for which a field is quoted: csv.writer's QUOTE_MINIMAL set
+# with '\n' line ends, and '\r', which Python 3.11's csv.writer leaves bare
+# although csv.reader cannot read such a field back
+_QUOTED = ',"\r\n'
 
 # rows joined per write; larger blocks hold more text at once and save no time
 _BLOCK_ROWS = 1024
 
 
 def _csv_fields(texts: Sequence[str]) -> list[str]:
-    """`texts` as csv.writer writes them in a row of two or more fields:
-    one holding a `_QUOTED` character is quoted, its quotes doubled."""
+    """`texts` as fields of a row of two or more: one holding a `_QUOTED`
+    character is quoted, its quotes doubled."""
     joined = "".join(texts)
     if not any(c in joined for c in _QUOTED):
         return list(texts)
@@ -457,30 +453,45 @@ def _csv_fields(texts: Sequence[str]) -> list[str]:
     ]
 
 
-def _cell_text(column: np.ndarray) -> Callable[[np.ndarray], list[str]]:
-    """The text of a block of `column`'s cells: repr for floats, so they
-    read back exactly; for integers, a lookup in the text of the column's
-    range (the containers hold -1, 0 and 1 only)."""
+def _cell_text(column: np.ndarray) -> Callable[[slice], list[str]]:
+    """The text of `column`'s cells in a slice of rows.  Floats take repr,
+    so they read back exactly.  A float column of at most `_BLOCK_ROWS`
+    distinct values formats each of them once and looks its cells up; any
+    other is formatted a block at a time, so the text held at once stays
+    one block.  Integers are looked up in the text of the column's range
+    (the containers hold -1, 0 and 1 only)."""
     if column.dtype.kind == "f":
-        return lambda block: list(map(repr, block.tolist()))
+        bits = column.view(np.int64)  # distinct bits, so -0.0 is not 0.0
+        # a column of many values mostly shows more than _BLOCK_ROWS of them
+        # in its first _BLOCK_ROWS + 1 cells, and then skips the full np.unique
+        if np.unique(bits[: _BLOCK_ROWS + 1]).size <= _BLOCK_ROWS:
+            keys, inverse = np.unique(bits, return_inverse=True)
+            if keys.size <= _BLOCK_ROWS:
+                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+                return lambda rows: text[inverse[rows]].tolist()
+        return lambda rows: list(map(repr, column[rows].tolist()))
     lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
     text = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
-    return lambda block: text[block.astype(np.intp) - lo].tolist()
+    return lambda rows: text[column[rows].astype(np.intp) - lo].tolist()
 
 
 def _write_table(
     writer: TextIO, names: Sequence[str], ids: Sequence[str] | None, columns: Sequence[np.ndarray]
 ) -> None:
     """Write `object_id,<names>` and one row per object, in the bytes
-    csv.writer writes; ids default to the row index.  Each column is turned
+    csv.writer writes, except that a field holding '\r' is always quoted;
+    ids default to the row index.  Each column, the ids included, is turned
     into text a block of rows at a time, and each block is one write."""
     n = len(columns[0])
-    ids = [str(i) for i in range(n)] if ids is None else _csv_fields(ids)
-    formats = [_cell_text(c) for c in columns]
+    id_text = (
+        (lambda rows: list(map(str, range(n)[rows]))) if ids is None
+        else _csv_fields(ids).__getitem__
+    )
+    formats = [id_text, *map(_cell_text, columns)]
     writer.write(",".join(_csv_fields(("object_id", *names))) + "\n")
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        cells = [ids[rows], *(fmt(c[rows]) for fmt, c in zip(formats, columns))]
+        cells = [fmt(rows) for fmt in formats]
         writer.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

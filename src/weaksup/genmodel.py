@@ -489,10 +489,5 @@ def params_from_dict(d: dict) -> GenParams:
     return GenParams(phi=phi, w=w, selected=selected)
 
 
-def save_params(params: GenParams, writer: TextIO, config: FitConfig | None = None) -> None:
-    json.dump(params_to_dict(params, config), writer, indent=2, sort_keys=True)
-    writer.write("\n")
-
-
 def load_params(reader: TextIO) -> GenParams:
     return params_from_dict(json.load(reader))

@@ -155,6 +155,17 @@ def test_type_domain_checks():
         ProbLabelVector(np.array([1.5]))
 
 
+@pytest.mark.parametrize("bad", [0.5, 2**40, np.nan], ids=["half", "2**40", "nan"])
+def test_domain_checks_refuse_near_misses(bad):
+    votes = np.array([[1, 0, -1], [0, bad, 1]])
+    with pytest.raises(DataError, match=r"^vote outside \{-1,0,1\} at source 1, object 1$"):
+        LabelMatrix(votes)
+    with pytest.raises(
+        DataError, match=r"^binary feature outside \{-1,\+1\} at object 1, column 1$"
+    ):
+        FeatureMatrixBinary(np.where(votes == 0, -1, votes))
+
+
 def test_containers_are_immutable():
     lm = LabelMatrix(np.array([[1, 0]]))
     with pytest.raises(ValueError):
