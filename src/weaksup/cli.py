@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -31,24 +32,18 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# the FitConfig, DiscConfig (as disc_<field>) and RunConfig defaults, then
+# the options the library does not default, or defaults differently
+# (run_recovery_experiment takes delta=0.2, E2EScenario takes p=20)
 _DEFAULTS = {
+    prefix + f.name: f.default
+    for cls, prefix in [(genmodel.FitConfig, ""), (discmodel.DiscConfig, "disc_"),
+                        (pipeline.RunConfig, "")]
+    for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING
+} | {
     "encoding": "pm1",
-    "max_iters": 2000,
-    "grad_tol": 1e-6,
-    "phi_init": 0.5,
-    "w_l2": 0.01,
-    "disc_max_iters": 2000,
-    "disc_grad_tol": 1e-6,
-    "disc_l2": 0.01,
-    "standardize": False,
-    "grid_size": 100,
-    "lambda_min_ratio": 1e-3,
-    "lasso_tol": 1e-8,
     "k": 3,
-    "k_max": 10,
-    "patience": 1,
-    "dev_metric": "accuracy",
-    "refresh_disagreement": False,
     "delta": 0.05,
     "positive_class": 1,
     "trials": 100,
@@ -56,7 +51,6 @@ _DEFAULTS = {
     "lambda_policy": "path",
     "p": 100,
     "s_size": 3,
-    "rho": None,
     "n": 10000,
     "m": 5,
     "subset_fraction": 0.3,
@@ -120,16 +114,22 @@ def _floats(value) -> list[float]:
         raise DataError(f"expected comma-separated numbers, got {value!r}") from None
 
 
-def _option_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Every option name that some subcommand reads."""
+def _option_types(parser: argparse.ArgumentParser) -> dict[str, type | None]:
+    """The type of every option that some subcommand reads, by name: `bool`
+    for the --[no-] flags, None for options kept as given."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in sub.choices.values() for a in p._actions}
+    return {
+        a.dest: bool if isinstance(a, argparse.BooleanOptionalAction) else a.type
+        for p in sub.choices.values()
+        for a in p._actions
+        if not isinstance(a, argparse._HelpAction) and a.dest != "config"
+    }
 
 
-def _resolve(args: argparse.Namespace, known: frozenset[str]) -> None:
-    """Merge --config file values and built-in defaults into unset flags.
-    A file key that no subcommand reads (`known`) is a data error; keys of
-    other subcommands are accepted and ignored."""
+def _resolve(args: argparse.Namespace, types: dict[str, type | None]) -> None:
+    """Merge --config file values, converted by their option's type, and
+    built-in defaults into unset flags.  A file key that no subcommand reads
+    is a data error; keys of other subcommands are accepted and ignored."""
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as f:
@@ -141,10 +141,17 @@ def _resolve(args: argparse.Namespace, known: frozenset[str]) -> None:
             raise DataError(f"config file {cfg_path}: expected a JSON object")
         for key, value in file_cfg.items():
             dest = key.replace("-", "_")
-            if dest not in known:
+            if dest not in types:
                 raise DataError(f"config file {cfg_path}: unknown option {key!r}")
-            if hasattr(args, dest) and getattr(args, dest) is None:
-                setattr(args, dest, value)
+            if hasattr(args, dest) and getattr(args, dest) is None and value is not None:
+                convert = types[dest]
+                try:
+                    setattr(args, dest, value if convert is None else convert(value))
+                except (TypeError, ValueError, OverflowError):
+                    raise DataError(
+                        f"config file {cfg_path}: option {key!r} expects "
+                        f"{convert.__name__}, got {value!r}"
+                    ) from None
     for dest, value in _DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -153,21 +160,12 @@ def _resolve(args: argparse.Namespace, known: frozenset[str]) -> None:
         args.seed = int(env) if env else 0
 
 
-def _gen_config(args) -> genmodel.FitConfig:
-    return genmodel.FitConfig(
-        max_iters=int(args.max_iters),
-        grad_tol=float(args.grad_tol),
-        phi_init=float(args.phi_init),
-        w_l2=float(args.w_l2),
-    )
-
-
-def _disc_config(args) -> discmodel.DiscConfig:
-    return discmodel.DiscConfig(
-        max_iters=int(args.disc_max_iters),
-        grad_tol=float(args.disc_grad_tol),
-        l2=float(args.disc_l2),
-    )
+def _config(cls, args, prefix: str = "", **given):
+    """A `cls` built from the options named `prefix` + field name and the
+    `given` fields; a field with no option in this subcommand keeps its
+    default."""
+    names = [f.name for f in dataclasses.fields(cls) if hasattr(args, prefix + f.name)]
+    return cls(**{name: getattr(args, prefix + name) for name in names} | given)
 
 
 def _echo(args, keys: list[str]) -> dict:
@@ -179,27 +177,12 @@ def _load(path: str, loader, *extra):
         return loader(f, *extra)
 
 
-def _run_config(args) -> pipeline.RunConfig:
-    return pipeline.RunConfig(
-        k_max=int(args.k_max),
-        patience=int(args.patience),
-        dev_metric=args.dev_metric,
-        gen=_gen_config(args),
-        disc=_disc_config(args),
-        grid_size=int(args.grid_size),
-        lambda_min_ratio=float(args.lambda_min_ratio),
-        lasso_tol=float(args.lasso_tol),
-        standardize=bool(args.standardize),
-        refresh_disagreement=bool(getattr(args, "refresh_disagreement", False)),
-    )
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_fit_gen(args) -> int:
     labels = _load(args.labels, data.load_label_matrix)
-    cfg = _gen_config(args)
+    cfg = _config(genmodel.FitConfig, args)
     if args.selected:
         if not args.bin_features:
             raise DataError("--selected requires --bin-features")
@@ -236,8 +219,8 @@ def cmd_train_disc(args) -> int:
     features = _load(args.real_features, data.load_real_features)
     soft, soft_ids = _load(args.soft_labels, data.load_soft_labels)
     data.check_ids(real_features=features.object_ids, soft_labels=soft_ids)
-    cfg = _disc_config(args)
-    preprocess = {"standardize": bool(args.standardize)}
+    cfg = _config(discmodel.DiscConfig, args, "disc_")
+    preprocess = {"standardize": args.standardize}
     if args.standardize:
         features, mean, scale = pipeline.standardize(features)
         preprocess |= {"mean": mean.tolist(), "scale": scale.tolist()}
@@ -258,11 +241,11 @@ def cmd_diff(args) -> int:
     path = diffmodel.regularization_path(
         features,
         target,
-        grid_size=int(args.grid_size),
-        lambda_min_ratio=float(args.lambda_min_ratio),
-        tol=float(args.lasso_tol),
+        grid_size=args.grid_size,
+        lambda_min_ratio=args.lambda_min_ratio,
+        tol=args.lasso_tol,
     )
-    selected = diffmodel.select_features(path, int(args.k))
+    selected = diffmodel.select_features(path, args.k)
     k_eff = len(selected)
     sel_idx = path.lambdas.index(path.entry_lambdas[k_eff - 1]) if k_eff else 0
     sel_fit = path.fits[sel_idx]
@@ -306,7 +289,9 @@ def cmd_run(args) -> int:
         fatal = next(f for f in report_v.findings if f.level == "fatal")
         raise DataError(fatal.message)
 
-    report = pipeline.run(dataset, _run_config(args))
+    config = _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
+                     disc=_config(discmodel.DiscConfig, args, "disc_"))
+    report = pipeline.run(dataset, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,14 +318,8 @@ def cmd_run(args) -> int:
         "tracked_metric": report.tracked_metric,
         "iterations": iterations,
         "validation": report_v.to_dict(),
-        "config": _echo(
-            args,
-            ["labels", "bin_features", "real_features", "truth", "encoding",
-             "k_max", "patience", "dev_metric", "max_iters", "grad_tol",
-             "phi_init", "w_l2", "disc_max_iters", "disc_grad_tol", "disc_l2",
-             "standardize", "grid_size", "lambda_min_ratio", "lasso_tol",
-             "refresh_disagreement", "seed", "out_dir"],
-        ),
+        # every option but --config
+        "config": _echo(args, [k for k in vars(args) if k not in ("config", "command", "func")]),
     }
     _write_json(body, str(out_dir / "run_report.json"))
     with open(out_dir / "labels_out.csv", "w") as f:
@@ -366,7 +345,7 @@ def cmd_check_conditions(args) -> int:
         features.values[:, support].astype(np.float64),
         features.values[:, rest].astype(np.float64),
         target,
-        delta=float(args.delta),
+        delta=args.delta,
     )
     body = report.to_dict()
     body["support"] = support
@@ -376,29 +355,37 @@ def cmd_check_conditions(args) -> int:
     return EXIT_OK
 
 
+def _write_rows(path: str, header, rows) -> None:
+    """An experiment table as CSV, floats by repr so they read back exactly."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def cmd_simulate_recovery(args) -> int:
     kappas = _floats(args.kappa)
     ns = _ints(args.n_grid)
     cells = synth.run_recovery_experiment(
         kappas,
         ns,
-        trials=int(args.trials),
-        p=int(args.p),
-        s_size=int(args.s_size),
-        seed=int(args.seed),
-        rho=None if args.rho is None else float(args.rho),
+        trials=args.trials,
+        p=args.p,
+        s_size=args.s_size,
+        seed=args.seed,
+        rho=args.rho,
         lambda_policy=args.lambda_policy,
-        delta=float(args.delta),
-        grid_size=int(args.grid_size),
-        lambda_min_ratio=float(args.lambda_min_ratio),
-        tol=float(args.lasso_tol),
-        jobs=int(args.jobs),
+        delta=args.delta,
+        grid_size=args.grid_size,
+        lambda_min_ratio=args.lambda_min_ratio,
+        tol=args.lasso_tol,
+        jobs=args.jobs,
     )
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["kappa", "n", "trials", "recovered_fraction"])
-        for cell in cells:
-            w.writerow([repr(cell.kappa), cell.n, cell.trials, repr(cell.recovered_fraction)])
+    _write_rows(
+        args.out,
+        ["kappa", "n", "trials", "recovered_fraction"],
+        [(c.kappa, c.n, c.trials, c.recovered_fraction) for c in cells],
+    )
     return EXIT_OK
 
 
@@ -423,32 +410,24 @@ def _e2e_trial(payload) -> dict:
 
 
 def cmd_simulate_e2e(args) -> int:
-    if int(args.trials) < 1:
+    if args.trials < 1:
         raise DataError("trials must be positive")
-    cfg = _run_config(args)
+    cfg = _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
+                  disc=_config(discmodel.DiscConfig, args, "disc_"))
     work = []
-    for t in range(int(args.trials)):
-        scenario = synth.E2EScenario(
-            m=int(args.m),
-            n=int(args.n),
-            p=int(args.p),
-            subset_fraction=float(args.subset_fraction),
-            base_accuracies=float(args.base_accuracy),
-            flipped_source=int(args.flipped_source),
-            flipped_accuracy=float(args.flipped_accuracy),
-            coverages=float(args.coverage),
-            q_disc=int(args.q_disc),
-            seed=synth.derive_trial_seed(int(args.seed), 0, t),
+    for t in range(args.trials):
+        scenario = _config(
+            synth.E2EScenario,
+            args,
+            base_accuracies=args.base_accuracy,
+            coverages=args.coverage,
+            seed=synth.derive_trial_seed(args.seed, 0, t),
         )
         work.append((t, scenario, cfg))
     if args.dump_data:
         _dump_dataset(synth.gen_e2e(work[0][1]), Path(args.dump_data))
-    rows = synth.map_trials(_e2e_trial, work, int(args.jobs))
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(rows[0].keys())
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    rows = synth.map_trials(_e2e_trial, work, args.jobs)
+    _write_rows(args.out, rows[0].keys(), [row.values() for row in rows])
     return EXIT_OK
 
 
@@ -480,7 +459,7 @@ def cmd_metrics(args) -> int:
     pred, pred_ids = _load_predictions(args.pred)
     truth, truth_ids = _load(args.truth, data.load_hard_labels)
     data.check_ids(pred=pred_ids, truth=truth_ids)
-    scores = metrics.score(pred, truth, positive_class=int(args.positive_class))
+    scores = metrics.score(pred, truth, positive_class=args.positive_class)
     body = scores.to_dict()
     body["config"] = _echo(args, ["pred", "truth", "positive_class"])
     _write_json(body, args.out)
@@ -637,21 +616,21 @@ def build_parser() -> _Parser:
 
 
 @functools.cache
-def _parser() -> tuple[_Parser, frozenset[str]]:
-    """The parser and its option names, built once per process: a build
+def _parser() -> tuple[_Parser, dict[str, type | None]]:
+    """The parser and its option types, built once per process: a build
     costs more than most parses, and parsing leaves the parser as it was."""
     parser = build_parser()
-    return parser, frozenset(_option_names(parser))
+    return parser, _option_types(parser)
 
 
 def main(argv=None) -> int:
-    parser, known = _parser()
+    parser, types = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _resolve(args, known)
+        _resolve(args, types)
         return args.func(args)
     except (DataError, FitError, ValueError, IndexError, KeyError, OSError,
             json.JSONDecodeError, csv.Error) as e:

@@ -134,8 +134,9 @@ class HardLabelVector:
         labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise DataError("hard labels must be a vector")
-        if not np.isin(labels, (-1, 1)).all():
-            o = np.argwhere(~np.isin(labels, (-1, 1)))[0, 0]
+        in_domain = (labels == 1) | (labels == -1)
+        if not in_domain.all():
+            o = np.argwhere(~in_domain)[0, 0]
             raise DataError(f"hard label outside {{-1,+1}} at object {o}")
         _set(self, labels=_frozen(labels.astype(np.int8)))
 

@@ -138,7 +138,6 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         labels=dataset.labels.object_ids,
         bin_features=getattr(dataset.bin_features, "object_ids", None),
         real_features=dataset.real_features.object_ids,
-        truth=getattr(dataset.truth, "object_ids", None),
     )
 
     real = standardize(dataset.real_features)[0] if config.standardize else dataset.real_features

@@ -12,6 +12,7 @@ from weaksup.cli import build_parser, main
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import FitConfig
 from weaksup.metrics import soft_label_accuracy
+from weaksup.pipeline import RunConfig
 from weaksup.synth import E2EScenario, gen_e2e, run_recovery_experiment
 
 
@@ -126,6 +127,22 @@ def test_run_writes_report_and_labels(tiny_dataset, tmp_path):
     assert report["config"]["seed"] == 7
     soft, ids = _load_soft(out_dir / "labels_out.csv")
     assert soft.n == 400
+
+
+def test_run_defaults_are_the_library_defaults(tiny_dataset, tmp_path):
+    _, paths, _ = tiny_dataset
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", "--labels", paths["labels"], "--bin-features", paths["xbin"],
+         "--real-features", paths["vreal"], "--out-dir", str(out_dir)]
+    )
+    assert code == 0
+    echo = json.loads((out_dir / "run_report.json").read_text())["config"]
+    expected = {f.name: f.default for f in dataclasses.fields(RunConfig)
+                if f.name not in ("gen", "disc")}
+    expected |= {f.name: f.default for f in dataclasses.fields(FitConfig)}
+    expected |= {f"disc_{f.name}": f.default for f in dataclasses.fields(DiscConfig)}
+    assert {k: echo[k] for k in expected} == expected
 
 
 def test_run_rejects_mismatched_components(tiny_dataset, tmp_path):
@@ -262,13 +279,16 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_config_value_exits_two(tiny_dataset, tmp_path):
+def test_bad_config_value_exits_two(tiny_dataset, tmp_path, capsys):
     _, paths, _ = tiny_dataset
-    code = main(
-        ["fit-gen", "--labels", paths["labels"], "--grad-tol", "-1",
-         "--out", str(tmp_path / "m.json")]
-    )
-    assert code == 2
+    argv = ["fit-gen", "--labels", paths["labels"], "--out", str(tmp_path / "m.json")]
+    assert main([*argv, "--grad-tol", "-1"]) == 2
+    assert "grad_tol" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for value in ([1], float("inf")):  # a wrong type, and a float no int can hold
+        cfg.write_text(json.dumps({"max_iters": value}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "option 'max_iters'" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tiny_dataset, tmp_path):
@@ -295,14 +315,14 @@ def test_unknown_config_key_exits_two_naming_it(tiny_dataset, tmp_path, capsys):
     cfg.write_text(json.dumps({"max_iters": 150, "disc-l2": 0.5, "k_max": 2, "trials": 3}))
     assert main(argv) == 0
     capsys.readouterr()
-    for key in ("learning_rate", "disc-learning-rate", "max_iter"):
+    for key in ("learning_rate", "disc-learning-rate", "max_iter", "help", "config"):
         cfg.write_text(json.dumps({"max_iters": 150, key: 0.1}))
         assert main(argv) == 2
         assert f"unknown option {key!r}" in capsys.readouterr().err
 
 
 def test_pipeline_run_rejects_swapped_binary_feature_ids(tiny_dataset, tmp_path):
-    from weaksup.pipeline import RunConfig, run
+    from weaksup.pipeline import run
 
     _, paths, _ = tiny_dataset
 

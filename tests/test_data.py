@@ -160,10 +160,13 @@ def test_domain_checks_refuse_near_misses(bad):
     votes = np.array([[1, 0, -1], [0, bad, 1]])
     with pytest.raises(DataError, match=r"^vote outside \{-1,0,1\} at source 1, object 1$"):
         LabelMatrix(votes)
+    pm1 = np.where(votes == 0, -1, votes)
     with pytest.raises(
         DataError, match=r"^binary feature outside \{-1,\+1\} at object 1, column 1$"
     ):
-        FeatureMatrixBinary(np.where(votes == 0, -1, votes))
+        FeatureMatrixBinary(pm1)
+    with pytest.raises(DataError, match=r"^hard label outside \{-1,\+1\} at object 1$"):
+        HardLabelVector(pm1[1])
 
 
 def test_containers_are_immutable():
