@@ -126,10 +126,26 @@ def _option_types(parser: argparse.ArgumentParser) -> dict[str, type | None]:
     }
 
 
+def _from_json(value, convert: type | None):
+    """A --config value as the command line would take it: a --[no-] flag
+    only as JSON true/false, an int option only as a JSON integer, a float
+    option as any JSON number (a bool is neither), and a string through the
+    option's type.  Raises TypeError for anything else."""
+    if convert is None:
+        return value
+    if isinstance(value, str) and convert is not bool:
+        return convert(value)
+    json_types = {bool: bool, int: int, float: (int, float)}[convert]
+    if isinstance(value, json_types) and isinstance(value, bool) == (convert is bool):
+        return convert(value)
+    raise TypeError(value)
+
+
 def _resolve(args: argparse.Namespace, types: dict[str, type | None]) -> None:
-    """Merge --config file values, converted by their option's type, and
-    built-in defaults into unset flags.  A file key that no subcommand reads
-    is a data error; keys of other subcommands are accepted and ignored."""
+    """Merge --config file values, taken as the command line would take
+    them, and built-in defaults into unset flags.  A file key that no
+    subcommand reads is a data error; keys of other subcommands are accepted
+    and ignored."""
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as f:
@@ -146,7 +162,7 @@ def _resolve(args: argparse.Namespace, types: dict[str, type | None]) -> None:
             if hasattr(args, dest) and getattr(args, dest) is None and value is not None:
                 convert = types[dest]
                 try:
-                    setattr(args, dest, value if convert is None else convert(value))
+                    setattr(args, dest, _from_json(value, convert))
                 except (TypeError, ValueError, OverflowError):
                     raise DataError(
                         f"config file {cfg_path}: option {key!r} expects "
@@ -284,11 +300,6 @@ def cmd_run(args) -> int:
     dataset = data.Dataset(
         labels=labels, bin_features=bin_features, real_features=real_features, truth=truth
     )
-    report_v = data.validate(dataset)
-    if not report_v.ok:
-        fatal = next(f for f in report_v.findings if f.level == "fatal")
-        raise DataError(fatal.message)
-
     config = _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
                      disc=_config(discmodel.DiscConfig, args, "disc_"))
     report = pipeline.run(dataset, config)
@@ -317,7 +328,7 @@ def cmd_run(args) -> int:
         "stop_reason": report.stop_reason,
         "tracked_metric": report.tracked_metric,
         "iterations": iterations,
-        "validation": report_v.to_dict(),
+        "validation": report.validation.to_dict(),
         # every option but --config
         "config": _echo(args, [k for k in vars(args) if k not in ("config", "command", "func")]),
     }
@@ -395,13 +406,12 @@ def _e2e_trial(payload) -> dict:
     report = pipeline.run(dataset, cfg)
     k0 = report.iterations[0]
     best = report.best
-    gen0 = genmodel.label_sp(k0.gen_params, dataset.labels)
     return {
         "trial": trial,
         "seed": scenario.seed,
         "best_k": report.best_k,
         "stop_reason": report.stop_reason,
-        "gen_acc_k0": metrics.soft_label_accuracy(gen0, dataset.truth),
+        "gen_acc_k0": metrics.soft_label_accuracy(k0.gen_labels, dataset.truth),
         "gen_acc_best": metrics.soft_label_accuracy(report.final_labels, dataset.truth),
         "disc_metric_k0": k0.dev_metric,
         "disc_metric_best": best.dev_metric,

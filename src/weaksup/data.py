@@ -263,10 +263,7 @@ def validate(dataset: Dataset) -> ValidationReport:
     votes = dataset.labels.votes
     nonabstain = votes != 0
     coverage = tuple(nonabstain.mean(axis=1).tolist())
-    vote_counts = tuple(
-        (int((row == -1).sum()), int((row == 0).sum()), int((row == 1).sum()))
-        for row in votes
-    )
+    vote_counts = tuple(zip(*((votes == v).sum(axis=1).tolist() for v in (-1, 0, 1))))
     for j, cov in enumerate(coverage):
         if cov == 0.0:
             findings.append(Finding("warning", f"source {j} never votes"))
@@ -274,7 +271,7 @@ def validate(dataset: Dataset) -> ValidationReport:
     constant_cols: tuple[int, ...] = ()
     if dataset.bin_features is not None:
         x = dataset.bin_features.values
-        constant_cols = tuple(int(j) for j in range(x.shape[1]) if (x[:, j] == x[0, j]).all())
+        constant_cols = tuple(np.flatnonzero((x == x[:1]).all(axis=0)).tolist())
         for j in constant_cols:
             findings.append(Finding("warning", f"binary feature column {j} is constant"))
 

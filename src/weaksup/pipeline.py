@@ -25,12 +25,13 @@ from .data import (
     FeatureMatrixReal,
     HardLabelVector,
     ProbLabelVector,
-    check_ids,
+    ValidationReport,
+    validate,
 )
 from .diffmodel import disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
 from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
-from .metrics import score
+from .metrics import score, soft_label_accuracy
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class IterationRecord:
     dev_metric: float | None
     gen_params: GenParams
     disc_params: DiscParams
+    gen_labels: ProbLabelVector
+    disc_labels: HardLabelVector
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,7 @@ class RunReport:
     stop_reason: str  # "metric_declined" | "k_max" | "path_exhausted"
     final_labels: ProbLabelVector
     tracked_metric: str  # "agreement" | "accuracy" | "f1"
+    validation: ValidationReport
 
     @property
     def best(self) -> IterationRecord:
@@ -80,10 +84,7 @@ class RunReport:
 
 def agreement_rate(gen_labels: ProbLabelVector, disc_labels: HardLabelVector) -> float:
     """Fraction of objects where sign(Y_G) (0 counts as +1) matches Y_D."""
-    if gen_labels.n != disc_labels.n:
-        raise ValueError(f"label lengths differ: {gen_labels.n} vs {disc_labels.n}")
-    hard = np.where(gen_labels.expected >= 0.0, 1, -1)
-    return float((hard == disc_labels.labels).mean())
+    return soft_label_accuracy(gen_labels, disc_labels)
 
 
 def stopping_rule(history: list[float], patience: int) -> bool:
@@ -117,55 +118,51 @@ def standardize(features: FeatureMatrixReal) -> tuple[FeatureMatrixReal, np.ndar
 def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     """Execute the full loop and return the best-K state.
 
-    Object ids, where the components carry them, must match row for row.
-    The disagreement vector and the regularization path are computed once
-    from the K=0 models; `refresh_disagreement` recomputes them each K
-    instead (off by default).  The path stops once k_max features have
-    entered, since only the first k_max entries are ever selected.  Each
-    K's fits start from the K - 1 models; where a refreshed path no longer
-    extends the K - 1 selection, the generative fit starts from the K = 0
-    model instead.
+    The dataset is checked by `validate` first: a fatal finding (object
+    counts or ids that disagree across components, truth included) raises
+    DataError with its message before any fit, and the report carries the
+    validation.  The disagreement vector and the regularization path are
+    computed once from the K=0 models; `refresh_disagreement` recomputes
+    them each K from the K - 1 models instead (off by default).  The path
+    stops once k_max features have entered, since only the first k_max
+    entries are ever selected.  Each K's fits start from the K - 1 models;
+    where a refreshed path no longer extends the K - 1 selection, the
+    generative fit starts from the K = 0 model instead.  Each record
+    carries its K's generative and discriminative labels.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
     if dataset.bin_features is None and config.k_max > 0:
         raise DataError("run requires binary features for the difference model")
-    if dataset.real_features.n != dataset.labels.n or (
-        dataset.bin_features is not None and dataset.bin_features.n != dataset.labels.n
-    ):
-        raise DataError("dataset components disagree on object count")
-    check_ids(
-        labels=dataset.labels.object_ids,
-        bin_features=getattr(dataset.bin_features, "object_ids", None),
-        real_features=dataset.real_features.object_ids,
-    )
+    validation = validate(dataset)
+    fatal = next((f for f in validation.findings if f.level == "fatal"), None)
+    if fatal is not None:
+        raise DataError(fatal.message)
 
     real = standardize(dataset.real_features)[0] if config.standardize else dataset.real_features
     use_dev = dataset.truth is not None
-    tracked_name = config.dev_metric if use_dev else "agreement"
+    records: list[IterationRecord] = []
 
-    def dev_value(pred: HardLabelVector) -> float | None:
-        if not use_dev:
-            return None
-        s = score(pred, dataset.truth)
-        return s.accuracy if config.dev_metric == "accuracy" else s.f1
+    def step(selected: tuple[int, ...], gen: GenParams, yg: ProbLabelVector) -> IterationRecord:
+        """K = len(selected): the discriminative model trained on `gen`'s
+        labels `yg`, warm from the K - 1 weights, and the record's scores."""
+        disc = fit_disc(real, yg, config.disc, start=records[-1].disc_params if records else None)
+        yd = predict(disc, real)
+        return IterationRecord(
+            k=len(selected),
+            selected=selected,
+            agreement=agreement_rate(yg, yd),
+            # dev_metric names a ClassificationScores field: accuracy or f1
+            dev_metric=getattr(score(yd, dataset.truth), config.dev_metric) if use_dev else None,
+            gen_params=gen,
+            disc_params=disc,
+            gen_labels=yg,
+            disc_labels=yd,
+        )
 
     gen0 = fit_sp(dataset.labels, config.gen)
-    yg = label_sp(gen0, dataset.labels)
-    disc0 = fit_disc(real, yg, config.disc)
-    yd = predict(disc0, real)
-    records = [
-        IterationRecord(
-            k=0,
-            selected=(),
-            agreement=agreement_rate(yg, yd),
-            dev_metric=dev_value(yd),
-            gen_params=gen0,
-            disc_params=disc0,
-        )
-    ]
+    records.append(step((), gen0, label_sp(gen0, dataset.labels)))
     history = [records[0].dev_metric if use_dev else records[0].agreement]
-    gen_labels = [yg]  # each K's generative labels; the best K's are returned
 
     path = None
     stop_reason = "k_max"
@@ -174,7 +171,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             try:
                 path = regularization_path(
                     dataset.bin_features,
-                    disagreement(yg, yd),
+                    disagreement(records[-1].gen_labels, records[-1].disc_labels),
                     grid_size=config.grid_size,
                     lambda_min_ratio=config.lambda_min_ratio,
                     tol=config.lasso_tol,
@@ -191,24 +188,9 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         warm = records[-1].gen_params
         if warm.selected != selected[: warm.k]:  # a refreshed path reordered the entries
             warm = records[0].gen_params
-        gen_k = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen, start=warm)
-        yg_k = label_aug(gen_k, dataset.labels, dataset.bin_features)
-        disc_k = fit_disc(real, yg_k, config.disc, start=records[-1].disc_params)
-        yd_k = predict(disc_k, real)
-        records.append(
-            IterationRecord(
-                k=k,
-                selected=selected,
-                agreement=agreement_rate(yg_k, yd_k),
-                dev_metric=dev_value(yd_k),
-                gen_params=gen_k,
-                disc_params=disc_k,
-            )
-        )
+        gen = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen, start=warm)
+        records.append(step(selected, gen, label_aug(gen, dataset.labels, dataset.bin_features)))
         history.append(records[-1].dev_metric if use_dev else records[-1].agreement)
-        gen_labels.append(yg_k)
-        if config.refresh_disagreement:
-            yg, yd = yg_k, yd_k
         if stopping_rule(history, config.patience):
             stop_reason = "metric_declined"
             break
@@ -218,6 +200,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         iterations=tuple(records),
         best_k=best_k,
         stop_reason=stop_reason,
-        final_labels=gen_labels[best_k],
-        tracked_metric=tracked_name,
+        final_labels=records[best_k].gen_labels,
+        tracked_metric=config.dev_metric if use_dev else "agreement",
+        validation=validation,
     )

@@ -10,9 +10,9 @@ from weaksup import cli
 from weaksup import data as wdata
 from weaksup.cli import build_parser, main
 from weaksup.discmodel import DiscConfig
-from weaksup.genmodel import FitConfig
+from weaksup.genmodel import FitConfig, fit_sp, label_sp
 from weaksup.metrics import soft_label_accuracy
-from weaksup.pipeline import RunConfig
+from weaksup.pipeline import RunConfig, run
 from weaksup.synth import E2EScenario, gen_e2e, run_recovery_experiment
 
 
@@ -221,6 +221,18 @@ def test_simulate_e2e_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_e2e_trial_scores_the_k0_and_the_best_labels():
+    scenario = E2EScenario(m=4, n=1500, p=8, q_disc=3, seed=2)
+    cfg = RunConfig(k_max=2, patience=2, gen=FitConfig(max_iters=400),
+                    disc=DiscConfig(max_iters=400), grid_size=50)
+    row = cli._e2e_trial((0, scenario, cfg))
+    ds = gen_e2e(scenario)
+    k0 = label_sp(fit_sp(ds.labels, cfg.gen), ds.labels)
+    assert row["best_k"] >= 1 and row["gen_acc_k0"] != row["gen_acc_best"]
+    assert row["gen_acc_k0"] == soft_label_accuracy(k0, ds.truth)
+    assert row["gen_acc_best"] == soft_label_accuracy(run(ds, cfg).final_labels, ds.truth)
+
+
 def test_metrics_json(tiny_dataset, capsys):
     _, paths, _ = tiny_dataset
     assert main(["metrics", "--pred", paths["truth"], "--truth", paths["truth"]]) == 0
@@ -285,10 +297,25 @@ def test_bad_config_value_exits_two(tiny_dataset, tmp_path, capsys):
     assert main([*argv, "--grad-tol", "-1"]) == 2
     assert "grad_tol" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    for value in ([1], float("inf")):  # a wrong type, and a float no int can hold
+    # a wrong type, a float no int can hold, a fraction, and a bool, which
+    # the command line would refuse as well
+    for value in ([1], float("inf"), 150.7, True):
         cfg.write_text(json.dumps({"max_iters": value}))
         assert main([*argv, "--config", str(cfg)]) == 2
         assert "option 'max_iters'" in capsys.readouterr().err
+    # a --[no-] flag takes only JSON true/false; "false" would have turned it on
+    model, soft = str(tmp_path / "model.json"), str(tmp_path / "soft.csv")
+    main(["fit-gen", "--labels", paths["labels"], "--out", model, *FAST])
+    main(["label", "--labels", paths["labels"], "--model", model, "--out", soft])
+    disc = str(tmp_path / "disc.json")
+    argv = ["train-disc", "--real-features", paths["vreal"], "--soft-labels", soft,
+            "--out", disc, "--config", str(cfg), *FAST_DISC]
+    cfg.write_text(json.dumps({"standardize": "false"}))
+    assert main(argv) == 2
+    assert "option 'standardize' expects bool, got 'false'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"standardize": False}))
+    assert main(argv) == 0
+    assert json.loads(Path(disc).read_text())["preprocess"]["standardize"] is False
 
 
 def test_config_file_and_flag_precedence(tiny_dataset, tmp_path):
@@ -322,8 +349,6 @@ def test_unknown_config_key_exits_two_naming_it(tiny_dataset, tmp_path, capsys):
 
 
 def test_pipeline_run_rejects_swapped_binary_feature_ids(tiny_dataset, tmp_path):
-    from weaksup.pipeline import run
-
     _, paths, _ = tiny_dataset
 
     def dataset(xbin):

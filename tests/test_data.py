@@ -211,6 +211,22 @@ def test_validate_flags_constant_columns_and_never_mutates():
     np.testing.assert_array_equal(ds.bin_features.values, before)
 
 
+def test_validate_counts_match_a_loop_over_sources_and_columns():
+    rng = np.random.default_rng(5)
+    votes = rng.integers(-1, 2, size=(4, 50))
+    votes[2] = 0
+    x = rng.choice([-1, 1], size=(50, 9))
+    x[:, [1, 6]] = 1
+    x[:, 4] = -1
+    report = validate(Dataset(labels=LabelMatrix(votes), bin_features=FeatureMatrixBinary(x)))
+    assert report.vote_counts == tuple(
+        (int((row == -1).sum()), int((row == 0).sum()), int((row == 1).sum())) for row in votes
+    )
+    assert report.constant_bin_columns == tuple(
+        j for j in range(x.shape[1]) if (x[:, j] == x[0, j]).all()
+    ) == (1, 4, 6)
+
+
 def test_binary_features_keep_object_ids():
     text = "object_id,f_1\nx,1\ny,-1\n"
     fm = load_binary_features(io.StringIO(text))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weaksup.data import DataError, Dataset, HardLabelVector, ProbLabelVector
+from weaksup.data import DataError, Dataset, HardLabelVector, ProbLabelVector, validate
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
 from weaksup.pipeline import RunConfig, agreement_rate, run, stopping_rule
@@ -122,7 +122,7 @@ def test_run_starts_each_k_from_the_previous_fits(monkeypatch):
     calls = _recording(monkeypatch, pipeline, ["fit_aug", "fit_disc"])
     report = run(ds, _fast_config(k_max=3, patience=3))
     assert len(calls["fit_aug"]) == 3 and len(calls["fit_disc"]) == 4
-    assert calls["fit_disc"][0][1] == {}
+    assert calls["fit_disc"][0][1] == {"start": None}
     for k, record in enumerate(report.iterations[1:], start=1):
         args, kwargs = calls["fit_aug"][k - 1]
         assert args[:3] == (ds.labels, ds.bin_features, record.selected)
@@ -155,8 +155,10 @@ def test_run_labels_each_k_once_and_returns_the_best_ks_labels(seed, best_k, mon
     assert report.best_k == best_k  # the seeds cover a best K of 0 and above
     assert len(calls["_label"]) == len(report.iterations) == 3
     monkeypatch.undo()
-    again = label_aug(report.best.gen_params, ds.labels, ds.bin_features)
-    assert report.final_labels.expected.tobytes() == again.expected.tobytes()
+    for record in report.iterations:
+        again = label_aug(record.gen_params, ds.labels, ds.bin_features)
+        assert record.gen_labels.expected.tobytes() == again.expected.tobytes()
+    assert report.final_labels is report.best.gen_labels
 
 
 def test_run_best_k_maximizes_tracked_metric():
@@ -211,6 +213,29 @@ def test_run_requires_real_features():
         run(Dataset(labels=ds.labels, bin_features=ds.bin_features), RunConfig())
 
 
+def test_run_refuses_a_truth_of_the_wrong_length_before_any_fit(monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=7))
+    short = Dataset(
+        labels=ds.labels,
+        bin_features=ds.bin_features,
+        real_features=ds.real_features,
+        truth=HardLabelVector(ds.truth.labels[:-1]),
+    )
+    calls = _recording(monkeypatch, pipeline, ["fit_sp"])
+    with pytest.raises(DataError, match="^object counts disagree: .*'truth': 1499"):
+        run(short, RunConfig())
+    assert calls["fit_sp"] == []
+
+
+def test_run_reports_the_validation_it_checked():
+    ds = gen_e2e(_small_scenario(seed=7))
+    report = run(ds, _fast_config(k_max=1))
+    assert report.validation == validate(ds)
+    assert report.validation.ok
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(k_max=-1)
@@ -238,6 +263,20 @@ def test_run_with_standardized_features():
     b = run(moved, cfg)
     assert a.final_labels.expected.tobytes() == b.final_labels.expected.tobytes()
     assert a.iterations[0].dev_metric > 0.5
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+def test_run_regresses_the_disagreement_of_k0_or_under_refresh_of_k_minus_1(refresh, monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=9))
+    calls = _recording(monkeypatch, pipeline, ["disagreement"])
+    report = run(ds, _fast_config(k_max=3, patience=3, refresh_disagreement=refresh))
+    assert len(report.iterations) == 4
+    sources = report.iterations[:3] if refresh else report.iterations[:1]
+    assert len(calls["disagreement"]) == len(sources)
+    for (args, _), record in zip(calls["disagreement"], sources):
+        assert args[0] is record.gen_labels and args[1] is record.disc_labels
 
 
 def test_run_refresh_disagreement_mode():
