@@ -20,8 +20,9 @@ class DataError(Exception):
     """Malformed or out-of-domain input data."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+def _frozen(arr: np.ndarray, dtype: type | None = None) -> np.ndarray:
+    """An owned, read-only copy of `arr`, in `dtype` if given."""
+    arr = np.array(arr, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
 
@@ -50,7 +51,7 @@ class LabelMatrix:
         if not in_domain.all():
             j, o = np.argwhere(~in_domain)[0]
             raise DataError(f"vote outside {{-1,0,1}} at source {j}, object {o}")
-        _set(self, votes=_frozen(votes.astype(np.int8)))
+        _set(self, votes=_frozen(votes, np.int8))
         if self.object_ids is not None and len(self.object_ids) != self.n:
             raise DataError("object_ids length does not match object count")
         if self.source_names is not None and len(self.source_names) != self.m:
@@ -81,7 +82,7 @@ class FeatureMatrixBinary:
         if not in_domain.all():
             o, j = np.argwhere(~in_domain)[0]
             raise DataError(f"binary feature outside {{-1,+1}} at object {o}, column {j}")
-        _set(self, values=_frozen(values.astype(np.int8)))
+        _set(self, values=_frozen(values, np.int8))
         if self.column_names is not None and len(self.column_names) != self.p:
             raise DataError("column_names length does not match feature count")
         if self.object_ids is not None and len(self.object_ids) != self.n:
@@ -138,7 +139,7 @@ class HardLabelVector:
         if not in_domain.all():
             o = np.argwhere(~in_domain)[0, 0]
             raise DataError(f"hard label outside {{-1,+1}} at object {o}")
-        _set(self, labels=_frozen(labels.astype(np.int8)))
+        _set(self, labels=_frozen(labels, np.int8))
 
     @property
     def n(self) -> int:
@@ -313,46 +314,9 @@ def _loadtxt(body: list[str], dtypes: Sequence[type], c: int) -> np.ndarray | No
     return None
 
 
-def _read_plain(
-    lines: list[str],
-    dtypes: Sequence[type],
-    valid: Callable,
-    vector: bool,
-    header_error: Callable[[tuple[str, ...]], str | None],
-) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None:
-    """`_read_table` for text without a `_NOT_PLAIN` character, with every
-    value column parsed by one `np.loadtxt` call in the first of `dtypes`
-    that parses it.  `lines` are as a text stream yields them; without '\r',
-    each ends at its one newline, or the stream yields one line and there is
-    no body.  Returns None where the text is not plain or any check of
-    `_read_table` fails."""
-    try:
-        text = "".join(lines)
-    except TypeError:  # a binary stream, which csv.reader refuses by name
-        return None
-    if any(c in text for c in _NOT_PLAIN):
-        return None
-    rows = [line for line in lines if line != "\n"]  # csv.reader skips empty lines
-    head = rows[0].removesuffix("\n") if rows else ""
-    header, body = head.split(","), rows[1:]
-    c = len(header)
-    names = tuple(header[1:2] if vector else header[1:])
-    if c < 2 or header[0] != "object_id" or not body:
-        return None
-    if max(map(len, rows)) > csv.field_size_limit():  # csv.reader refuses a longer field
-        return None
-    if text.count(",") != (c - 1) * len(rows) or header_error(names) is not None:
-        return None
-    values = _loadtxt(body, dtypes, c)  # a vector file's unread columns must parse too
-    if values is None:
-        return None
-    # np.loadtxt refuses a row with fewer than c columns, so the comma total
-    # above leaves every row with exactly c
-    ids = tuple([line.partition(",")[0] for line in body])
-    values = values[:, 0] if vector else values
-    if len(set(ids)) != len(ids) or not valid(values).all():
-        return None
-    return names, ids, values
+def _split(line: str) -> list[str]:
+    """The cells csv.reader reads from a plain line."""
+    return line.removesuffix("\n").split(",")
 
 
 def _read_table(
@@ -367,41 +331,63 @@ def _read_table(
 ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
     """Parse a table into `(names, ids, values)`: one array, N x C,
     or of length N for a `vector` file, which reads its first value column
-    only.  `header_error(names)` may reject the value-column names before any
-    cell is read; a repeated object id is rejected next, naming both rows.
-    `valid` is the domain test, on the array or on one parsed cell;
+    only.  `header_error(names)` may reject the value-column names; `valid`
+    is the domain test, on the array or on one parsed cell;
     `problem(row, column, cell, value)` words its failure.
 
-    A plain table is parsed in one C pass (`_read_plain`), in `try_first`
-    where every cell parses as one (a narrower dtype whose values `dtype`
-    would parse equal), else in `dtype`; any other text, and every table
-    that fails a check, goes through `csv.reader`, which alone words the
-    errors.
+    Plain text (no `_NOT_PLAIN` character and no line past csv's field size
+    limit) is split at commas, any other text by `csv.reader`.  Both then
+    take the same checks, with the same messages, in this order: an empty
+    file, the `object_id` header, no value columns, no objects, each row's
+    width, `header_error`, a repeated object id (naming both rows), each
+    cell's parse, the domain.  A plain table's values are parsed in one C
+    pass (`np.loadtxt`), in `try_first` where every cell parses as one (a
+    narrower dtype whose values `dtype` would parse equal), else in `dtype`;
+    where that pass refuses the table or its values fail `valid`, the cells
+    of the plain split are parsed again, as csv.reader's cells are.
     """
     lines = list(reader)  # the lines csv.reader would read, in any newline mode
-    dtypes = (dtype,) if try_first is None else (try_first, dtype)
-    if (table := _read_plain(lines, dtypes, valid, vector, header_error)) is not None:
-        return table
-    rows = [r for r in csv.reader(lines) if r]  # tolerate trailing blank lines
+    try:
+        text = "".join(lines)
+        # csv.reader refuses a field past its size limit
+        plain = not any(c in text for c in _NOT_PLAIN) and (
+            max(map(len, lines), default=0) <= csv.field_size_limit()
+        )
+    except TypeError:  # a binary stream, which csv.reader refuses by name
+        plain = False
+    if plain:
+        rows = [line for line in lines if line != "\n"]  # csv.reader skips empty lines
+    else:
+        rows = [r for r in csv.reader(lines) if r]  # tolerate trailing blank lines
     if not rows:
         raise DataError(f"{what}: empty file")
-    header, body = rows[0], rows[1:]
-    if not header or header[0] != "object_id":
+    header = _split(rows[0]) if plain else rows[0]
+    body = rows[1:]
+    c = len(header)
+    if header[0] != "object_id":
         raise DataError(f"{what}: header must start with 'object_id'")
-    if len(header) < 2:
+    if c < 2:
         raise DataError(f"{what}: header declares no value columns")
     if not body:
         raise DataError(f"{what}: no objects")
-    ids = []
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"{what}: row {i} has {len(row)} columns, expected {len(header)}"
-            )
-        ids.append(row.pop(0))  # in place: the cells are not copied
-        if vector:
-            del row[1:]
     names = tuple(header[1:2] if vector else header[1:])
+    values = cells = None
+    if plain and text.count(",") == (c - 1) * len(rows):
+        dtypes = (dtype,) if try_first is None else (try_first, dtype)
+        values = _loadtxt(body, dtypes, c)  # a vector file's unread columns must parse too
+    if values is None:
+        cells = list(map(_split, body)) if plain else body
+        ids = []
+        for i, row in enumerate(cells, start=1):
+            if len(row) != c:
+                raise DataError(f"{what}: row {i} has {len(row)} columns, expected {c}")
+            ids.append(row.pop(0))  # in place: the cells are not copied
+            if vector:
+                del row[1:]
+    else:
+        # np.loadtxt refuses a row with fewer than c columns, so the comma
+        # total above leaves every row with exactly c
+        ids = [line.partition(",")[0] for line in body]
     if (message := header_error(names)) is not None:
         raise DataError(message)
     if len(set(ids)) != len(ids):
@@ -409,16 +395,21 @@ def _read_table(
         for i, oid in enumerate(ids, start=1):
             if (j := first.setdefault(oid, i)) != i:
                 raise DataError(f"{what}: object id {oid!r} repeats in rows {j} and {i}")
-    try:
-        values = np.array(body, dtype=dtype)
+    if cells is not None:
+        try:
+            values = np.array(cells, dtype=dtype)
+        except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+            pass
+    if values is not None:
+        values = values[:, 0] if vector else values
         if valid(values).all():
-            return names, tuple(ids), values[:, 0] if vector else values
-    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
-        pass
+            return names, tuple(ids), values
     # Some cell is bad.  Python's own number parsing, which numpy's matches,
     # finds the first one in row-major order.
+    if cells is None:  # plain rows whose parsed values fail `valid`
+        cells = [_split(line)[1:] for line in body]
     parse, kind = (int, "an integer") if dtype is np.int64 else (float, "numeric")
-    for i, row in enumerate(body, start=1):
+    for i, row in enumerate(cells, start=1):
         for name, cell in zip(names, row):
             try:
                 v = parse(cell)

@@ -231,6 +231,8 @@ def lasso_fit(
     with a RuntimeWarning."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     x, y = _design_and_target(features, target)
     gram, corr = _stats(x, y)
     theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
@@ -281,6 +283,8 @@ def regularization_path(
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < lambda_min_ratio < 1.0:
         raise ValueError("lambda_min_ratio must lie in (0,1)")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     x, y = _design_and_target(features, target)
     gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())

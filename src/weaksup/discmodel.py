@@ -51,10 +51,10 @@ class DiscConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be finite and non-negative")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive")
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:

@@ -81,10 +81,10 @@ class FitConfig:
     w_l2: float = 0.01
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if self.w_l2 < 0:
-            raise ValueError("w_l2 must be non-negative")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive")
+        if not 0 <= self.w_l2 < np.inf:
+            raise ValueError("w_l2 must be finite and non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
 

@@ -487,3 +487,23 @@ def test_csv_module_error_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "field larger than field limit" in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_non_finite_or_zero_tolerance_exits_two_writing_nothing(tiny_dataset, tmp_path, capsys):
+    ds, paths, _ = tiny_dataset
+    model, soft, hard = (str(tmp_path / f) for f in ("model.json", "soft.csv", "hard.csv"))
+    main(["fit-gen", "--labels", paths["labels"], "--out", model, *FAST])
+    main(["label", "--labels", paths["labels"], "--model", model, "--out", soft])
+    with open(hard, "w") as f:
+        wdata.save_hard_labels(ds.truth, None, f)
+    out = tmp_path / "out.json"
+    for argv, option in [
+        (["fit-gen", "--labels", paths["labels"], "--grad-tol", "nan"], "grad_tol"),
+        (["train-disc", "--real-features", paths["vreal"], "--soft-labels", soft,
+          "--disc-grad-tol", "inf"], "grad_tol"),
+        (["diff", "--bin-features", paths["xbin"], "--gen-labels", soft,
+          "--disc-labels", hard, "--lasso-tol", "0"], "tol"),
+    ]:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: {option} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()

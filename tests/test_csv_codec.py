@@ -164,21 +164,21 @@ def test_bad_cells_give_the_reference_message(loader, data_):
     assert got == want
 
 
+MALFORMED = [
+    "",
+    "\n\n",
+    "id,c_1\na,1\n",
+    "object_id\na\n",
+    "object_id,c_1\n",
+    "object_id,c_1\na,1,1\n",
+    "object_id,c_1,c_2\na,1\n",
+    "object_id,wrong\na,x\n",
+    "object_id,wrong\na,1\n",
+]
+
+
 @pytest.mark.parametrize("loader", sorted(LOADERS))
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "\n\n",
-        "id,c_1\na,1\n",
-        "object_id\na\n",
-        "object_id,c_1\n",
-        "object_id,c_1\na,1,1\n",
-        "object_id,c_1,c_2\na,1\n",
-        "object_id,wrong\na,x\n",
-        "object_id,wrong\na,1\n",
-    ],
-)
+@pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_structure_gives_the_reference_message(loader, text):
     load, load_ref = LOADERS[loader][:2]
     got, want = _outcome(load, text), _outcome(load_ref, text)
@@ -231,6 +231,31 @@ def test_plain_table_boundary_matches_reference(loader, case):
     assert list(ids) == _csv_ids(text)
     for attr in ("source_names", "column_names"):
         assert getattr(got[1], attr, None) == getattr(want[1], attr, None)
+
+
+# the malformed and boundary texts that hold no character only csv.reader reads
+PLAIN = {
+    name: text
+    for name, text in [*((repr(t), t) for t in MALFORMED), *sorted(BOUNDARY.items())]
+    if not any(c in text for c in data._NOT_PLAIN)
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("case", PLAIN)
+def test_plain_tables_never_reach_the_csv_module(loader, case, monkeypatch):
+    # a plain table is split, checked and its errors worded without
+    # csv.reader, whichever check it fails
+    load, load_ref, *_, column = LOADERS[loader]
+    text = PLAIN[case].format(c=column or "c_1")
+    want = _outcome(load_ref, text)
+    monkeypatch.setattr(csv, "reader", None)
+    got = _outcome(load, text)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "ok", got
+        assert _same_bits(_array(got[1]), _array(want[1]))
 
 
 # cells at the edge of the binary-feature parse, which tries int8 before

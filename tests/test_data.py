@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weaksup import data
 from weaksup.data import (
     DataError,
     Dataset,
@@ -173,6 +174,28 @@ def test_containers_are_immutable():
     lm = LabelMatrix(np.array([[1, 0]]))
     with pytest.raises(ValueError):
         lm.votes[0, 0] = -1
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize(
+    "make, attr",
+    [(LabelMatrix, "votes"), (FeatureMatrixBinary, "values"),
+     (lambda a: HardLabelVector(a[0]), "labels")],
+    ids=["labels", "binary", "hard"],
+)
+def test_containers_copy_their_array_once(make, attr, dtype, monkeypatch):
+    caller = np.array([[1, -1, 1], [-1, 1, 1]], dtype=dtype)
+    frozen, seen = data._frozen, []
+
+    def spy(arr, *args):
+        seen.append(np.shares_memory(arr, caller))
+        return frozen(arr, *args)
+
+    monkeypatch.setattr(data, "_frozen", spy)
+    stored = getattr(make(caller), attr)
+    assert seen == [True]  # the one copy is _frozen's, of the caller's own array
+    assert stored.dtype == np.int8 and not stored.flags.writeable
+    assert not np.shares_memory(stored, caller)
 
 
 def test_prob_label_probability():

@@ -162,6 +162,17 @@ def test_negative_lambda_rejected():
         lasso_fit(x, np.array([1.0, 0.0]), -0.1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_lasso_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    x, y, _ = gen_recovery(RecoveryScenario(kappa=0.4, n=500, p=30, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="tol"):
+            lasso_fit(x, y, 0.01, tol=tol, max_sweeps=200)
+        with pytest.raises(ValueError, match="tol"):
+            regularization_path(x, y, grid_size=20, tol=tol, max_sweeps=200)
+
+
 # -- regularization path ---------------------------------------------------------
 
 

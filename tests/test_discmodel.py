@@ -204,6 +204,16 @@ def test_config_rejects_negative_max_iters():
         DiscConfig(max_iters=-5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("grad_tol", np.nan), ("grad_tol", np.inf), ("grad_tol", 0.0), ("l2", np.nan),
+     ("l2", np.inf), ("l2", -1.0)],
+)
+def test_config_rejects_a_tolerance_or_penalty_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        DiscConfig(**{field: value})
+
+
 def test_predict_sign_conventions():
     v = FeatureMatrixReal(np.array([[1.0], [-1.0], [0.0]]))
     all_pos = predict(DiscParams(theta=np.zeros(1), bias=1.0), v)

@@ -387,6 +387,16 @@ def test_fit_sp_zero_iterations_returns_init():
     assert aug.phi.tolist() == [0.3, 0.3] and not aug.w.any() and aug.selected == (2, 0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("grad_tol", np.nan), ("grad_tol", np.inf), ("grad_tol", 0.0), ("w_l2", np.nan),
+     ("w_l2", np.inf), ("w_l2", -1.0)],
+)
+def test_config_rejects_a_tolerance_or_penalty_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitConfig(**{field: value})
+
+
 # -- posterior and labels -----------------------------------------------------
 
 
