@@ -216,6 +216,19 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
     return _kkt_from_q(q, fit.coef, fit.lam)
 
 
+def _check_settings(
+    tol: float, grid_size: int | None = None, lambda_min_ratio: float | None = None
+) -> None:
+    """Raise ValueError for a solver tolerance or path grid out of range; a
+    grid setting left None is not checked."""
+    if grid_size is not None and grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    if lambda_min_ratio is not None and not 0.0 < lambda_min_ratio < 1.0:
+        raise ValueError("lambda_min_ratio must lie in (0,1)")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
+
+
 def lasso_fit(
     features: FeatureMatrixBinary,
     target,
@@ -231,8 +244,7 @@ def lasso_fit(
     with a RuntimeWarning."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+    _check_settings(tol)
     x, y = _design_and_target(features, target)
     gram, corr = _stats(x, y)
     theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
@@ -279,12 +291,7 @@ def regularization_path(
     X and y, never the solver's Gram statistics, so it still checks the
     fits against the data.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    if not 0.0 < lambda_min_ratio < 1.0:
-        raise ValueError("lambda_min_ratio must lie in (0,1)")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+    _check_settings(tol, grid_size, lambda_min_ratio)
     x, y = _design_and_target(features, target)
     gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())

@@ -249,23 +249,29 @@ def _objective(
     a function of x = [phi, W.ravel()] returning its value, gradient and
     Hessian from one pass over the distinct (votes, selected features) rows,
     each weighted by its object count.  A row's design a = [1, x_1 .. x_K]
-    gives its effective weights a @ [phi; W].
+    gives its effective weights a @ [phi; W]; the rows are sorted design
+    first, so they come grouped by design pattern p, and log Z is evaluated
+    once per pattern.
 
     The value is the mean log-likelihood of the votes given the features,
     minus (w_l2 / 2) ||W||^2.  The row values are averaged over the objects,
     so W = 0 gives the K = 0 value bit for bit.  The log-likelihood is
-    log 2cosh(s) - log Z(phi_eff) with score s linear in x: its Hessian is
-    sum_u count_u (1 - tanh^2 s_u) z_u z_u^T / N with z_u = a_u (x) votes_u,
-    minus log Z's curvature, which couples phi_j and W_ij of one source j.
+    log 2cosh(s) - log Z(phi_eff) with score s linear in x, so its Hessian
+    is sum_p (a_p a_p^T) (x) S_p with one M x M block per pattern,
+    S_p = sum_{u in p} count_u (1 - tanh^2 s_u) votes_u votes_u^T / N minus
+    log Z's curvature, which is diagonal in the sources.  An evaluation
+    costs U M^2 for the U rows plus P (1 + K)^2 M^2 for the P patterns.
     """
     votes = labels.votes.T
     design = _design(params, labels, features)
-    # column-major (votes, selected features) rows: _distinct reads columns
-    member, inverse, count = _distinct(np.vstack([labels.votes, design[:, 1:].T]).T)
-    lam, a = votes[member].astype(np.float64), design[member]
-    p_member, pattern, _ = _distinct(a)  # log Z depends on a row only through its design
-    patterns, a = a[p_member].astype(np.float64), a.astype(np.float64)
+    # column-major (selected features, votes) rows: _distinct reads columns
+    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, labels.votes]).T)
+    lam, a = votes[member].astype(np.float64), design[member].astype(np.float64)
+    starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]  # the first row of each pattern
+    pattern, patterns = np.cumsum(starts) - 1, a[starts]
+    bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
     per_row = count / labels.n
+    # bincount, not add.reduceat, whose pairwise sums move the K = 0 fit's last digit
     per_pattern = np.bincount(pattern, weights=per_row)[:, None]
     m, k1 = params.m, params.k + 1
     sources = np.arange(m)
@@ -283,17 +289,10 @@ def _objective(
         grad -= patterns.T @ (per_pattern * _dlog_2cosh_plus_1(phi_pat))
         grad[1:] -= w_l2 * theta[1:]
 
-        hess = np.empty((k1, m, k1, m))
         curved = lam * (per_row * (1.0 - t * t))[:, None]
-        for r in range(k1):
-            for q in range(r, k1):
-                block = (curved * (a[:, r] * a[:, q])[:, None]).T @ lam
-                hess[r, :, q, :] = block
-                hess[q, :, r, :] = block.T
-        curv_z = per_pattern * _d2log_2cosh_plus_1(phi_pat)  # P x M
-        # log Z couples the rows of [phi; W] within one source j only: (r, j, q, j)
-        hess[:, sources, :, sources] -= np.einsum("pr,pq,pj->jrq", patterns, patterns, curv_z)
-        hess = hess.reshape(k1 * m, k1 * m)
+        blocks = np.stack([curved[i:j].T @ lam[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+        blocks[:, sources, sources] -= per_pattern * _d2log_2cosh_plus_1(phi_pat)
+        hess = np.einsum("pr,pq,pij->riqj", patterns, patterns, blocks).reshape(k1 * m, k1 * m)
         hess[penalized, penalized] -= w_l2
         return value, grad.reshape(-1), hess
 

@@ -28,7 +28,7 @@ from .data import (
     ValidationReport,
     validate,
 )
-from .diffmodel import disagreement, regularization_path, select_features
+from .diffmodel import _check_settings, disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
 from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
 from .metrics import score, soft_label_accuracy
@@ -54,6 +54,7 @@ class RunConfig:
             raise ValueError("patience must be at least 1")
         if self.dev_metric not in ("accuracy", "f1"):
             raise ValueError("dev_metric must be 'accuracy' or 'f1'")
+        _check_settings(self.lasso_tol, self.grid_size, self.lambda_min_ratio)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ not depend on scheduling or worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -213,6 +212,9 @@ def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
     `jobs`; `trial` must be a module-level function."""
     if jobs <= 1:
         return [trial(w) for w in work]
+    # imported here: it pulls in multiprocessing, which `import weaksup` need not pay for
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(trial, work, chunksize=max(1, len(work) // (jobs * 8))))
 

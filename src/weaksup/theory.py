@@ -62,30 +62,6 @@ class ConditionReport:
         }
 
 
-def compute_sigmas(x_s: np.ndarray, x_sbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample second-moment blocks (1/N) X_S^T X_S and (1/N) X_S^T X_Sbar.
-
-    Raises when the relevant block is numerically singular, reporting the
-    smallest singular value.
-    """
-    x_s = np.asarray(x_s, dtype=np.float64)
-    x_sbar = np.asarray(x_sbar, dtype=np.float64)
-    if x_s.ndim != 2 or x_s.shape[1] < 1:
-        raise ValueError("x_s must be an N x K matrix with K >= 1")
-    n = x_s.shape[0]
-    if x_sbar.shape[0] != n:
-        raise ValueError("x_s and x_sbar must have the same row count")
-    sigma_ss = (x_s.T @ x_s) / n
-    sigma_s_sbar = (x_s.T @ x_sbar) / n
-    svals = np.linalg.svd(sigma_ss, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
-        raise DataError(
-            f"singular relevant-feature second-moment matrix; smallest singular "
-            f"value {svals[-1]:.3e}"
-        )
-    return sigma_ss, sigma_s_sbar
-
-
 def sample_bound(beta: float, gamma: float, c: float, p: int, delta: float) -> int:
     """Objects needed for recovery with probability at least 1 - delta:
     ceil(max(8 beta^4 / gamma^2, 32) / c^2 * log(4 P / delta))."""
@@ -120,16 +96,29 @@ def check_conditions(
     the dependence bound ||Sigma_SS^-1||_inf, gamma the smallest rescaled
     correlation of a relevant feature with the target, and c the irrelevance
     slack alpha*gamma/beta minus the largest correlation of an irrelevant
-    feature with the least-squares residual of the target on x_s.
+    feature with the least-squares residual of the target on x_s.  Sigma_SS
+    and Sigma_SSbar are the sample blocks (1/N) X_S^T X_S and (1/N) X_S^T
+    X_Sbar; a numerically singular Sigma_SS raises DataError, reporting its
+    smallest singular value.
     """
     y = _target_values(target)
     x_s = np.asarray(x_s, dtype=np.float64)
     x_sbar = np.asarray(x_sbar, dtype=np.float64)
+    if x_s.ndim != 2 or x_s.shape[1] < 1:
+        raise ValueError("x_s must be an N x K matrix with K >= 1")
     n = x_s.shape[0]
+    if x_sbar.shape[0] != n:
+        raise ValueError("x_s and x_sbar must have the same row count")
     if y.shape != (n,):
         raise ValueError("target length must match feature rows")
-    sigma_ss, sigma_s_sbar = compute_sigmas(x_s, x_sbar)
+    sigma_ss = (x_s.T @ x_s) / n
+    sigma_s_sbar = (x_s.T @ x_sbar) / n
     svals = np.linalg.svd(sigma_ss, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
+        raise DataError(
+            f"singular relevant-feature second-moment matrix; smallest singular "
+            f"value {svals[-1]:.3e}"
+        )
     inv = np.linalg.inv(sigma_ss)
 
     alpha = 1.0 - matrix_inf_norm(sigma_s_sbar.T @ inv) if x_sbar.shape[1] else 1.0

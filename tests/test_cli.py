@@ -489,6 +489,20 @@ def test_csv_module_error_exits_two(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_run_with_a_bad_grid_size_exits_two_before_any_fit(
+    tiny_dataset, tmp_path, capsys, monkeypatch
+):
+    _, paths, _ = tiny_dataset
+    calls, fit = [], cli.pipeline.fit_sp
+    monkeypatch.setattr(cli.pipeline, "fit_sp", lambda *a, **k: calls.append(a) or fit(*a, **k))
+    out_dir = tmp_path / "out"
+    argv = ["run", "--labels", paths["labels"], "--bin-features", paths["xbin"],
+            "--real-features", paths["vreal"], "--grid-size", "1", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert "error: grid_size must be at least 2" in capsys.readouterr().err
+    assert calls == [] and not out_dir.exists()
+
+
 def test_non_finite_or_zero_tolerance_exits_two_writing_nothing(tiny_dataset, tmp_path, capsys):
     ds, paths, _ = tiny_dataset
     model, soft, hard = (str(tmp_path / f) for f in ("model.json", "soft.csv", "hard.csv"))

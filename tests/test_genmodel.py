@@ -153,7 +153,7 @@ def _random_model(rng, m: int, k: int, n: int):
     return lm, x, params
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6])
 def test_compressed_objective_matches_per_object_form(k):
     rng = np.random.default_rng(100 + k)
     for m, n in ((1, 7), (3, 400), (5, 2_000), (20, 2_000)):
@@ -167,7 +167,7 @@ def test_compressed_objective_matches_per_object_form(k):
         assert rel_error(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6])
 def test_hessian_matches_finite_differences_of_gradient(k):
     rng = np.random.default_rng(200 + k)
     for m in (3, 20):

@@ -245,6 +245,17 @@ def test_run_config_validation():
         RunConfig(dev_metric="auc")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("lasso_tol", 0.0, "tol must be finite and positive"),
+     ("grid_size", 1, "grid_size must be at least 2"),
+     ("lambda_min_ratio", 1.0, r"lambda_min_ratio must lie in \(0,1\)")],
+)
+def test_run_config_rejects_a_lasso_setting_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{field: value})
+
+
 def test_run_with_standardized_features():
     ds = gen_e2e(_small_scenario(seed=8))
     # shift one feature column so standardization actually changes the data

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import weaksup
 from weaksup.data import validate
 from weaksup.genmodel import fit_sp
 from weaksup.synth import (
@@ -146,3 +152,12 @@ def test_recovery_experiment_theorem_policy_runs():
     cell = cells[0]
     assert 0.0 <= cell.recovered_fraction <= 1.0
     assert cell.containment_fraction >= cell.recovered_fraction
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a fresh interpreter: this one has loaded the pool for the jobs=2 tests
+    code = "import sys, weaksup; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(weaksup.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

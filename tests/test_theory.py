@@ -8,7 +8,6 @@ from weaksup.data import DataError
 from weaksup.synth import RecoveryScenario, gen_recovery
 from weaksup.theory import (
     check_conditions,
-    compute_sigmas,
     matrix_inf_norm,
     recommended_lambda,
     sample_bound,
@@ -31,23 +30,32 @@ def test_inf_norms_match_naive_loops():
         assert vector_inf_norm(v) == max(abs(x) for x in v)
 
 
-def test_compute_sigmas_orthogonal_identity():
+def test_check_conditions_sigmas_orthogonal_identity():
     h = hadamard8()
-    sigma_ss, sigma_s_sbar = compute_sigmas(h[:, 1:4], h[:, 4:6])
-    np.testing.assert_allclose(sigma_ss, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(sigma_s_sbar, 0.0, atol=1e-15)
+    report = check_conditions(h[:, 1:4], h[:, 4:6], h[:, 1])
+    np.testing.assert_allclose(report.sigma_ss, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(report.sigma_s_sbar, 0.0, atol=1e-15)
+    assert report.sigma_ss_cond == pytest.approx(1.0, abs=1e-12)
 
 
-def test_compute_sigmas_duplicate_column_singular():
+def test_check_conditions_duplicate_column_singular():
     col = np.ones((8, 1))
     with pytest.raises(DataError, match="singular"):
-        compute_sigmas(np.hstack([col, col]), -col)
+        check_conditions(np.hstack([col, col]), -col, np.ones(8))
 
 
-def test_compute_sigmas_single_column():
+def test_check_conditions_sigmas_single_column():
     h = hadamard8()
-    sigma_ss, _ = compute_sigmas(h[:, 1:2], h[:, 2:3])
-    np.testing.assert_allclose(sigma_ss, [[1.0]])
+    report = check_conditions(h[:, 1:2], h[:, 2:3], h[:, 1])
+    np.testing.assert_allclose(report.sigma_ss, [[1.0]])
+
+
+def test_check_conditions_takes_one_svd(monkeypatch):
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    h = hadamard8()
+    check_conditions(h[:, 1:3], h[:, 3:6], h[:, 1])
+    assert len(calls) == 1
 
 
 def test_check_conditions_orthogonal_case():
