@@ -16,9 +16,13 @@ active columns plus every column whose residual correlation exceeds lambda,
 the only ones a coordinate step can move.  Sweeps over the active columns
 follow until they settle (glmnet's active-set cycling), and a fit is
 accepted only after a KKT check over all P columns, as in the strong rules'
-re-check.  Fits are fully deterministic.  A path reports each fit's KKT
-residual from the N objects themselves, not from the Gram matrix, computed
-for all grid points in one regrouped pass after the grid loop.
+re-check.  Fits are fully deterministic.
+
+Every public function reads (X, y) through one reader, `_problem`, which
+checks the target's length and finiteness.  Every LassoFit is built by one
+routine, `_lasso_fits`, which takes each fit's KKT residual from the N
+objects themselves, not from the Gram matrix, in one product for a whole
+stack of fits grouped by |U|, P and G (see there).
 """
 
 from __future__ import annotations
@@ -100,15 +104,20 @@ def soft_threshold(x: float, t: float) -> float:
     return 0.0
 
 
-def _design_and_target(features: FeatureMatrixBinary, target) -> tuple[np.ndarray, np.ndarray]:
-    """The float copy of X that every statistic of one call is read from,
-    and the checked target y."""
-    y = _target_values(target)
-    if y.shape != (features.n,):
-        raise ValueError(f"target length {y.shape} != object count {features.n}")
+def _target(target, n: int) -> np.ndarray:
+    """The target y as a float vector, checked to have `n` finite entries."""
+    y = target.values if isinstance(target, DisagreementVector) else np.asarray(target, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"target length {y.shape} != object count {n}")
     if not np.isfinite(y).all():
         raise DataError("non-finite target")
-    return features.values.astype(np.float64), y
+    return y
+
+
+def _problem(features: FeatureMatrixBinary, target) -> tuple[np.ndarray, np.ndarray]:
+    """The float copy of X that every statistic of one call is read from,
+    and the checked target y."""
+    return features.values.astype(np.float64), _target(target, features.n)
 
 
 def _corr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,10 +130,6 @@ def _stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x.T @ x) / x.shape[0], _corr(x, y)
 
 
-def _target_values(target) -> np.ndarray:
-    return target.values if isinstance(target, DisagreementVector) else np.asarray(target, dtype=np.float64)
-
-
 def _cd_solve(
     gram: np.ndarray,
     corr: np.ndarray,
@@ -132,7 +137,7 @@ def _cd_solve(
     theta: np.ndarray,
     tol: float,
     max_sweeps: int,
-) -> bool:
+) -> None:
     """Working-set coordinate descent; `theta` is updated in place.
 
     Each round starts from the fresh residual correlations
@@ -145,8 +150,8 @@ def _cd_solve(
     round.  Otherwise sweeps over the active columns follow until one moves
     no coordinate by tol or more, and a new round begins.  A sweep is one
     pass over the working set or the active set, not over all P columns;
-    `max_sweeps` bounds their total.  Returns whether the fit converged
-    within them.
+    `max_sweeps` bounds their total.  A fit that uses them all up warns,
+    at the caller of the public fit, with a RuntimeWarning.
     """
     sweeps = 0
     while sweeps < max_sweeps:
@@ -154,18 +159,12 @@ def _cd_solve(
         max_delta = _sweep(gram, q, theta, lam, np.flatnonzero((theta != 0.0) | (np.abs(q) > lam)))
         sweeps += 1
         if max_delta < tol and _kkt_from_q(q, theta, lam) <= 5.0 * tol:
-            return True
+            return
         active = np.flatnonzero(theta)
         while sweeps < max_sweeps and active.size:
             sweeps += 1
             if _sweep(gram, q, theta, lam, active) < tol:
                 break
-    return False
-
-
-def _warn_unconverged(lam: float, max_sweeps: int) -> None:
-    """Warn, at the caller of the public fit, that the fit at `lam` used up
-    its `max_sweeps` sweeps before it converged."""
     warnings.warn(
         f"coordinate descent at lambda={lam!r} did not converge within "
         f"max_sweeps={max_sweeps}",
@@ -197,10 +196,38 @@ def _kkt_from_q(q: np.ndarray, theta: np.ndarray, lam: float) -> float:
     return float(np.max(viol, initial=0.0))
 
 
+def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tuple[LassoFit, ...]:
+    """One LassoFit per row of `thetas` (G x P) and entry of `lambdas`, each
+    with the kkt_residual of its KKT vector X^T (y - X theta) / N.
+
+    The G vectors come from one product, in whichever grouping costs less
+    given U, the columns active in any of the fits: the regrouped
+    (X^T y - Theta_U (X_U^T X)) / N costs N |U| P, the direct
+    X^T (y - X_U Theta_U^T) / N costs N G (|U| + P).  Both read X and y,
+    never the solver's Gram statistics, so they check the fits against the
+    data.
+    """
+    g, p = thetas.shape
+    used = np.flatnonzero(thetas.any(axis=0))
+    if used.size * p <= g * (used.size + p):
+        kkt = (x.T @ y - thetas[:, used] @ (x[:, used].T @ x)) / x.shape[0]
+    else:
+        kkt = (x.T @ (y[:, None] - x[:, used] @ thetas[:, used].T)).T / x.shape[0]
+    return tuple(
+        LassoFit(
+            coef=c,
+            lam=lam,
+            active_set=tuple(np.flatnonzero(c).tolist()),
+            kkt_residual=_kkt_from_q(q, c, lam),
+        )
+        for c, lam, q in zip(thetas, lambdas, kkt)
+    )
+
+
 def lasso_objective(features: FeatureMatrixBinary, target, coef: np.ndarray, lam: float) -> float:
     """Canonical objective (1/2N) ||X coef - y||^2 + lambda ||coef||_1."""
-    y = _target_values(target)
-    r = features.values.astype(np.float64) @ np.asarray(coef, dtype=np.float64) - y
+    x, y = _problem(features, target)
+    r = x @ np.asarray(coef, dtype=np.float64) - y
     return float((r @ r) / (2.0 * features.n) + lam * np.abs(coef).sum())
 
 
@@ -210,10 +237,8 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
     For active j, (1/N) X_j . (y - X theta) must equal lam * sign(theta_j);
     for inactive j its magnitude must not exceed lam.
     """
-    y = _target_values(target)
-    x = features.values.astype(np.float64)
-    q = (x.T @ (y - x @ fit.coef)) / features.n
-    return _kkt_from_q(q, fit.coef, fit.lam)
+    x, y = _problem(features, target)
+    return _lasso_fits(x, y, fit.coef[None, :], [fit.lam])[0].kkt_residual
 
 
 def _check_settings(
@@ -242,27 +267,21 @@ def lasso_fit(
     `max_sweeps` counts sweeps over the working set or the active set, not
     over all P columns (see `_cd_solve`); a fit that uses them all up warns
     with a RuntimeWarning."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be non-negative")
     _check_settings(tol)
-    x, y = _design_and_target(features, target)
+    x, y = _problem(features, target)
     gram, corr = _stats(x, y)
     theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
     if theta.shape != (features.p,):
         raise ValueError("init must have one entry per feature column")
-    if not _cd_solve(gram, corr, lam, theta, tol, max_sweeps):
-        _warn_unconverged(lam, max_sweeps)
-    return LassoFit(
-        coef=theta,
-        lam=float(lam),
-        active_set=tuple(np.flatnonzero(theta).tolist()),
-        kkt_residual=_kkt_from_q(_corr(x, y - x @ theta), theta, lam),
-    )
+    _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
+    return _lasso_fits(x, y, theta[None, :], [float(lam)])[0]
 
 
 def lambda_max(features: FeatureMatrixBinary, target) -> float:
     """Smallest lambda whose solution is exactly zero: || (1/N) X^T y ||_inf."""
-    return float(np.abs(_corr(*_design_and_target(features, target))).max())
+    return float(np.abs(_corr(*_problem(features, target))).max())
 
 
 def regularization_path(
@@ -283,16 +302,14 @@ def regularization_path(
     whose fit uses up `max_sweeps` warns with a RuntimeWarning.
 
     Each fit's kkt_residual is the N-object check of `kkt_residual`, taken
-    for every grid point at once after the loop:
-    Q = (X^T y - Theta_U (X_U^T X)) / N, with Theta the grid points' stacked
-    coefficients and U the columns active at any of them.  That is
-    X^T (y - X theta) / N per row, regrouped into one product for the whole
-    path in place of one pass over the N objects per grid point.  It reads
-    X and y, never the solver's Gram statistics, so it still checks the
-    fits against the data.
+    for every grid point at once after the loop by `_lasso_fits`, which
+    groups the one product by the grid size G, the column count P and the
+    number |U| of columns active at any grid point.  It reads X and y, never
+    the solver's Gram statistics, so it still checks the fits against the
+    data.
     """
     _check_settings(tol, grid_size, lambda_min_ratio)
-    x, y = _design_and_target(features, target)
+    x, y = _problem(features, target)
     gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())
     if lam_max == 0.0:
@@ -307,8 +324,7 @@ def regularization_path(
     entry_lambdas: list[float] = []
     seen = np.zeros(features.p, dtype=bool)
     for lam in grid.tolist():
-        if not _cd_solve(gram, corr, lam, theta, tol, max_sweeps):
-            _warn_unconverged(lam, max_sweeps)
+        _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
         coefs.append(theta.copy())
         fresh = [j for j in np.flatnonzero(theta).tolist() if not seen[j]]
         fresh.sort(key=lambda j: (-abs(theta[j]), j))
@@ -320,22 +336,10 @@ def regularization_path(
             break
 
     lambdas = grid[: len(coefs)].tolist()
-    thetas = np.array(coefs)
-    used = np.flatnonzero(thetas.any(axis=0))
-    kkt = (x.T @ y - thetas[:, used] @ (x[:, used].T @ x)) / features.n
-    fits = tuple(
-        LassoFit(
-            coef=c,
-            lam=lam,
-            active_set=tuple(np.flatnonzero(c).tolist()),
-            kkt_residual=_kkt_from_q(q, c, lam),
-        )
-        for c, lam, q in zip(coefs, lambdas, kkt)
-    )
     return RegPath(
         lambdas=tuple(lambdas),
         entry_order=tuple(entry_order),
-        fits=fits,
+        fits=_lasso_fits(x, y, np.array(coefs), lambdas),
         entry_lambdas=tuple(entry_lambdas),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .diffmodel import DisagreementVector, _target_values
+from .diffmodel import DisagreementVector, _target
 
 
 def matrix_inf_norm(a: np.ndarray) -> float:
@@ -99,9 +99,10 @@ def check_conditions(
     feature with the least-squares residual of the target on x_s.  Sigma_SS
     and Sigma_SSbar are the sample blocks (1/N) X_S^T X_S and (1/N) X_S^T
     X_Sbar; a numerically singular Sigma_SS raises DataError, reporting its
-    smallest singular value.
+    smallest singular value.  `delta` must lie in (0, 1).
     """
-    y = _target_values(target)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0,1)")
     x_s = np.asarray(x_s, dtype=np.float64)
     x_sbar = np.asarray(x_sbar, dtype=np.float64)
     if x_s.ndim != 2 or x_s.shape[1] < 1:
@@ -109,8 +110,7 @@ def check_conditions(
     n = x_s.shape[0]
     if x_sbar.shape[0] != n:
         raise ValueError("x_s and x_sbar must have the same row count")
-    if y.shape != (n,):
-        raise ValueError("target length must match feature rows")
+    y = _target(target, n)
     sigma_ss = (x_s.T @ x_s) / n
     sigma_s_sbar = (x_s.T @ x_sbar) / n
     svals = np.linalg.svd(sigma_ss, compute_uv=False)

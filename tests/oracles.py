@@ -144,6 +144,13 @@ def _kkt(q, theta, lam):
     return viol
 
 
+def naive_kkt_residual(x, y, coef, lam):
+    """Largest KKT violation of one fit from its own residual correlations
+    X^T (y - X coef) / N."""
+    x = np.asarray(x, dtype=np.float64)
+    return _kkt(x.T @ (np.asarray(y, dtype=np.float64) - x @ coef) / x.shape[0], coef, lam)
+
+
 def full_sweep_cd(gram, corr, lam, theta, tol, max_sweeps):
     """Cyclic coordinate descent over all P columns in order 0..P-1, with
     inner sweeps over the active set between full sweeps; `theta` is updated

@@ -479,6 +479,19 @@ def test_check_conditions_rejects_a_repeated_support_column(tiny_dataset, tmp_pa
     assert "error: --support names column 1 more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["1.5", "nan"])
+def test_check_conditions_rejects_a_delta_outside_0_1(tiny_dataset, tmp_path, capsys, delta):
+    ds, paths, _ = tiny_dataset
+    dis = tmp_path / "dis.csv"
+    dis.write_text("object_id,disagreement\n" + "".join(f"{i},0.5\n" for i in range(ds.n)))
+    out = tmp_path / "conditions.json"
+    argv = ["check-conditions", "--features", paths["xbin"], "--disagreement", str(dis),
+            "--support", "0,1", "--delta", delta, "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: delta must lie in (0,1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_module_error_exits_two(tmp_path, capsys):
     # csv.reader refuses a field above its 131,072-character limit
     labels = tmp_path / "big.csv"

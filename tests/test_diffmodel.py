@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lasso_grid_search, reference_path
+from oracles import lasso_grid_search, naive_kkt_residual, reference_path
 from weaksup.data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector
 from weaksup.diffmodel import (
     LassoFit,
@@ -150,16 +150,32 @@ def test_objective_nonincreasing_across_sweeps():
             prev = cur
 
 
-def test_non_finite_target_rejected():
+PUBLIC_FITS = {
+    "lasso_fit": lambda x, y: lasso_fit(x, y, 0.1),
+    "regularization_path": lambda x, y: regularization_path(x, y),
+    "lambda_max": lambda_max,
+    "kkt_residual": lambda x, y: kkt_residual(
+        x, y, LassoFit(coef=np.array([0.5]), lam=0.1, active_set=(0,), kkt_residual=0.0)),
+    "lasso_objective": lambda x, y: lasso_objective(x, y, np.array([0.5]), 0.1),
+}
+
+
+@pytest.mark.parametrize("target, error, message",
+                         [(np.array([np.nan, 0.0]), DataError, "non-finite target"),
+                          (np.array([0.5]), ValueError, "target length")],
+                         ids=["nan", "wrong length"])
+@pytest.mark.parametrize("call", PUBLIC_FITS.values(), ids=PUBLIC_FITS.keys())
+def test_non_finite_target_rejected(call, target, error, message):
     x = FeatureMatrixBinary(np.array([[1], [-1]]))
-    with pytest.raises(DataError):
-        lasso_fit(x, np.array([np.nan, 0.0]), 0.1)
+    with pytest.raises(error, match=message):
+        call(x, target)
 
 
-def test_negative_lambda_rejected():
+@pytest.mark.parametrize("lam", [-0.1, np.nan])
+def test_negative_lambda_rejected(lam):
     x = FeatureMatrixBinary(np.array([[1], [-1]]))
     with pytest.raises(ValueError):
-        lasso_fit(x, np.array([1.0, 0.0]), -0.1)
+        lasso_fit(x, np.array([1.0, 0.0]), lam)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
@@ -308,5 +324,18 @@ def test_path_matches_the_full_sweep_reference(case, stop_after):
 def test_path_kkt_residual_is_the_n_object_check(p):
     x, target, _ = gen_recovery(RecoveryScenario(kappa=0.3, n=2000, p=p, seed=p))
     for stop_after in (None, 3):
-        for fit in regularization_path(x, target, stop_after=stop_after).fits:
+        fits = regularization_path(x, target, stop_after=stop_after).fits
+        for fit in fits:
             assert abs(fit.kkt_residual - kkt_residual(x, target, fit)) <= 1e-12
+            assert abs(fit.kkt_residual - naive_kkt_residual(x.values, target.values, fit.coef,
+                                                             fit.lam)) <= 1e-12
+        if p == 300 and stop_after is None:
+            # the full grid has more columns ever active than grid points, so
+            # its KKT vectors take the direct grouping X^T (y - X_U Theta_U^T)
+            used = np.array([f.coef for f in fits]).any(axis=0).sum()
+            assert used * p > len(fits) * (used + p)
+    # one fit with several active columns
+    fit = lasso_fit(x, target, fits[-1].lam)
+    assert len(fit.active_set) >= 3
+    assert abs(fit.kkt_residual - naive_kkt_residual(x.values, target.values, fit.coef,
+                                                     fit.lam)) <= 1e-12

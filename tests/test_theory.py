@@ -96,6 +96,23 @@ def test_check_conditions_monte_carlo_recovery_scenario():
     assert ok >= 95
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, np.nan])
+def test_check_conditions_rejects_a_delta_outside_0_1(delta):
+    h = hadamard8()
+    with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+        check_conditions(h[:, 1:3], h[:, 3:5], h[:, 1], delta=delta)
+
+
+def test_check_conditions_checks_the_target():
+    h = hadamard8()
+    target = h[:, 1].copy()
+    target[3] = np.nan
+    with pytest.raises(DataError, match="non-finite target"):
+        check_conditions(h[:, 1:3], h[:, 3:5], target)
+    with pytest.raises(ValueError, match="target length"):
+        check_conditions(h[:, 1:3], h[:, 3:5], h[:4, 1])
+
+
 def test_check_conditions_with_empty_irrelevant_block():
     h = hadamard8()
     target = 0.5 * h[:, 1] - 0.25 * h[:, 2]
