@@ -344,20 +344,7 @@ def cmd_check_conditions(args) -> int:
     data.check_ids(features=features.object_ids, disagreement=vec_ids)
     target = diffmodel.DisagreementVector(vec)
     support = _ints(args.support)
-    if not support:
-        raise DataError("--support must name at least one feature column")
-    if len(set(support)) != len(support):
-        repeated = next(j for i, j in enumerate(support) if j in support[:i])
-        raise DataError(f"--support names column {repeated} more than once")
-    if min(support) < 0 or max(support) >= features.p:
-        raise DataError(f"support indices out of range for {features.p} columns")
-    rest = sorted(set(range(features.p)) - set(support))
-    report = theory.check_conditions(
-        features.values[:, support].astype(np.float64),
-        features.values[:, rest].astype(np.float64),
-        target,
-        delta=args.delta,
-    )
+    report = theory.check_conditions(features, support, target, delta=args.delta)
     body = report.to_dict()
     body["support"] = support
     body["lambda_unnormalized_factor"] = 2 * features.n

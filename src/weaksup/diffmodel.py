@@ -224,10 +224,21 @@ def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tu
     )
 
 
+def _coef(features: FeatureMatrixBinary, coef, lam: float, what: str = "coef") -> np.ndarray:
+    """`coef` as a float copy, checked to hold one entry per column, at a lam >= 0."""
+    if not lam >= 0:
+        raise ValueError("lambda must be non-negative")
+    theta = np.array(coef, dtype=np.float64)
+    if theta.shape != (features.p,):
+        raise ValueError(f"{what} must have one entry per feature column")
+    return theta
+
+
 def lasso_objective(features: FeatureMatrixBinary, target, coef: np.ndarray, lam: float) -> float:
     """Canonical objective (1/2N) ||X coef - y||^2 + lambda ||coef||_1."""
+    coef = _coef(features, coef, lam)
     x, y = _problem(features, target)
-    r = x @ np.asarray(coef, dtype=np.float64) - y
+    r = x @ coef - y
     return float((r @ r) / (2.0 * features.n) + lam * np.abs(coef).sum())
 
 
@@ -237,8 +248,9 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
     For active j, (1/N) X_j . (y - X theta) must equal lam * sign(theta_j);
     for inactive j its magnitude must not exceed lam.
     """
+    coef = _coef(features, fit.coef, fit.lam)
     x, y = _problem(features, target)
-    return _lasso_fits(x, y, fit.coef[None, :], [fit.lam])[0].kkt_residual
+    return _lasso_fits(x, y, coef[None, :], [fit.lam])[0].kkt_residual
 
 
 def _check_settings(
@@ -267,14 +279,10 @@ def lasso_fit(
     `max_sweeps` counts sweeps over the working set or the active set, not
     over all P columns (see `_cd_solve`); a fit that uses them all up warns
     with a RuntimeWarning."""
-    if not lam >= 0:
-        raise ValueError("lambda must be non-negative")
+    theta = _coef(features, np.zeros(features.p) if init is None else init, lam, "init")
     _check_settings(tol)
     x, y = _problem(features, target)
     gram, corr = _stats(x, y)
-    theta = np.zeros(features.p) if init is None else np.array(init, dtype=np.float64)
-    if theta.shape != (features.p,):
-        raise ValueError("init must have one entry per feature column")
     _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
     return _lasso_fits(x, y, theta[None, :], [float(lam)])[0]
 

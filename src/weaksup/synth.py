@@ -8,15 +8,18 @@ not depend on scheduling or worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector, LabelMatrix
-from .diffmodel import DisagreementVector, lasso_fit, regularization_path, select_features
-from .theory import check_conditions
+from .data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector,
+                   LabelMatrix)
+from .diffmodel import (DisagreementVector, _check_settings, lasso_fit, regularization_path,
+                        select_features)
+from .theory import _check_delta, check_conditions
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def derive_trial_seed(base_seed: int, cell: int, trial: int) -> int:
 def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
     """`[trial(w) for w in work]`, spread over `jobs` worker processes when
     jobs > 1.  Results keep the order of `work`, so they do not depend on
-    `jobs`; `trial` must be a module-level function."""
+    `jobs`; `trial` must pickle: a module-level function or a partial of one."""
     if jobs <= 1:
         return [trial(w) for w in work]
     # imported here: it pulls in multiprocessing, which `import weaksup` need not pay for
@@ -219,28 +222,25 @@ def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
         return list(pool.map(trial, work, chunksize=max(1, len(work) // (jobs * 8))))
 
 
-def _recovery_trial(args) -> tuple[int, bool, bool, bool]:
-    (cell, kappa, n, p, s_size, rho, seed, policy, delta, grid_size, ratio, tol) = args
-    scenario = RecoveryScenario(kappa=kappa, n=n, p=p, s_size=s_size, seed=seed, rho=rho)
+def _recovery_trial(item: tuple[int, RecoveryScenario], policy: str, delta: float, grid_size: int,
+                    lambda_min_ratio: float, tol: float) -> tuple[int, bool, bool, bool]:
+    cell, scenario = item
     x, target, support = gen_recovery(scenario)
     support_set = set(support)
     if policy == "path":
         path = regularization_path(
-            x, target, grid_size=grid_size, lambda_min_ratio=ratio, tol=tol,
-            stop_after=s_size,
+            x, target, grid_size=grid_size, lambda_min_ratio=lambda_min_ratio, tol=tol,
+            stop_after=scenario.s_size,
         )
-        if len(path.entry_order) < s_size:
+        if len(path.entry_order) < scenario.s_size:
             return cell, False, False, True
-        selected = set(select_features(path, s_size))
+        selected = set(select_features(path, scenario.s_size))
         return cell, selected == support_set, support_set <= selected, True
     # fixed-lambda policy: fit once at the recommended regularizer
-    rest = sorted(set(range(p)) - support_set)
-    report = check_conditions(
-        x.values[:, support].astype(np.float64),
-        x.values[:, rest].astype(np.float64),
-        target,
-        delta=delta,
-    )
+    try:
+        report = check_conditions(x, support, target, delta=delta)
+    except DataError:  # two support columns of the draw are equal or opposite: singular Sigma_SS
+        return cell, False, False, False
     if not report.all_satisfied or report.recommended_lambda is None:
         return cell, False, False, False
     fit = lasso_fit(x, target, report.recommended_lambda, tol=tol)
@@ -266,35 +266,29 @@ def run_recovery_experiment(
     """Fraction of seeded trials whose selected support equals the planted one,
     per (kappa, n) grid cell.  Exact equality and containment are both
     reported; `conditions_ok_fraction` tracks how often the recovery
-    preconditions held (always 1 under the path policy)."""
+    preconditions held (always 1 under the path policy; a draw with a
+    singular Sigma_SS fails them).  Every setting, `delta` under either
+    policy included, is checked before the first draw."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if lambda_policy not in ("path", "theorem"):
         raise ValueError("lambda_policy must be 'path' or 'theorem'")
+    _check_delta(delta)
+    _check_settings(tol, grid_size, lambda_min_ratio)
     cells = [(kappa, n) for kappa in kappas for n in ns]
     work = [
-        (ci, kappa, n, p, s_size, rho, derive_trial_seed(seed, ci, t), lambda_policy,
-         delta, grid_size, lambda_min_ratio, tol)
+        (ci, RecoveryScenario(kappa=kappa, n=n, p=p, s_size=s_size,
+                              seed=derive_trial_seed(seed, ci, t), rho=rho))
         for ci, (kappa, n) in enumerate(cells)
         for t in range(trials)
     ]
-    results = map_trials(_recovery_trial, work, jobs)
-
-    exact = np.zeros(len(cells))
-    contained = np.zeros(len(cells))
-    cond_ok = np.zeros(len(cells))
-    for ci, is_exact, is_contained, ok in results:
-        exact[ci] += is_exact
-        contained[ci] += is_contained
-        cond_ok[ci] += ok
+    trial = functools.partial(_recovery_trial, policy=lambda_policy, delta=delta,
+                              grid_size=grid_size, lambda_min_ratio=lambda_min_ratio, tol=tol)
+    results = map_trials(trial, work, jobs)
+    counts = np.zeros((len(cells), 3))  # exact, contained, conditions held: RecoveryCell order
+    for ci, *flags in results:
+        counts[ci] += flags
     return [
-        RecoveryCell(
-            kappa=float(kappa),
-            n=int(n),
-            trials=trials,
-            recovered_fraction=float(exact[ci] / trials),
-            containment_fraction=float(contained[ci] / trials),
-            conditions_ok_fraction=float(cond_ok[ci] / trials),
-        )
+        RecoveryCell(float(kappa), int(n), trials, *(counts[ci] / trials).tolist())
         for ci, (kappa, n) in enumerate(cells)
     ]

@@ -3,17 +3,19 @@ model: incoherence, dependence, relevance, and irrelevance slack, plus the
 recommended lambda and the sample-size bound they imply.
 
 All expectations are replaced by plug-in sample averages over the provided
-data; the quantities are reported as empirical estimates.
+data; the quantities are reported as empirical estimates.  Only
+`check_conditions` splits X into X_S and X_Sbar, for a support it checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, FeatureMatrixBinary
 from .diffmodel import DisagreementVector, _target
 
 
@@ -62,13 +64,17 @@ class ConditionReport:
         }
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0,1)")
+
+
 def sample_bound(beta: float, gamma: float, c: float, p: int, delta: float) -> int:
     """Objects needed for recovery with probability at least 1 - delta:
     ceil(max(8 beta^4 / gamma^2, 32) / c^2 * log(4 P / delta))."""
     if gamma <= 0 or c <= 0:
         raise ValueError("conditions unsatisfied: gamma and c must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
+    _check_delta(delta)
     if p < 1:
         raise ValueError("p must be at least 1")
     return math.ceil(max(8.0 * beta**4 / gamma**2, 32.0) / c**2 * math.log(4.0 * p / delta))
@@ -85,31 +91,35 @@ def recommended_lambda(alpha: float, beta: float, gamma: float, c: float) -> flo
 
 
 def check_conditions(
-    x_s: np.ndarray,
-    x_sbar: np.ndarray,
+    features: FeatureMatrixBinary,
+    support: Sequence[int],
     target: DisagreementVector | np.ndarray,
     delta: float = 0.05,
 ) -> ConditionReport:
-    """Plug-in estimates of the recovery conditions on the given split.
+    """Plug-in estimates of the recovery conditions for `support`: X_S holds
+    its columns in the order given, X_Sbar the others in ascending order.
 
     alpha is the incoherence slack 1 - ||Sigma_SbarS Sigma_SS^-1||_inf, beta
     the dependence bound ||Sigma_SS^-1||_inf, gamma the smallest rescaled
     correlation of a relevant feature with the target, and c the irrelevance
     slack alpha*gamma/beta minus the largest correlation of an irrelevant
-    feature with the least-squares residual of the target on x_s.  Sigma_SS
+    feature with the least-squares residual of the target on X_S.  Sigma_SS
     and Sigma_SSbar are the sample blocks (1/N) X_S^T X_S and (1/N) X_S^T
-    X_Sbar; a numerically singular Sigma_SS raises DataError, reporting its
-    smallest singular value.  `delta` must lie in (0, 1).
+    X_Sbar.  An empty support, a repeated or out-of-range column, or a
+    numerically singular Sigma_SS (its smallest singular value reported)
+    raises DataError; `delta` must lie in (0, 1).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
-    x_s = np.asarray(x_s, dtype=np.float64)
-    x_sbar = np.asarray(x_sbar, dtype=np.float64)
-    if x_s.ndim != 2 or x_s.shape[1] < 1:
-        raise ValueError("x_s must be an N x K matrix with K >= 1")
-    n = x_s.shape[0]
-    if x_sbar.shape[0] != n:
-        raise ValueError("x_s and x_sbar must have the same row count")
+    if not support:
+        raise DataError("support must name at least one feature column")
+    if len(set(support)) != len(support):
+        repeated = next(j for i, j in enumerate(support) if j in support[:i])
+        raise DataError(f"support names column {repeated} more than once")
+    if min(support) < 0 or max(support) >= features.p:
+        raise DataError(f"support indices out of range for {features.p} columns")
+    _check_delta(delta)
+    x_s = features.values[:, support].astype(np.float64)
+    x_sbar = np.delete(features.values, support, axis=1).astype(np.float64)
+    n = features.n
     y = _target(target, n)
     sigma_ss = (x_s.T @ x_s) / n
     sigma_s_sbar = (x_s.T @ x_sbar) / n
@@ -136,13 +146,12 @@ def check_conditions(
         "relevance": bool(gamma > 0),
         "irrelevance": bool(c > 0),
     }
-    p_total = x_s.shape[1] + x_sbar.shape[1]
     try:
         rec_lam: float | None = recommended_lambda(alpha, beta, gamma, c)
     except ValueError:
         rec_lam = None
     try:
-        n_bound: int | None = sample_bound(beta, gamma, c, p_total, delta)
+        n_bound: int | None = sample_bound(beta, gamma, c, features.p, delta)
     except ValueError:
         n_bound = None
     return ConditionReport(

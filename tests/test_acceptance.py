@@ -100,13 +100,7 @@ def test_criterion_2_recommended_lambda_recovers_support():
                       "in >= 80% of 50 trials at N >= the empirical bound"):
         pilot = RecoveryScenario(kappa=0.6, n=20_000, p=25, s_size=3, seed=7, rho=0.6)
         x, target, support = gen_recovery(pilot)
-        rest = sorted(set(range(pilot.p)) - set(support))
-        report = check_conditions(
-            x.values[:, support].astype(float),
-            x.values[:, rest].astype(float),
-            target,
-            delta=0.2,
-        )
+        report = check_conditions(x, support, target, delta=0.2)
         assert report.all_satisfied and report.n_bound is not None
         cells = run_recovery_experiment(
             [0.6], [report.n_bound], trials=50, p=25, s_size=3, seed=20_240_002,

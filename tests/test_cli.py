@@ -209,6 +209,25 @@ def test_simulate_recovery_grid_shape(tmp_path):
         c.recovered_fraction for c in cells]
 
 
+@pytest.mark.parametrize("policy", ["path", "theorem"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--delta", "1.5", "delta must lie in (0,1)"),
+    ("--grid-size", "1", "grid_size must be at least 2"),
+    ("--lambda-min-ratio", "1.5", "lambda_min_ratio must lie in (0,1)"),
+    ("--lasso-tol", "0", "tol must be finite and positive"),
+])
+def test_simulate_recovery_refuses_a_bad_setting_before_any_trial(
+    option, value, message, policy, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli.synth, "gen_recovery", lambda scenario: pytest.fail("drew a trial"))
+    out = tmp_path / "rec.csv"
+    argv = ["simulate-recovery", "--kappa", "0.4", "--n", "200", "--trials", "1",
+            "--lambda-policy", policy, option, value, "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_e2e_csv(tmp_path):
     out = tmp_path / "e2e.csv"
     code = main(
@@ -476,7 +495,7 @@ def test_check_conditions_rejects_a_repeated_support_column(tiny_dataset, tmp_pa
     dis.write_text("object_id,disagreement\n" + "".join(f"{i},0.5\n" for i in range(ds.n)))
     argv = ["check-conditions", "--features", paths["xbin"], "--disagreement", str(dis)]
     assert main([*argv, "--support", "1,0,1"]) == 2
-    assert "error: --support names column 1 more than once" in capsys.readouterr().err
+    assert "error: support names column 1 more than once" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["1.5", "nan"])

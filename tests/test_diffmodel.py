@@ -171,11 +171,32 @@ def test_non_finite_target_rejected(call, target, error, message):
         call(x, target)
 
 
+def _at(coef: np.ndarray, lam: float) -> LassoFit:
+    return LassoFit(coef=coef, lam=lam, active_set=tuple(np.flatnonzero(coef)), kkt_residual=0.0)
+
+
+# the public calls that take a coefficient vector (lasso_fit as its start) and a lambda
+POINT_CALLS = {
+    "lasso_fit": lambda x, y, coef, lam: lasso_fit(x, y, lam, init=coef),
+    "lasso_objective": lasso_objective,
+    "kkt_residual": lambda x, y, coef, lam: kkt_residual(x, y, _at(coef, lam)),
+}
+
+
 @pytest.mark.parametrize("lam", [-0.1, np.nan])
-def test_negative_lambda_rejected(lam):
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+def test_negative_lambda_rejected(call, lam):
     x = FeatureMatrixBinary(np.array([[1], [-1]]))
-    with pytest.raises(ValueError):
-        lasso_fit(x, np.array([1.0, 0.0]), lam)
+    with pytest.raises(ValueError, match="lambda must be non-negative"):
+        call(x, np.array([1.0, 0.0]), np.zeros(1), lam)
+
+
+@pytest.mark.parametrize("length", [4, 6])
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+def test_coef_of_the_wrong_length_rejected(call, length):
+    x, y, _ = gen_recovery(RecoveryScenario(kappa=0.4, n=200, p=5, seed=0))
+    with pytest.raises(ValueError, match="must have one entry per feature column"):
+        call(x, y, np.full(length, 0.1), 0.1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weaksup.data import DataError, Dataset, HardLabelVector, ProbLabelVector, validate
+from weaksup.data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal,
+                          HardLabelVector, LabelMatrix, ProbLabelVector, validate)
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
 from weaksup.pipeline import RunConfig, agreement_rate, run, stopping_rule
@@ -346,3 +347,28 @@ def test_path_stopped_at_k_max_matches_the_full_grid(refresh, monkeypatch):
         assert s.entry_order[: cfg.k_max] == f.entry_order[: cfg.k_max]
         assert len(s.lambdas) < len(f.lambdas) == cfg.grid_size
     assert _same_report(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_is_equivariant_under_object_and_source_order_and_column_signs(seed):
+    ds = gen_e2e(E2EScenario(n=10_000, p=20, seed=seed))
+    votes, xbin, real = ds.labels.votes, ds.bin_features.values, ds.real_features.values
+    cfg = RunConfig(k_max=3, patience=3)
+
+    def blind(votes, xbin, real):
+        data = Dataset(LabelMatrix(votes), FeatureMatrixBinary(xbin), FeatureMatrixReal(real))
+        report = run(data, cfg)
+        assert (report.best_k, report.stop_reason) == (base.best_k, base.stop_reason)
+        assert [r.selected for r in report.iterations] == [r.selected for r in base.iterations]
+        return zip(base.iterations, report.iterations)
+
+    base = run(Dataset(LabelMatrix(votes), FeatureMatrixBinary(xbin), FeatureMatrixReal(real)), cfg)
+    rng = np.random.default_rng(seed)
+    objects, sources = rng.permutation(ds.n), rng.permutation(votes.shape[0])
+    for ref, rec in blind(votes[:, objects], xbin[objects], real[objects]):
+        assert np.abs(rec.gen_labels.expected - ref.gen_labels.expected[objects]).max() <= 1e-12
+    for ref, rec in blind(votes[sources], xbin, real):
+        assert np.abs(rec.gen_params.phi - ref.gen_params.phi[sources]).max() <= 1e-12
+    signs = np.where(np.arange(xbin.shape[1]) % 2 == 0, -1, 1).astype(np.int8)
+    for ref, rec in blind(votes, xbin * signs, real):
+        assert np.abs(rec.gen_labels.expected - ref.gen_labels.expected).max() <= 1e-12

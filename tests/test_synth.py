@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import weaksup
+from weaksup import synth
 from weaksup.data import validate
 from weaksup.genmodel import fit_sp
 from weaksup.synth import (
@@ -152,6 +153,35 @@ def test_recovery_experiment_theorem_policy_runs():
     cell = cells[0]
     assert 0.0 <= cell.recovered_fraction <= 1.0
     assert cell.containment_fraction >= cell.recovered_fraction
+
+
+@pytest.mark.parametrize("policy", ["path", "theorem"])
+@pytest.mark.parametrize("setting, message", [
+    *[({"delta": d}, r"delta must lie in \(0,1\)") for d in (0.0, 1.0, 1.5, -0.1, np.nan)],
+    ({"grid_size": 1}, "grid_size"),
+    ({"lambda_min_ratio": 1.0}, "lambda_min_ratio"),
+    ({"tol": np.nan}, "tol"),
+    ({"kappas": [0.4, 1.5]}, "kappa"),  # the second cell's scenario, before the first's draw
+], ids=["delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan", "grid_size",
+        "lambda_min_ratio", "tol", "kappa"])
+def test_recovery_experiment_checks_every_setting_before_the_first_draw(
+    setting, message, policy, monkeypatch
+):
+    monkeypatch.setattr(synth, "gen_recovery", lambda scenario: pytest.fail("drew a trial"))
+    kwargs = {"kappas": [0.4, 0.5], "ns": [200], "trials": 2, "p": 10, **setting}
+    with pytest.raises(ValueError, match=message):
+        run_recovery_experiment(lambda_policy=policy, **kwargs)
+
+
+def test_a_singular_draw_fails_the_theorem_policy_conditions_of_its_trial():
+    # this draw's support columns 21 and 25 are equal, so Sigma_SS is singular
+    x, _, support = gen_recovery(RecoveryScenario(kappa=0.9, n=64, p=30, seed=1013))
+    assert {21, 25} <= set(support)
+    np.testing.assert_array_equal(x.values[:, 21], x.values[:, 25])
+    cells = run_recovery_experiment([0.9], [16], trials=50, p=30, lambda_policy="theorem",
+                                    delta=0.2)
+    assert cells[0].conditions_ok_fraction < 1.0
+    assert cells[0].recovered_fraction <= cells[0].conditions_ok_fraction
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weaksup.data import DataError
+from weaksup.data import DataError, FeatureMatrixBinary
 
 from weaksup.synth import RecoveryScenario, gen_recovery
 from weaksup.theory import (
@@ -32,7 +32,7 @@ def test_inf_norms_match_naive_loops():
 
 def test_check_conditions_sigmas_orthogonal_identity():
     h = hadamard8()
-    report = check_conditions(h[:, 1:4], h[:, 4:6], h[:, 1])
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:6]), [0, 1, 2], h[:, 1])
     np.testing.assert_allclose(report.sigma_ss, np.eye(3), atol=1e-15)
     np.testing.assert_allclose(report.sigma_s_sbar, 0.0, atol=1e-15)
     assert report.sigma_ss_cond == pytest.approx(1.0, abs=1e-12)
@@ -41,12 +41,12 @@ def test_check_conditions_sigmas_orthogonal_identity():
 def test_check_conditions_duplicate_column_singular():
     col = np.ones((8, 1))
     with pytest.raises(DataError, match="singular"):
-        check_conditions(np.hstack([col, col]), -col, np.ones(8))
+        check_conditions(FeatureMatrixBinary(np.hstack([col, col, -col])), [0, 1], np.ones(8))
 
 
 def test_check_conditions_sigmas_single_column():
     h = hadamard8()
-    report = check_conditions(h[:, 1:2], h[:, 2:3], h[:, 1])
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:3]), [0], h[:, 1])
     np.testing.assert_allclose(report.sigma_ss, [[1.0]])
 
 
@@ -54,16 +54,15 @@ def test_check_conditions_takes_one_svd(monkeypatch):
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     h = hadamard8()
-    check_conditions(h[:, 1:3], h[:, 3:6], h[:, 1])
+    check_conditions(FeatureMatrixBinary(h[:, 1:6]), [0, 1], h[:, 1])
     assert len(calls) == 1
 
 
 def test_check_conditions_orthogonal_case():
     h = hadamard8()
     x_s = h[:, 1:3]
-    x_sbar = h[:, 3:6]
     target = 0.5 * x_s[:, 0] + 0.25 * x_s[:, 1]  # fully explained by x_s
-    report = check_conditions(x_s, x_sbar, target)
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:6]), [0, 1], target)
     assert report.alpha == pytest.approx(1.0, abs=1e-12)
     assert report.c == pytest.approx(report.alpha * report.gamma / report.beta, abs=1e-12)
     assert report.gamma == pytest.approx(0.25, abs=1e-12)
@@ -71,10 +70,8 @@ def test_check_conditions_orthogonal_case():
 
 def test_check_conditions_uncorrelated_relevant_column():
     h = hadamard8()
-    x_s = h[:, 1:3]
-    x_sbar = h[:, 3:5]
-    target = x_s[:, 0].astype(np.float64)  # orthogonal to the second column
-    report = check_conditions(x_s, x_sbar, target)
+    target = h[:, 1].astype(np.float64)  # orthogonal to the second relevant column
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:5]), [0, 1], target)
     assert report.gamma == pytest.approx(0.0, abs=1e-12)
     assert not report.satisfied["relevance"]
 
@@ -85,13 +82,7 @@ def test_check_conditions_monte_carlo_recovery_scenario():
         x, target, support = gen_recovery(
             RecoveryScenario(kappa=0.6, n=20_000, p=100, s_size=3, seed=seed)
         )
-        rest = sorted(set(range(100)) - set(support))
-        report = check_conditions(
-            x.values[:, support].astype(np.float64),
-            x.values[:, rest].astype(np.float64),
-            target,
-            delta=0.05,
-        )
+        report = check_conditions(x, support, target, delta=0.05)
         ok += report.all_satisfied
     assert ok >= 95
 
@@ -100,23 +91,24 @@ def test_check_conditions_monte_carlo_recovery_scenario():
 def test_check_conditions_rejects_a_delta_outside_0_1(delta):
     h = hadamard8()
     with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
-        check_conditions(h[:, 1:3], h[:, 3:5], h[:, 1], delta=delta)
+        check_conditions(FeatureMatrixBinary(h[:, 1:5]), [0, 1], h[:, 1], delta=delta)
 
 
 def test_check_conditions_checks_the_target():
     h = hadamard8()
+    x = FeatureMatrixBinary(h[:, 1:5])
     target = h[:, 1].copy()
     target[3] = np.nan
     with pytest.raises(DataError, match="non-finite target"):
-        check_conditions(h[:, 1:3], h[:, 3:5], target)
+        check_conditions(x, [0, 1], target)
     with pytest.raises(ValueError, match="target length"):
-        check_conditions(h[:, 1:3], h[:, 3:5], h[:4, 1])
+        check_conditions(x, [0, 1], h[:4, 1])
 
 
 def test_check_conditions_with_empty_irrelevant_block():
     h = hadamard8()
     target = 0.5 * h[:, 1] - 0.25 * h[:, 2]
-    report = check_conditions(h[:, 1:3], h[:, 3:3], target)
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:3]), [0, 1], target)
     assert report.alpha == 1.0
     assert report.c == pytest.approx(report.gamma / report.beta, abs=1e-12)
 
@@ -126,10 +118,36 @@ def test_residual_orthogonality():
     x_s = (rng.integers(0, 2, size=(500, 3)) * 2 - 1).astype(np.float64)
     x_sbar = (rng.integers(0, 2, size=(500, 5)) * 2 - 1).astype(np.float64)
     y = rng.uniform(-1, 1, 500)
-    check_conditions(x_s, x_sbar, y)  # must not raise
+    check_conditions(FeatureMatrixBinary(np.hstack([x_s, x_sbar])), [0, 1, 2], y)  # must not raise
     coef, *_ = np.linalg.lstsq(x_s, y, rcond=None)
     resid = y - x_s @ coef
     assert np.abs(x_s.T @ resid).max() < 1e-8
+
+
+@pytest.mark.parametrize("support, message", [
+    ([], "support must name at least one feature column"),
+    ([1, 0, 1], "support names column 1 more than once"),
+    ([-1, 0], r"support indices out of range for 4 columns"),
+    ([0, 4], r"support indices out of range for 4 columns"),
+], ids=["empty", "repeated", "negative", "out of range"])
+def test_check_conditions_checks_the_support(support, message):
+    h = hadamard8()
+    with pytest.raises(DataError, match=message):
+        check_conditions(FeatureMatrixBinary(h[:, 1:5]), support, h[:, 1])
+
+
+def test_check_conditions_splits_in_the_support_order_given():
+    x, target, support = gen_recovery(RecoveryScenario(kappa=0.6, n=5000, p=20, seed=3))
+    shuffled = [support[2], support[0], support[1]]
+    report = check_conditions(x, shuffled, target, delta=0.1)
+    # the explicit float64 split: X_S in the order given, X_Sbar ascending
+    x_s = x.values[:, shuffled].astype(np.float64)
+    x_sbar = x.values[:, sorted(set(range(20)) - set(support))].astype(np.float64)
+    assert report.sigma_ss.tobytes() == (x_s.T @ x_s / 5000).tobytes()
+    assert report.sigma_s_sbar.tobytes() == (x_s.T @ x_sbar / 5000).tobytes()
+    explicit = check_conditions(FeatureMatrixBinary(np.hstack([x_s, x_sbar])), [0, 1, 2], target,
+                                delta=0.1)
+    assert report.to_dict() == explicit.to_dict()
 
 
 def test_sample_bound_frozen_example():
@@ -183,7 +201,7 @@ def test_recommended_lambda_arithmetic():
 def test_report_serializes_and_carries_nulls_when_unsatisfiable():
     h = hadamard8()
     target = h[:, 1].astype(np.float64)
-    report = check_conditions(h[:, 1:3], h[:, 3:5], target)
+    report = check_conditions(FeatureMatrixBinary(h[:, 1:5]), [0, 1], target)
     d = report.to_dict()
     assert d["recommended_lambda"] is None or isinstance(d["recommended_lambda"], float)
     assert isinstance(d["satisfied"], dict)
