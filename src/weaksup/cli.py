@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, data, diffmodel, discmodel, genmodel, metrics, pipeline, synth, theory
 from .data import DataError
 from .genmodel import FitError
@@ -71,25 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -97,8 +78,8 @@ def _write_json(obj: dict, out: str | None) -> None:
 
 
 def _ints(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+    if isinstance(value, (list, tuple)):  # a --config list: no float truncated
+        return [data._index(v, "expected integers", DataError) for v in value]
     try:
         return [int(tok) for tok in str(value).split(",") if tok != ""]
     except ValueError:
@@ -185,7 +166,7 @@ def _config(cls, args, prefix: str = "", **given):
 
 
 def _echo(args, keys: list[str]) -> dict:
-    return {k: _plain(getattr(args, k)) for k in keys}
+    return {k: getattr(args, k) for k in keys}
 
 
 def _load(path: str, loader, *extra):

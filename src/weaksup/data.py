@@ -8,7 +8,9 @@ read-only across workers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
@@ -31,6 +33,40 @@ def _set(obj, **fields) -> None:
     # frozen-dataclass field assignment during __post_init__
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
+
+
+def _index(value, what: str, error: type[Exception] = ValueError) -> int:
+    """`value`, any Python or NumPy integer, as an int.  A float, a bool or
+    None, which int() would truncate or convert, raises `error` naming `what`."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise error(f"{what}: {value!r} is not an integer index")
+
+
+def _json_array(
+    body: dict, key: str, shape: tuple[int, ...], kinds: str = "iuf", default=None
+) -> np.ndarray:
+    """`body[key]` of a JSON model file as an array of `shape` (-1: any
+    length; [] fits any shape with no entries) and a dtype kind in `kinds`.  A
+    body that is not a JSON object, a missing key without a `default`, or a
+    value of another kind or shape raises DataError naming the key."""
+    if not isinstance(body, dict):
+        raise DataError("model file must hold a JSON object")
+    if key not in body and default is None:
+        raise DataError(f"model file lacks {key!r}")
+    try:
+        arr = np.array(body.get(key, default))
+    except ValueError:  # ragged lists
+        arr = np.array(None)
+    arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
+    if (arr.dtype.kind in kinds or not arr.size) and arr.ndim == len(shape) and all(
+        want in (-1, got) for want, got in zip(shape, arr.shape)
+    ):
+        return arr
+    dims = " x ".join("N" if want < 0 else str(want) for want in shape)
+    kind = "numbers" if "f" in kinds else "integers"
+    raise DataError(f"model file: {key!r} must be {kind} of shape ({dims})")
 
 
 @dataclass(frozen=True)
@@ -242,29 +278,20 @@ def check_ids(**ids: Sequence[str] | None) -> None:
 def validate(dataset: Dataset) -> ValidationReport:
     """Report-only consistency and coverage checks; never mutates inputs."""
     findings: list[Finding] = []
-    n_by = {"labels": dataset.labels.n}
-    if dataset.bin_features is not None:
-        n_by["bin_features"] = dataset.bin_features.n
-    if dataset.real_features is not None:
-        n_by["real_features"] = dataset.real_features.n
-    if dataset.truth is not None:
-        n_by["truth"] = dataset.truth.n
+    parts = {"labels": dataset.labels, "bin_features": dataset.bin_features,
+             "real_features": dataset.real_features, "truth": dataset.truth}
+    n_by = {name: part.n for name, part in parts.items() if part is not None}
     n_consistent = len(set(n_by.values())) == 1
     if not n_consistent:
         findings.append(Finding("fatal", f"object counts disagree: {n_by}"))
-    try:
-        check_ids(
-            labels=dataset.labels.object_ids,
-            bin_features=getattr(dataset.bin_features, "object_ids", None),
-            real_features=getattr(dataset.real_features, "object_ids", None),
-        )
+    try:  # the truth vector carries no ids
+        check_ids(**{name: getattr(part, "object_ids", None) for name, part in parts.items()})
     except DataError as e:
         findings.append(Finding("fatal", str(e)))
 
     votes = dataset.labels.votes
-    nonabstain = votes != 0
-    coverage = tuple(nonabstain.mean(axis=1).tolist())
     vote_counts = tuple(zip(*((votes == v).sum(axis=1).tolist() for v in (-1, 0, 1))))
+    coverage = tuple((neg + pos) / dataset.labels.n for neg, _, pos in vote_counts)
     for j, cov in enumerate(coverage):
         if cov == 0.0:
             findings.append(Finding("warning", f"source {j} never votes"))

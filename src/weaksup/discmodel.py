@@ -22,7 +22,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _set
+from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array, _set
 from .genmodel import _sigmoid, newton
 
 
@@ -87,17 +87,24 @@ def _loss_grad_hess(
     return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad, hess
 
 
+def _evaluate(
+    params: DiscParams, features: FeatureMatrixReal, soft_labels: ProbLabelVector, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """`_loss_grad_hess` at `params`, once the row and column counts agree."""
+    _check_n(features, soft_labels)
+    if features.q != params.q:
+        raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
+    x = np.append(params.theta, params.bias)
+    return _loss_grad_hess(x, features.values, soft_labels.probability, l2)
+
+
 def noise_aware_loss(
     params: DiscParams,
     features: FeatureMatrixReal,
     soft_labels: ProbLabelVector,
     l2: float = 0.0,
 ) -> float:
-    _check_n(features, soft_labels)
-    if features.q != params.q:
-        raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
-    x = np.append(params.theta, params.bias)
-    return _loss_grad_hess(x, features.values, soft_labels.probability, l2)[0]
+    return _evaluate(params, features, soft_labels, l2)[0]
 
 
 def grad_noise_aware_loss(
@@ -107,9 +114,7 @@ def grad_noise_aware_loss(
     l2: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient of noise_aware_loss with respect to (theta, bias)."""
-    _check_n(features, soft_labels)
-    x = np.append(params.theta, params.bias)
-    grad = _loss_grad_hess(x, features.values, soft_labels.probability, l2)[1]
+    grad = _evaluate(params, features, soft_labels, l2)[1]
     return grad[:-1], float(grad[-1])
 
 
@@ -161,5 +166,7 @@ def params_to_dict(params: DiscParams, config: DiscConfig | None = None) -> dict
 
 
 def load_params(reader: TextIO) -> DiscParams:
+    """The model of a `params_to_dict` JSON file; a malformed file raises
+    DataError naming the field."""
     d = json.load(reader)
-    return DiscParams(theta=np.asarray(d["theta"], dtype=np.float64), bias=float(d["bias"]))
+    return DiscParams(theta=_json_array(d, "theta", (-1,)), bias=float(_json_array(d, "bias", ())))

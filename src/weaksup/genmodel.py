@@ -25,7 +25,8 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .data import DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _set
+from .data import (DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _index,
+                   _json_array, _set)
 
 LOG2 = float(np.log(2.0))
 
@@ -53,7 +54,7 @@ class GenParams:
         if phi.ndim != 1 or not np.isfinite(phi).all():
             raise ValueError("phi must be a finite vector")
         w = np.zeros((0, phi.shape[0])) if self.w is None else np.asarray(self.w, dtype=np.float64)
-        selected = tuple(int(i) for i in self.selected)
+        selected = tuple(_index(i, "selected") for i in self.selected)
         if w.ndim != 2 or not np.isfinite(w).all():
             raise ValueError("w must be a finite K x M matrix")
         if w.shape[1] != phi.shape[0]:
@@ -231,14 +232,6 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return member, inverse, count
 
 
-def _scores(theta: np.ndarray, lam: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """phi_eff(x) . votes per row of votes `lam` and design `a`, with
-    theta = [phi; W].  With W = 0 the effective weights are phi exactly, and
-    each row's sum runs in the same order for any K and any row count, so
-    K = 0 scores are reproduced bit for bit."""
-    return np.einsum("um,um->u", lam, a @ theta)
-
-
 def _objective(
     params: GenParams,
     labels: LabelMatrix,
@@ -250,8 +243,11 @@ def _objective(
     Hessian from one pass over the distinct (votes, selected features) rows,
     each weighted by its object count.  A row's design a = [1, x_1 .. x_K]
     gives its effective weights a @ [phi; W]; the rows are sorted design
-    first, so they come grouped by design pattern p, and log Z is evaluated
-    once per pattern.
+    first, so they come grouped by design pattern p, and both log Z and the
+    effective weights are formed once per pattern: each row's score
+    phi_eff . votes reads its pattern's weights.  With W = 0 those weights
+    are phi exactly, and each row's sum runs in one order for any K, so the
+    K = 0 scores are the same bit for bit.
 
     The value is the mean log-likelihood of the votes given the features,
     minus (w_l2 / 2) ||W||^2.  The row values are averaged over the objects,
@@ -279,8 +275,8 @@ def _objective(
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         theta = x.reshape(k1, m)
-        scores = _scores(theta, lam, a)
         phi_pat = patterns @ theta  # P x M
+        scores = np.einsum("um,um->u", lam, phi_pat[pattern])
         row_value = _log_2cosh(scores) - _log_z(phi_pat)[pattern]
         value = float(row_value[inverse].mean() - 0.5 * w_l2 * (theta[1:] ** 2).sum())
 
@@ -435,7 +431,7 @@ def fit_aug(
     fitted model whose selected columns are a prefix of `selected`, with
     zero rows for the columns it lacks.  Model K - 1 is model K with
     W_K = 0, so from the K - 1 optimum the fit never scores below it."""
-    selected = tuple(int(i) for i in selected)
+    selected = tuple(_index(i, "selected") for i in selected)
     if start is None:
         start = GenParams(np.full(labels.m, config.phi_init))
     if start.m != labels.m:
@@ -451,10 +447,11 @@ def fit_aug(
 def _label(
     params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
 ) -> ProbLabelVector:
-    theta = np.vstack([params.phi, params.w])
-    lam = labels.votes.T.astype(np.float64)
-    a = _design(params, labels, features).astype(np.float64)
-    return ProbLabelVector(np.tanh(_scores(theta, lam, a)))
+    # the int8 design times [phi; W] is phi itself at K = 0, and each row's sum
+    # runs in one order for any K and N, so the K = 0 labels stay bit for bit
+    weights = _design(params, labels, features) @ np.vstack([params.phi, params.w])  # N x M
+    lam = labels.votes.T.astype(np.float64)  # an einsum on the int8 votes moves last bits
+    return ProbLabelVector(np.tanh(np.einsum("um,um->u", lam, weights)))
 
 
 def label_sp(params: GenParams, labels: LabelMatrix) -> ProbLabelVector:
@@ -482,9 +479,11 @@ def params_to_dict(params: GenParams, config: FitConfig | None = None) -> dict:
 
 
 def params_from_dict(d: dict) -> GenParams:
-    phi = np.asarray(d["phi"], dtype=np.float64)
-    selected = d.get("selected", [])
-    w = np.asarray(d.get("w", []), dtype=np.float64).reshape(len(selected), phi.size)
+    """The model of a `params_to_dict` body ("w" and "selected" may be absent
+    at K = 0); a malformed body raises DataError naming the field."""
+    phi = _json_array(d, "phi", (-1,))
+    selected = _json_array(d, "selected", (-1,), "iu", default=[])
+    w = _json_array(d, "w", (selected.size, phi.size), default=[])
     return GenParams(phi=phi, w=w, selected=selected)
 
 

@@ -4,7 +4,7 @@ percentages with two decimals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,17 +35,7 @@ class ClassificationScores:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "percent": self.percentages(),
-        }
+        return asdict(self) | {"percent": self.percentages()}
 
 
 def f1_from_precision_recall(precision: float, recall: float) -> float:

@@ -161,9 +161,11 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             disc_labels=yd,
         )
 
+    def tracked() -> list[float]:  # each K's tracked metric so far
+        return [r.dev_metric if use_dev else r.agreement for r in records]
+
     gen0 = fit_sp(dataset.labels, config.gen)
     records.append(step((), gen0, label_sp(gen0, dataset.labels)))
-    history = [records[0].dev_metric if use_dev else records[0].agreement]
 
     path = None
     stop_reason = "k_max"
@@ -191,12 +193,11 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
             warm = records[0].gen_params
         gen = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen, start=warm)
         records.append(step(selected, gen, label_aug(gen, dataset.labels, dataset.bin_features)))
-        history.append(records[-1].dev_metric if use_dev else records[-1].agreement)
-        if stopping_rule(history, config.patience):
+        if stopping_rule(tracked(), config.patience):
             stop_reason = "metric_declined"
             break
 
-    best_k = int(np.argmax(history))  # first maximum, so ties go to smaller K
+    best_k = int(np.argmax(tracked()))  # first maximum, so ties go to smaller K
     return RunReport(
         iterations=tuple(records),
         best_k=best_k,

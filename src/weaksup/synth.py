@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector,
-                   LabelMatrix)
+                   LabelMatrix, _index, _set)
 from .diffmodel import (DisagreementVector, _check_settings, lasso_fit, regularization_path,
                         select_features)
 from .theory import _check_delta, check_conditions
@@ -87,6 +87,7 @@ class PlantedSubset:
     fraction: float
 
     def __post_init__(self):
+        _set(self, source=_index(self.source, "subset source"))
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("subset fraction must lie in (0,1)")
         if not 0.0 < self.accuracy < 1.0:
@@ -122,9 +123,8 @@ class E2EScenario:
         base = (float(base),) * self.m if isinstance(base, (int, float)) else tuple(base)
         cov = self.coverages
         cov = (float(cov),) * self.m if isinstance(cov, (int, float)) else tuple(cov)
-        object.__setattr__(self, "base_accuracies", base)
-        object.__setattr__(self, "coverages", cov)
-        object.__setattr__(self, "extra_subsets", tuple(self.extra_subsets))
+        _set(self, base_accuracies=base, coverages=cov, extra_subsets=tuple(self.extra_subsets),
+             flipped_source=_index(self.flipped_source, "flipped_source"))
         if self.m < 1 or self.n < 1 or self.q_disc < 1:
             raise ValueError("m, n, and q_disc must be positive")
         if len(base) != self.m or len(cov) != self.m:

@@ -5,24 +5,26 @@ recommended lambda and the sample-size bound they imply.
 All expectations are replaced by plug-in sample averages over the provided
 data; the quantities are reported as empirical estimates.  Only
 `check_conditions` splits X into X_S and X_Sbar, for a support it checks.
+Both gamma and c read one least-squares coefficient of the target on X_S,
+formed from the sample blocks: no pass over the N objects forms a residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, FeatureMatrixBinary
+from .data import DataError, FeatureMatrixBinary, _index
 from .diffmodel import DisagreementVector, _target
 
 
 def matrix_inf_norm(a: np.ndarray) -> float:
     """Operator infinity norm: maximum absolute row sum."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
 def vector_inf_norm(v: np.ndarray) -> float:
@@ -49,19 +51,8 @@ class ConditionReport:
         return all(self.satisfied.values())
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "c": self.c,
-            "sigma_ss": self.sigma_ss.tolist(),
-            "sigma_s_sbar": self.sigma_s_sbar.tolist(),
-            "sigma_ss_cond": self.sigma_ss_cond,
-            "satisfied": dict(self.satisfied),
-            "recommended_lambda": self.recommended_lambda,
-            "n_bound": self.n_bound,
-            "delta": self.delta,
-        }
+        blocks = {"sigma_ss": self.sigma_ss.tolist(), "sigma_s_sbar": self.sigma_s_sbar.tolist()}
+        return asdict(self) | blocks
 
 
 def _check_delta(delta: float) -> None:
@@ -105,10 +96,14 @@ def check_conditions(
     slack alpha*gamma/beta minus the largest correlation of an irrelevant
     feature with the least-squares residual of the target on X_S.  Sigma_SS
     and Sigma_SSbar are the sample blocks (1/N) X_S^T X_S and (1/N) X_S^T
-    X_Sbar.  An empty support, a repeated or out-of-range column, or a
-    numerically singular Sigma_SS (its smallest singular value reported)
-    raises DataError; `delta` must lie in (0, 1).
+    X_Sbar.  gamma is min |coef| for the least-squares coefficient
+    coef = Sigma_SS^-1 X_S^T y / N, and c's residual correlations are
+    X_Sbar^T y / N - Sigma_SSbar^T coef, with no pass over the N rows.  An
+    empty support, a non-integer index, a repeated or out-of-range column,
+    or a numerically singular Sigma_SS (its smallest singular value
+    reported) raises DataError; `delta` must lie in (0, 1).
     """
+    support = [_index(j, "support", DataError) for j in support]
     if not support:
         raise DataError("support must name at least one feature column")
     if len(set(support)) != len(support):
@@ -131,14 +126,12 @@ def check_conditions(
         )
     inv = np.linalg.inv(sigma_ss)
 
-    alpha = 1.0 - matrix_inf_norm(sigma_s_sbar.T @ inv) if x_sbar.shape[1] else 1.0
+    alpha = 1.0 - matrix_inf_norm(sigma_s_sbar.T @ inv)
     beta = matrix_inf_norm(inv)
-    gamma = float(np.abs(inv @ (x_s.T @ y / n)).min())
-
-    # least-squares residual avoids forming the N x N projector
-    coef, *_ = np.linalg.lstsq(x_s, y, rcond=None)
-    resid = y - x_s @ coef
-    resid_corr = vector_inf_norm(x_sbar.T @ resid / n) if x_sbar.shape[1] else 0.0
+    coef = inv @ (x_s.T @ y / n)
+    gamma = float(np.abs(coef).min())
+    # X_Sbar^T (y - X_S coef) / N, from the sample blocks: no N-row residual
+    resid_corr = vector_inf_norm(x_sbar.T @ y / n - sigma_s_sbar.T @ coef)
     c = alpha * gamma / beta - resid_corr
 
     satisfied = {

@@ -77,6 +77,35 @@ def test_fit_gen_augmented_requires_features(tiny_dataset, tmp_path):
     assert body["selected"] == [0, 2] and len(body["w"]) == 2
 
 
+@pytest.mark.parametrize("model, message", [
+    ("[]", "model file must hold a JSON object"),
+    ('{"phi": [0.5, 0.5], "selected": [null], "w": [[0, 0]]}',
+     "model file: 'selected' must be integers of shape (N)"),
+    ('{"phi": [0.5, 0.5], "w": [[1, 1]]}', "model file: 'w' must be numbers of shape (0 x 2)"),
+    ('{"w": []}', "model file lacks 'phi'"),
+], ids=["list", "null index", "w without selected", "no phi"])
+def test_label_refuses_a_malformed_model_file(model, message, tiny_dataset, tmp_path, capsys):
+    _, paths, _ = tiny_dataset
+    (tmp_path / "m.json").write_text(model)
+    out = tmp_path / "out.csv"
+    argv = ["label", "--labels", paths["labels"], "--model", str(tmp_path / "m.json"),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_gen_refuses_a_fractional_config_index(tiny_dataset, tmp_path, capsys):
+    _, paths, _ = tiny_dataset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"selected": [0.9], "bin_features": paths["xbin"]}))
+    argv = ["fit-gen", "--labels", paths["labels"], "--out", str(tmp_path / "m.json"),
+            "--config", str(cfg)]
+    assert main(argv) == 2
+    assert "0.9 is not an integer index" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_label_with_augmented_model(tiny_dataset, tmp_path):
     _, paths, _ = tiny_dataset
     model = str(tmp_path / "aug.json")

@@ -210,6 +210,12 @@ def test_validate_coverage_and_warnings():
     assert report.coverage[0] == 0.5
     assert any("source 1 never votes" in f.message for f in report.findings)
     assert report.ok  # warnings are not fatal
+    # coverage is read off the vote counts: the non-abstain share, bit for bit
+    votes = np.random.default_rng(3).choice([-1, 0, 0, 1], (4, 1001))
+    report = validate(Dataset(labels=LabelMatrix(votes)))
+    assert report.coverage == tuple((votes != 0).mean(axis=1).tolist())
+    assert report.vote_counts == tuple(
+        tuple(int((row == v).sum()) for v in (-1, 0, 1)) for row in votes)
 
 
 def test_validate_mismatched_n_is_fatal():

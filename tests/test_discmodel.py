@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oracles import finite_difference, rel_error
-from weaksup.data import FeatureMatrixReal, ProbLabelVector
+from weaksup.data import DataError, FeatureMatrixReal, ProbLabelVector
 from weaksup.discmodel import (
     DiscConfig,
     DiscParams,
@@ -13,7 +16,9 @@ from weaksup.discmodel import (
     decision_scores,
     fit_disc,
     grad_noise_aware_loss,
+    load_params,
     noise_aware_loss,
+    params_to_dict,
     predict,
 )
 from weaksup.genmodel import FitError
@@ -263,3 +268,32 @@ def test_dimension_mismatch_errors():
         noise_aware_loss(DiscParams(np.zeros(2)), v, soft)
     with pytest.raises(ValueError):
         predict(DiscParams(np.zeros(5)), v)
+    wide = FeatureMatrixReal(np.zeros((4, 3)))
+    for loss in (noise_aware_loss, grad_noise_aware_loss):
+        with pytest.raises(ValueError, match="label count 3"):
+            loss(DiscParams(np.zeros(2)), v, soft)
+        with pytest.raises(ValueError, match="feature columns 3 != parameter count 2"):
+            loss(DiscParams(np.zeros(2)), wide, ProbLabelVector(np.zeros(4)))
+
+
+def test_params_json_round_trip():
+    params = DiscParams(np.array([0.7, -0.3, 1e-17]), bias=-0.25)
+    back = load_params(io.StringIO(json.dumps(params_to_dict(params, DiscConfig()))))
+    assert back.theta.tobytes() == params.theta.tobytes() and back.bias == params.bias
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "model file must hold a JSON object"),
+    ('{"bias": 0.5}', "model file lacks 'theta'"),
+    ('{"theta": [1, 2]}', "model file lacks 'bias'"),
+    ('{"theta": "ab", "bias": 0.5}', r"'theta' must be numbers of shape \(N\)"),
+    ('{"theta": [[1, 2]], "bias": 0.5}', r"'theta' must be numbers of shape \(N\)"),
+    ('{"theta": [1, null], "bias": 0.5}', r"'theta' must be numbers of shape \(N\)"),
+    ('{"theta": [1, 2], "bias": [0.5]}', r"'bias' must be numbers of shape \(\)"),
+    ('{"theta": [1, 2], "bias": null}', r"'bias' must be numbers of shape \(\)"),
+    ('{"theta": [1, 2], "bias": "0.5"}', r"'bias' must be numbers of shape \(\)"),
+], ids=["list", "no theta", "no bias", "theta string", "theta matrix", "theta null",
+        "bias list", "bias null", "bias string"])
+def test_load_params_refuses_a_malformed_model_file(text, message):
+    with pytest.raises(DataError, match=message):
+        load_params(io.StringIO(text))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import weaksup.genmodel as genmodel
 from oracles import brute_force_joint, finite_difference, per_object_objective, rel_error
-from weaksup.data import FeatureMatrixBinary, LabelMatrix
+from weaksup.data import DataError, FeatureMatrixBinary, LabelMatrix
 from weaksup.genmodel import (
     FitConfig,
     FitError,
@@ -613,6 +613,24 @@ def test_fit_aug_constant_column_equivalent_to_sp():
     )
 
 
+def test_newton_stops_once_its_step_no_longer_moves_x(monkeypatch):
+    # No gradient entry reaches 1e-30, so the fit cannot stop on grad_tol: it
+    # stops when the Newton step is below the spacing of x, long before
+    # max_iters, and at a point no worse than the default-tolerance fit.
+    from weaksup.synth import E2EScenario, gen_e2e
+
+    labels = gen_e2e(E2EScenario(n=5000, seed=1)).labels
+    directions = []  # one ascent direction per Newton iteration
+    solve = genmodel._ascent_direction
+    monkeypatch.setattr(genmodel, "_ascent_direction",
+                        lambda grad, hess: directions.append(0) or solve(grad, hess))
+    tight = fit_sp(labels, FitConfig(grad_tol=1e-30, max_iters=500))
+    monkeypatch.undo()
+    assert len(directions) < 20
+    assert np.abs(grad_marginal(tight, labels)[0]).max() >= 1e-30
+    assert marginal_loglik(tight, labels) >= marginal_loglik(fit_sp(labels), labels)
+
+
 # -- warm starts -----------------------------------------------------------------
 
 
@@ -712,6 +730,30 @@ def test_params_json_round_trip():
         assert back.selected == params.selected
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "model file must hold a JSON object"),
+    ('"phi"', "model file must hold a JSON object"),
+    ('{"w": []}', "model file lacks 'phi'"),
+    ('{"phi": "ab"}', r"'phi' must be numbers of shape \(N\)"),
+    ('{"phi": 0.5}', r"'phi' must be numbers of shape \(N\)"),
+    ('{"phi": [[0.5], [0.5, 1]]}', r"'phi' must be numbers of shape \(N\)"),
+    ('{"phi": [0.5, null]}', r"'phi' must be numbers of shape \(N\)"),
+    ('{"phi": [0.5, 0.5], "selected": [null], "w": [[0, 0]]}', "'selected' must be integers"),
+    ('{"phi": [0.5, 0.5], "selected": [2.9], "w": [[0, 0]]}', "'selected' must be integers"),
+    ('{"phi": [0.5, 0.5], "selected": 3, "w": [[0, 0]]}', "'selected' must be integers"),
+    ('{"phi": [0.5, 0.5], "w": [[1, 1]]}', r"'w' must be numbers of shape \(0 x 2\)"),
+    ('{"phi": [0.5, 0.5], "selected": [1, 0], "w": [[0, 0]]}',
+     r"'w' must be numbers of shape \(2 x 2\)"),
+    ('{"phi": [0.5, 0.5], "selected": [1], "w": [[0, 0, 0]]}',
+     r"'w' must be numbers of shape \(1 x 2\)"),
+], ids=["list", "string", "no phi", "phi string", "phi scalar", "phi ragged", "phi null",
+        "selected null", "selected float", "selected scalar", "w without selected",
+        "w short", "w wide"])
+def test_load_params_refuses_a_malformed_model_file(text, message):
+    with pytest.raises(DataError, match=message):
+        load_params(io.StringIO(text))
+
+
 def test_params_json_k0_literal_file():
     text = '{"config": {}, "phi": [0.8, -0.1], "selected": [], "w": []}'
     params = load_params(io.StringIO(text))
@@ -730,4 +772,24 @@ def test_index_errors():
         label_aug(params, lm, x)
     with pytest.raises(IndexError):
         fit_aug(lm, x, [5])
+
+
+@pytest.mark.parametrize("index", [1.7, 0.9, np.float64(1.0), True, np.True_, None])
+def test_a_non_integer_index_is_refused_not_truncated(index):
+    lm = LabelMatrix(np.array([[1, -1]]))
+    x = FeatureMatrixBinary(np.array([[1, -1], [-1, 1]]))
+    with pytest.raises(ValueError, match="selected: .* is not an integer index"):
+        GenParams(np.zeros(1), np.zeros((1, 1)), selected=(index,))
+    with pytest.raises(ValueError, match="selected: .* is not an integer index"):
+        fit_aug(lm, x, [index], FitConfig(max_iters=0))
+
+
+@pytest.mark.parametrize("selected", [(1, 0), [np.int64(1), np.int8(0)], np.array([1, 0])],
+                         ids=["ints", "numpy scalars", "numpy array"])
+def test_numpy_integer_indices_are_read_as_ints(selected):
+    lm = LabelMatrix(np.array([[1, -1]]))
+    x = FeatureMatrixBinary(np.array([[1, -1], [-1, 1]]))
+    for params in (GenParams(np.zeros(1), np.zeros((2, 1)), selected=selected),
+                   fit_aug(lm, x, selected, FitConfig(max_iters=0))):
+        assert params.selected == (1, 0) and all(type(i) is int for i in params.selected)
 

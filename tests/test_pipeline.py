@@ -37,6 +37,22 @@ def test_stopping_rule_examples():
         stopping_rule([], patience=1)
 
 
+def test_run_stops_when_the_models_agree_everywhere():
+    # Three sources that never vote give expected label 0 on every object,
+    # so the disagreement is 0 everywhere and the path has no signal: the
+    # path's DataError ends the run after K = 0.
+    rng = np.random.default_rng(0)
+    dataset = Dataset(
+        labels=LabelMatrix(np.zeros((3, 200), dtype=np.int8)),
+        bin_features=FeatureMatrixBinary(rng.choice([-1, 1], (200, 6))),
+        real_features=FeatureMatrixReal(rng.standard_normal((200, 2))),
+    )
+    report = run(dataset, RunConfig(k_max=3))
+    assert report.stop_reason == "path_exhausted"
+    assert len(report.iterations) == 1 and report.best_k == 0
+    assert not report.final_labels.expected.any()
+
+
 def _small_scenario(seed=0, **kw):
     defaults = dict(m=4, n=1500, p=8, q_disc=3, seed=seed)
     defaults.update(kw)

@@ -32,6 +32,22 @@ def test_scenario_validation():
         RecoveryScenario(kappa=0.5, n=10, rho=0.2)  # rho below kappa
 
 
+@pytest.mark.parametrize("index", [1.5, np.float64(1.0), True, None])
+def test_e2e_scenario_refuses_a_non_integer_source(index):
+    # a fractional flipped_source used to pass the range check and plant no subset
+    with pytest.raises(ValueError, match="flipped_source: .* is not an integer index"):
+        E2EScenario(flipped_source=index)
+    with pytest.raises(ValueError, match="subset source: .* is not an integer index"):
+        PlantedSubset(source=index, accuracy=0.3, fraction=0.2)
+
+
+def test_e2e_scenario_reads_numpy_integer_sources():
+    sc = E2EScenario(flipped_source=np.int64(1),
+                     extra_subsets=(PlantedSubset(np.int8(2), accuracy=0.3, fraction=0.2),))
+    assert [type(s.source) for s in sc.subsets] == [int, int]
+    assert [s.source for s in sc.subsets] == [1, 2]
+
+
 def test_gen_recovery_degenerate_kappa_one():
     x, target, support = gen_recovery(RecoveryScenario(kappa=1.0, n=200, p=10, seed=0))
     for j in support:

@@ -118,10 +118,16 @@ def test_residual_orthogonality():
     x_s = (rng.integers(0, 2, size=(500, 3)) * 2 - 1).astype(np.float64)
     x_sbar = (rng.integers(0, 2, size=(500, 5)) * 2 - 1).astype(np.float64)
     y = rng.uniform(-1, 1, 500)
-    check_conditions(FeatureMatrixBinary(np.hstack([x_s, x_sbar])), [0, 1, 2], y)  # must not raise
+    report = check_conditions(FeatureMatrixBinary(np.hstack([x_s, x_sbar])), [0, 1, 2], y)
     coef, *_ = np.linalg.lstsq(x_s, y, rcond=None)
     resid = y - x_s @ coef
     assert np.abs(x_s.T @ resid).max() < 1e-8
+    # c's residual correlations come from the sample blocks, not from an
+    # N-row residual; both routes agree
+    resid_corr = np.abs(x_sbar.T @ resid / 500).max()
+    assert report.c == pytest.approx(report.alpha * report.gamma / report.beta - resid_corr,
+                                     rel=1e-12, abs=1e-15)
+    assert report.gamma == pytest.approx(np.abs(coef).min(), rel=1e-12)
 
 
 @pytest.mark.parametrize("support, message", [
@@ -129,11 +135,29 @@ def test_residual_orthogonality():
     ([1, 0, 1], "support names column 1 more than once"),
     ([-1, 0], r"support indices out of range for 4 columns"),
     ([0, 4], r"support indices out of range for 4 columns"),
-], ids=["empty", "repeated", "negative", "out of range"])
+    ([0, 1.5], r"support: 1.5 is not an integer index"),
+    ([0.9], r"support: 0.9 is not an integer index"),
+    ([np.float64(1.0)], r"support: np.float64\(1.0\) is not an integer index"),
+    ([True], r"support: True is not an integer index"),
+    ([None], r"support: None is not an integer index"),
+    (np.array([0.0, 1.0]), r"support: np.float64\(0.0\) is not an integer index"),
+], ids=["empty", "repeated", "negative", "out of range", "float", "fraction", "numpy float",
+        "bool", "None", "float array"])
 def test_check_conditions_checks_the_support(support, message):
     h = hadamard8()
     with pytest.raises(DataError, match=message):
         check_conditions(FeatureMatrixBinary(h[:, 1:5]), support, h[:, 1])
+
+
+@pytest.mark.parametrize("support", [np.array([0]), np.array([0, 2]), (np.int8(2), np.int64(0))],
+                         ids=["one", "two", "numpy scalars"])
+def test_check_conditions_reads_numpy_integer_supports(support):
+    h = hadamard8()
+    x = FeatureMatrixBinary(h[:, 1:5])
+    target = 0.5 * h[:, 1] - 0.25 * h[:, 3]
+    as_ints = [int(j) for j in support]
+    assert check_conditions(x, support, target).to_dict() == check_conditions(
+        x, as_ints, target).to_dict()
 
 
 def test_check_conditions_splits_in_the_support_order_given():
