@@ -87,8 +87,6 @@ def _ints(value) -> list[int]:
 
 
 def _floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
     try:
         return [float(tok) for tok in str(value).split(",") if tok != ""]
     except ValueError:

@@ -12,7 +12,7 @@ import contextlib
 import csv
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -44,19 +44,26 @@ def _index(value, what: str, error: type[Exception] = ValueError) -> int:
     raise error(f"{what}: {value!r} is not an integer index")
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _json_array(
     body: dict, key: str, shape: tuple[int, ...], kinds: str = "iuf", default=None
 ) -> np.ndarray:
     """`body[key]` of a JSON model file as an array of `shape` (-1: any
     length; [] fits any shape with no entries) and a dtype kind in `kinds`.  A
     body that is not a JSON object, a missing key without a `default`, or a
-    value of another kind or shape raises DataError naming the key."""
+    value of another kind or shape raises DataError naming the key; so does
+    a JSON true or false anywhere in the value, which np.array would read
+    as the number 1 or 0 beside other numbers."""
     if not isinstance(body, dict):
         raise DataError("model file must hold a JSON object")
     if key not in body and default is None:
         raise DataError(f"model file lacks {key!r}")
+    value = body.get(key, default)
     try:
-        arr = np.array(body.get(key, default))
+        arr = np.array(None if _holds_bool(value) else value)
     except ValueError:  # ragged lists
         arr = np.array(None)
     arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
@@ -149,6 +156,8 @@ class FeatureMatrixReal:
             o, j = np.argwhere(~np.isfinite(values))[0]
             raise DataError(f"non-finite feature at object {o}, column {j}")
         _set(self, values=_frozen(values))
+        if self.column_names is not None and len(self.column_names) != self.q:
+            raise DataError("column_names length does not match feature count")
         if self.object_ids is not None and len(self.object_ids) != self.n:
             raise DataError("object_ids length does not match object count")
 
@@ -249,15 +258,7 @@ class ValidationReport:
         return not any(f.level == "fatal" for f in self.findings)
 
     def to_dict(self) -> dict:
-        return {
-            "n_by_component": dict(self.n_by_component),
-            "n_consistent": self.n_consistent,
-            "coverage": list(self.coverage),
-            "vote_counts": [list(c) for c in self.vote_counts],
-            "constant_bin_columns": list(self.constant_bin_columns),
-            "findings": [{"level": f.level, "message": f.message} for f in self.findings],
-            "ok": self.ok,
-        }
+        return asdict(self) | {"ok": self.ok}
 
 
 def check_ids(**ids: Sequence[str] | None) -> None:

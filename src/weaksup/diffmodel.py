@@ -56,16 +56,20 @@ class DisagreementVector:
 
 @dataclass(frozen=True)
 class LassoFit:
+    """The coefficients of one fit at `lam`, with the largest violation of
+    its optimality conditions; `active_set` is read off `coef`."""
+
     coef: np.ndarray
     lam: float
-    active_set: tuple[int, ...]
     kkt_residual: float
 
     def __post_init__(self):
-        coef = np.asarray(self.coef, dtype=np.float64)
-        _set(self, coef=_frozen(coef), active_set=tuple(int(j) for j in self.active_set))
-        if self.active_set != tuple(np.flatnonzero(coef).tolist()):
-            raise ValueError("active_set must be exactly the nonzero coefficient indices")
+        _set(self, coef=_frozen(self.coef, np.float64))
+
+    @property
+    def active_set(self) -> tuple[int, ...]:
+        """The indices of the nonzero coefficients, ascending."""
+        return tuple(np.flatnonzero(self.coef).tolist())
 
 
 @dataclass(frozen=True)
@@ -214,12 +218,7 @@ def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tu
     else:
         kkt = (x.T @ (y[:, None] - x[:, used] @ thetas[:, used].T)).T / x.shape[0]
     return tuple(
-        LassoFit(
-            coef=c,
-            lam=lam,
-            active_set=tuple(np.flatnonzero(c).tolist()),
-            kkt_residual=_kkt_from_q(q, c, lam),
-        )
+        LassoFit(coef=c, lam=lam, kkt_residual=_kkt_from_q(q, c, lam))
         for c, lam, q in zip(thetas, lambdas, kkt)
     )
 

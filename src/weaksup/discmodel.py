@@ -23,7 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array, _set
-from .genmodel import _sigmoid, newton
+from .genmodel import NewtonConfig, _sigmoid, newton
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,16 @@ class DiscParams:
 
 
 @dataclass(frozen=True)
-class DiscConfig:
-    max_iters: int = 2000
-    grad_tol: float = 1e-6
+class DiscConfig(NewtonConfig):
+    """`newton`'s settings for `fit_disc` and the L2 penalty `l2` on theta,
+    finite and non-negative."""
+
     l2: float = 0.01
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+        super().__post_init__()
         if not 0 <= self.l2 < np.inf:
             raise ValueError("l2 must be finite and non-negative")
-        if not 0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and positive")
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -158,15 +156,13 @@ def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:
     return HardLabelVector(np.where(s >= 0.0, 1, -1).astype(np.int8))
 
 
-def params_to_dict(params: DiscParams, config: DiscConfig | None = None) -> dict:
-    body = {"theta": params.theta.tolist(), "bias": params.bias}
-    if config is not None:
-        body["config"] = asdict(config)
-    return body
+def params_to_dict(params: DiscParams, config: DiscConfig) -> dict:
+    return {"theta": params.theta.tolist(), "bias": params.bias, "config": asdict(config)}
 
 
 def load_params(reader: TextIO) -> DiscParams:
-    """The model of a `params_to_dict` JSON file; a malformed file raises
-    DataError naming the field."""
+    """The model of a `params_to_dict` JSON file; a malformed file, a JSON
+    true or false among its numbers included, raises DataError naming the
+    field."""
     d = json.load(reader)
     return DiscParams(theta=_json_array(d, "theta", (-1,)), bias=float(_json_array(d, "bias", ())))

@@ -75,19 +75,36 @@ class GenParams:
 
 
 @dataclass(frozen=True)
-class FitConfig:
+class NewtonConfig:
+    """The settings of `newton`, shared by every fit that runs it: at most
+    `max_iters` steps, a non-negative integer (any Python or NumPy integer,
+    read as an int), and the gradient tolerance `grad_tol`, finite and
+    positive.  A value out of range raises ValueError naming the field."""
+
     max_iters: int = 2000
     grad_tol: float = 1e-6
+
+    def __post_init__(self):
+        _set(self, max_iters=_index(self.max_iters, "max_iters"))
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive")
+
+
+@dataclass(frozen=True)
+class FitConfig(NewtonConfig):
+    """`newton`'s settings for the generative fits, the start `phi_init` of
+    every accuracy weight, and the L2 penalty `w_l2` on the adjustment rows,
+    finite and non-negative."""
+
     phi_init: float = 0.5
     w_l2: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and positive")
+        super().__post_init__()
         if not 0 <= self.w_l2 < np.inf:
             raise ValueError("w_l2 must be finite and non-negative")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
 
 
 ARMIJO = 1e-4  # fraction of the predicted gain a step must achieve
@@ -472,20 +489,17 @@ def label_aug(
 # -- serialization -----------------------------------------------------------
 
 
-def params_to_dict(params: GenParams, config: FitConfig | None = None) -> dict:
-    body = {"phi": params.phi.tolist(), "w": params.w.tolist(), "selected": list(params.selected)}
-    body["config"] = {} if config is None else asdict(config)
-    return body
+def params_to_dict(params: GenParams, config: FitConfig) -> dict:
+    return {"phi": params.phi.tolist(), "w": params.w.tolist(), "selected": list(params.selected),
+            "config": asdict(config)}
 
 
-def params_from_dict(d: dict) -> GenParams:
-    """The model of a `params_to_dict` body ("w" and "selected" may be absent
-    at K = 0); a malformed body raises DataError naming the field."""
+def load_params(reader: TextIO) -> GenParams:
+    """The model of a `params_to_dict` JSON file ("w" and "selected" may be
+    absent at K = 0); a malformed file, a JSON true or false among its
+    numbers included, raises DataError naming the field."""
+    d = json.load(reader)
     phi = _json_array(d, "phi", (-1,))
     selected = _json_array(d, "selected", (-1,), "iu", default=[])
     w = _json_array(d, "w", (selected.size, phi.size), default=[])
     return GenParams(phi=phi, w=w, selected=selected)
-
-
-def load_params(reader: TextIO) -> GenParams:
-    return params_from_dict(json.load(reader))

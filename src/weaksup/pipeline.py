@@ -26,6 +26,8 @@ from .data import (
     HardLabelVector,
     ProbLabelVector,
     ValidationReport,
+    _index,
+    _set,
     validate,
 )
 from .diffmodel import _check_settings, disagreement, regularization_path, select_features
@@ -48,6 +50,8 @@ class RunConfig:
     refresh_disagreement: bool = False  # recompute the path each K (extension)
 
     def __post_init__(self):
+        _set(self, **{name: _index(getattr(self, name), name)
+                      for name in ("k_max", "patience", "grid_size")})
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
         if self.patience < 1:

@@ -42,6 +42,7 @@ class RecoveryScenario:
     rho: float | None = None
 
     def __post_init__(self):
+        _set(self, **{name: _index(getattr(self, name), name) for name in ("n", "p", "s_size")})
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must lie in (0,1]; 1 is the degenerate limit")
         if not 1 <= self.s_size < self.p:
@@ -119,12 +120,13 @@ class E2EScenario:
     extra_subsets: tuple[PlantedSubset, ...] = ()
 
     def __post_init__(self):
+        _set(self, **{name: _index(getattr(self, name), name)
+                      for name in ("m", "n", "p", "q_disc", "flipped_source")})
         base = self.base_accuracies
         base = (float(base),) * self.m if isinstance(base, (int, float)) else tuple(base)
         cov = self.coverages
         cov = (float(cov),) * self.m if isinstance(cov, (int, float)) else tuple(cov)
-        _set(self, base_accuracies=base, coverages=cov, extra_subsets=tuple(self.extra_subsets),
-             flipped_source=_index(self.flipped_source, "flipped_source"))
+        _set(self, base_accuracies=base, coverages=cov, extra_subsets=tuple(self.extra_subsets))
         if self.m < 1 or self.n < 1 or self.q_disc < 1:
             raise ValueError("m, n, and q_disc must be positive")
         if len(base) != self.m or len(cov) != self.m:
@@ -133,13 +135,7 @@ class E2EScenario:
             raise ValueError("base accuracies must lie in (0.5,1)")
         if not all(0.0 < c <= 1.0 for c in cov):
             raise ValueError("coverages must lie in (0,1]")
-        if not 0.0 < self.flipped_accuracy < 1.0:
-            raise ValueError("flipped_accuracy must lie in (0,1)")
-        if not 0.0 < self.subset_fraction < 1.0:
-            raise ValueError("subset_fraction must lie in (0,1)")
-        if not 0 <= self.flipped_source < self.m:
-            raise ValueError("flipped_source must index a source")
-        for sub in self.extra_subsets:
+        for sub in self.subsets:  # each PlantedSubset checks its own accuracy and fraction
             if not 0 <= sub.source < self.m:
                 raise ValueError("planted subset source out of range")
         if self.p < 1 + len(self.extra_subsets):

@@ -83,7 +83,8 @@ def test_fit_gen_augmented_requires_features(tiny_dataset, tmp_path):
      "model file: 'selected' must be integers of shape (N)"),
     ('{"phi": [0.5, 0.5], "w": [[1, 1]]}', "model file: 'w' must be numbers of shape (0 x 2)"),
     ('{"w": []}', "model file lacks 'phi'"),
-], ids=["list", "null index", "w without selected", "no phi"])
+    ('{"phi": [true, 0.5, 0.2]}', "model file: 'phi' must be numbers of shape (N)"),
+], ids=["list", "null index", "w without selected", "no phi", "phi true"])
 def test_label_refuses_a_malformed_model_file(model, message, tiny_dataset, tmp_path, capsys):
     _, paths, _ = tiny_dataset
     (tmp_path / "m.json").write_text(model)
@@ -364,6 +365,50 @@ def test_bad_config_value_exits_two(tiny_dataset, tmp_path, capsys):
     cfg.write_text(json.dumps({"standardize": False}))
     assert main(argv) == 0
     assert json.loads(Path(disc).read_text())["preprocess"]["standardize"] is False
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name enclosed in double quotes"),
+    ("[1]", "expected a JSON object"),
+], ids=["not json", "list"])
+def test_a_config_file_that_is_not_a_json_object_exits_two(text, message, tiny_dataset,
+                                                             tmp_path, capsys):
+    _, paths, _ = tiny_dataset
+    cfg, model = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(text)
+    argv = ["fit-gen", "--labels", paths["labels"], "--config", str(cfg), "--out", str(model)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg}: {message}")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-gen", "--labels", "{labels}", "--bin-features", "{xbin}", "--selected", "0,x"],
+     "expected comma-separated integers, got '0,x'"),
+    (["simulate-recovery", "--kappa", "0.4,abc", "--n", "100"],
+     "expected comma-separated numbers, got '0.4,abc'"),
+    (["simulate-recovery", "--kappa", "0.4", "--n", "100,1e3"],
+     "expected comma-separated integers, got '100,1e3'"),
+], ids=["selected", "kappa", "n"])
+def test_a_bad_comma_list_token_exits_two(argv, message, tiny_dataset, tmp_path, capsys):
+    _, paths, _ = tiny_dataset
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_string_is_read_through_the_options_type(tiny_dataset, tmp_path):
+    # as the command line reads --max-iters 150; a string that int() refuses exits 2
+    _, paths, _ = tiny_dataset
+    cfg, model = tmp_path / "cfg.json", tmp_path / "m.json"
+    argv = ["fit-gen", "--labels", paths["labels"], "--config", str(cfg), "--out", str(model)]
+    cfg.write_text(json.dumps({"max_iters": "150", "grad_tol": "1e-5"}))
+    assert main(argv) == 0
+    config = json.loads(model.read_text())["config"]
+    assert config["max_iters"] == 150 and config["grad_tol"] == 1e-5
+    cfg.write_text(json.dumps({"max_iters": "150.5"}))
+    assert main(argv) == 2
 
 
 def test_config_file_and_flag_precedence(tiny_dataset, tmp_path):

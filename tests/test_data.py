@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -156,6 +157,42 @@ def test_type_domain_checks():
         ProbLabelVector(np.array([1.5]))
 
 
+@pytest.mark.parametrize("call, bad, message", [
+    (LabelMatrix, np.array([1, 0]), "label matrix must be 2-dimensional"),
+    (LabelMatrix, np.zeros((2, 0)), "label matrix needs at least one source and one object"),
+    (lambda ids: LabelMatrix(np.zeros((1, 2)), object_ids=ids), ("a",),
+     "object_ids length does not match object count"),
+    (lambda names: LabelMatrix(np.zeros((1, 2)), source_names=names), ("a", "b"),
+     "source_names length does not match source count"),
+    (FeatureMatrixBinary, np.ones(3), "binary feature matrix must be 2-dimensional"),
+    (lambda names: FeatureMatrixBinary(np.ones((2, 3)), column_names=names), ("a",),
+     "column_names length does not match feature count"),
+    (lambda ids: FeatureMatrixBinary(np.ones((2, 3)), object_ids=ids), ("a", "b", "c"),
+     "object_ids length does not match object count"),
+    (FeatureMatrixReal, np.zeros(3), "real feature matrix must be 2-dimensional"),
+    (lambda ids: FeatureMatrixReal(np.zeros((2, 3)), object_ids=ids), ("a",),
+     "object_ids length does not match object count"),
+    (HardLabelVector, np.ones((2, 2)), "hard labels must be a vector"),
+    (ProbLabelVector, np.zeros((2, 2)), "soft labels must be a vector"),
+], ids=["labels 1-d", "labels empty", "labels ids", "labels names", "binary 1-d",
+        "binary names", "binary ids", "real 1-d", "real ids", "hard 2-d", "soft 2-d"])
+def test_containers_refuse_a_bad_shape_or_name_count(call, bad, message):
+    with pytest.raises(DataError, match=f"^{message}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c", "d")])
+def test_real_features_refuse_column_names_of_another_length(names):
+    # such a matrix used to construct, and save_real_features then wrote a
+    # header of 1 + len(names) cells above rows of 4, which no loader reads
+    with pytest.raises(DataError, match="^column_names length does not match feature count$"):
+        FeatureMatrixReal(np.zeros((2, 3)), column_names=names)
+    fm = FeatureMatrixReal(np.zeros((2, 3)), column_names=names[:1] + ("b", "c"))
+    out = io.StringIO()
+    data.save_real_features(fm, out)
+    assert load_real_features(io.StringIO(out.getvalue())).column_names == fm.column_names
+
+
 @pytest.mark.parametrize("bad", [0.5, 2**40, np.nan], ids=["half", "2**40", "nan"])
 def test_domain_checks_refuse_near_misses(bad):
     votes = np.array([[1, 0, -1], [0, bad, 1]])
@@ -281,3 +318,27 @@ def test_validate_mismatched_ids_is_fatal():
     same = Dataset(labels=ds.labels, bin_features=FeatureMatrixBinary(
         np.ones((3, 1)), object_ids=("a", "b", "c")))
     assert validate(same).ok
+
+
+def test_validation_report_json():
+    ds = Dataset(
+        labels=LabelMatrix(np.array([[1, 0, -1, 1], [0, 0, 0, 0]]), object_ids=("a", "b", "c", "d")),
+        bin_features=FeatureMatrixBinary(np.array([[1, 1], [1, -1], [1, 1]]),
+                                         object_ids=("a", "b", "x")),
+    )
+    body = json.loads(json.dumps(validate(ds).to_dict()))
+    assert body == {
+        "n_by_component": {"labels": 4, "bin_features": 3},
+        "n_consistent": False,
+        "coverage": [0.75, 0.0],
+        "vote_counts": [[1, 1, 2], [0, 4, 0]],
+        "constant_bin_columns": [0],
+        "findings": [
+            {"level": "fatal", "message": "object counts disagree: {'labels': 4, 'bin_features': 3}"},
+            {"level": "fatal",
+             "message": "object ids differ: row 3 is 'c' in labels but 'x' in bin_features"},
+            {"level": "warning", "message": "source 1 never votes"},
+            {"level": "warning", "message": "binary feature column 0 is constant"},
+        ],
+        "ok": False,
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import lasso_grid_search, naive_kkt_residual, reference_path
 from weaksup.data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector
 from weaksup.diffmodel import (
+    DisagreementVector,
     LassoFit,
+    RegPath,
     disagreement,
     kkt_residual,
     lambda_max,
@@ -33,6 +36,16 @@ def random_pm1(rng, n, p):
 
 
 # -- disagreement --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros((2, 2)), "disagreement must be a vector"),
+    (np.array([0.5, 1.5]), r"disagreement entries must lie in \[-1,1\]"),
+    (np.array([0.5, np.nan]), r"disagreement entries must lie in \[-1,1\]"),
+], ids=["matrix", "above 1", "nan"])
+def test_disagreement_vector_refuses_entries_outside_its_domain(values, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        DisagreementVector(values)
 
 
 def test_disagreement_perfect_agreement_is_minus_one():
@@ -130,8 +143,7 @@ def test_kkt_residual_increases_under_perturbation():
     assert fit.active_set, "test needs an active coordinate"
     coef = fit.coef.copy()
     coef[fit.active_set[0]] += 0.1
-    perturbed = LassoFit(coef=coef, lam=fit.lam, active_set=tuple(np.flatnonzero(coef)),
-                         kkt_residual=0.0)
+    perturbed = LassoFit(coef=coef, lam=fit.lam, kkt_residual=0.0)
     assert kkt_residual(x, y, perturbed) > fit.kkt_residual
 
 
@@ -155,7 +167,7 @@ PUBLIC_FITS = {
     "regularization_path": lambda x, y: regularization_path(x, y),
     "lambda_max": lambda_max,
     "kkt_residual": lambda x, y: kkt_residual(
-        x, y, LassoFit(coef=np.array([0.5]), lam=0.1, active_set=(0,), kkt_residual=0.0)),
+        x, y, LassoFit(coef=np.array([0.5]), lam=0.1, kkt_residual=0.0)),
     "lasso_objective": lambda x, y: lasso_objective(x, y, np.array([0.5]), 0.1),
 }
 
@@ -172,7 +184,7 @@ def test_non_finite_target_rejected(call, target, error, message):
 
 
 def _at(coef: np.ndarray, lam: float) -> LassoFit:
-    return LassoFit(coef=coef, lam=lam, active_set=tuple(np.flatnonzero(coef)), kkt_residual=0.0)
+    return LassoFit(coef=coef, lam=lam, kkt_residual=0.0)
 
 
 # the public calls that take a coefficient vector (lasso_fit as its start) and a lambda
@@ -266,6 +278,26 @@ def test_select_features_prefix_and_truncation():
     assert everything == list(path.entry_order)
     with pytest.raises(ValueError):
         select_features(path, 0)
+    with pytest.raises(ValueError, match="^empty regularization path$"):
+        select_features(RegPath(lambdas=(), entry_order=(), fits=(), entry_lambdas=()), 1)
+
+
+@pytest.mark.parametrize("lambdas, entry_order, entry_lambdas, message", [
+    ((0.5, 0.5), (), (), "lambda grid must be strictly decreasing"),
+    ((0.5, 0.7), (), (), "lambda grid must be strictly decreasing"),
+    ((0.5, 0.2), (1, 1), (0.5, 0.2), "entry_order must not repeat features"),
+    ((0.5, 0.2), (1, 0), (0.5,), "entry_lambdas must parallel entry_order"),
+], ids=["flat grid", "rising grid", "repeated entry", "short entry lambdas"])
+def test_reg_path_refuses_an_inconsistent_path(lambdas, entry_order, entry_lambdas, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RegPath(lambdas=lambdas, entry_order=entry_order, fits=(), entry_lambdas=entry_lambdas)
+
+
+def test_lasso_fit_reads_its_active_set_off_coef():
+    assert [f.name for f in dataclasses.fields(LassoFit)] == ["coef", "lam", "kkt_residual"]
+    fit = LassoFit(coef=[0.0, 0.5, 0.0, -1e-300], lam=0.1, kkt_residual=0.0)
+    assert fit.active_set == (1, 3) and all(type(j) is int for j in fit.active_set)
+    assert fit.coef.dtype == np.float64 and not fit.coef.flags.writeable
 
 
 def test_first_entry_is_max_correlation_feature():

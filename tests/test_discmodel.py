@@ -209,6 +209,22 @@ def test_config_rejects_negative_max_iters():
         DiscConfig(max_iters=-5)
 
 
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), True, None, "5"])
+def test_config_refuses_a_max_iters_that_is_not_an_integer(value):
+    # a fractional cap used to construct and fail inside fit_disc with a TypeError
+    with pytest.raises(ValueError, match="^max_iters: .* is not an integer index$"):
+        DiscConfig(max_iters=value)
+    config = DiscConfig(max_iters=np.int32(7))
+    assert config.max_iters == 7 and type(config.max_iters) is int
+
+
+@pytest.mark.parametrize("theta, bias", [([0.5, np.nan], 0.0), ([[0.5]], 0.0), ([0.5], np.inf)],
+                         ids=["theta nan", "theta matrix", "bias inf"])
+def test_params_refuse_a_non_finite_or_non_vector_weight(theta, bias):
+    with pytest.raises(ValueError, match="^theta and bias must be finite$"):
+        DiscParams(theta, bias)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("grad_tol", np.nan), ("grad_tol", np.inf), ("grad_tol", 0.0), ("l2", np.nan),
@@ -292,8 +308,11 @@ def test_params_json_round_trip():
     ('{"theta": [1, 2], "bias": [0.5]}', r"'bias' must be numbers of shape \(\)"),
     ('{"theta": [1, 2], "bias": null}', r"'bias' must be numbers of shape \(\)"),
     ('{"theta": [1, 2], "bias": "0.5"}', r"'bias' must be numbers of shape \(\)"),
+    # a JSON true or false beside numbers used to load as 1 or 0
+    ('{"theta": [true, 0.5], "bias": 0.5}', r"'theta' must be numbers of shape \(N\)"),
+    ('{"theta": [1, 2], "bias": false}', r"'bias' must be numbers of shape \(\)"),
 ], ids=["list", "no theta", "no bias", "theta string", "theta matrix", "theta null",
-        "bias list", "bias null", "bias string"])
+        "bias list", "bias null", "bias string", "theta true", "bias false"])
 def test_load_params_refuses_a_malformed_model_file(text, message):
     with pytest.raises(DataError, match=message):
         load_params(io.StringIO(text))

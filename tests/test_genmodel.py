@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from hypothesis.extra import numpy as hnp
 import weaksup.genmodel as genmodel
 from oracles import brute_force_joint, finite_difference, per_object_objective, rel_error
 from weaksup.data import DataError, FeatureMatrixBinary, LabelMatrix
+from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import (
     FitConfig,
     FitError,
     GenParams,
+    NewtonConfig,
     _distinct,
     _flat,
     _objective,
@@ -397,6 +401,24 @@ def test_config_rejects_a_tolerance_or_penalty_out_of_range(field, value):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), True, None, "5"])
+def test_config_refuses_a_max_iters_that_is_not_an_integer(value):
+    # a fractional cap used to construct and fail inside the fit with a TypeError
+    with pytest.raises(ValueError, match="^max_iters: .* is not an integer index$"):
+        FitConfig(max_iters=value)
+    config = FitConfig(max_iters=np.int64(7))
+    assert config.max_iters == 7 and type(config.max_iters) is int
+
+
+def test_the_fit_configs_extend_one_newton_settings_type():
+    # the CLI's defaults and config echoes read these fields in this order
+    fields = {cls: [(f.name, f.default) for f in dataclasses.fields(cls)]
+              for cls in (NewtonConfig, FitConfig, DiscConfig)}
+    assert fields[NewtonConfig] == [("max_iters", 2000), ("grad_tol", 1e-6)]
+    assert fields[FitConfig] == fields[NewtonConfig] + [("phi_init", 0.5), ("w_l2", 0.01)]
+    assert fields[DiscConfig] == fields[NewtonConfig] + [("l2", 0.01)]
+
+
 # -- posterior and labels -----------------------------------------------------
 
 
@@ -706,6 +728,50 @@ def test_warm_fit_aug_from_a_symmetric_saddle_stays_on_it():
     assert np.linalg.eigvalsh(hess).max() > 0.5  # not a maximum
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"phi": [0.5, np.nan]}, "phi must be a finite vector"),
+    ({"phi": [[0.5]]}, "phi must be a finite vector"),
+    ({"phi": [0.5], "w": [[np.inf]], "selected": (0,)}, "w must be a finite K x M matrix"),
+    ({"phi": [0.5], "w": [0.1], "selected": (0,)}, "w must be a finite K x M matrix"),
+    ({"phi": [0.5], "w": [[0.1, 0.2]], "selected": (0,)}, "w row length must match phi length"),
+    ({"phi": [0.5], "w": [[0.1]], "selected": (0, 1)},
+     "selected must name one feature column per w row"),
+    ({"phi": [0.5], "w": [[0.1], [0.2]], "selected": (1, 1)},
+     "selected indices must be distinct and non-negative"),
+    ({"phi": [0.5], "w": [[0.1]], "selected": (-1,)},
+     "selected indices must be distinct and non-negative"),
+], ids=["phi nan", "phi matrix", "w inf", "w vector", "w wide", "selected long",
+        "selected repeated", "selected negative"])
+def test_gen_params_refuse_a_malformed_model(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GenParams(**kwargs)
+
+
+POINT_EVALUATORS = {
+    "effective_phi feature row": (lambda p: effective_phi(p, [0.0]), DataError,
+                                  "feature row entries must lie in {-1,+1}"),
+    "posterior vote length": (lambda p: posterior(p, [1, 0, 1], [1.0]), ValueError,
+                              "vote column length must match parameter count"),
+    "posterior vote domain": (lambda p: posterior(p, [2, 0], [1.0]), DataError,
+                              "vote entries must lie in {-1,0,+1}"),
+    "label_aug without features": (
+        lambda p: label_aug(p, LabelMatrix(np.array([[1, -1], [0, 1]])), None), ValueError,
+        "a model with selected features needs a feature matrix"),
+    "label_aug object count": (
+        lambda p: label_aug(p, LabelMatrix(np.array([[1, -1], [0, 1]])),
+                            FeatureMatrixBinary(np.ones((3, 1)))), ValueError,
+        "labels and features disagree on object count"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", POINT_EVALUATORS.values(),
+                         ids=POINT_EVALUATORS.keys())
+def test_evaluators_refuse_inputs_outside_the_model(call, error, message):
+    params = GenParams(phi=np.array([0.5, 0.2]), w=np.array([[0.3, -0.1]]), selected=(0,))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(params)
+
+
 def test_label_sp_rejects_selected_features():
     params = GenParams(phi=np.array([0.5, 0.2]), w=np.array([[0.3, -0.1]]), selected=(0,))
     lm = LabelMatrix(np.array([[1, -1], [0, 1]]))
@@ -746,9 +812,15 @@ def test_params_json_round_trip():
      r"'w' must be numbers of shape \(2 x 2\)"),
     ('{"phi": [0.5, 0.5], "selected": [1], "w": [[0, 0, 0]]}',
      r"'w' must be numbers of shape \(1 x 2\)"),
+    # a JSON true or false beside numbers used to load as 1 or 0
+    ('{"phi": [true, 0.5, 0.2]}', r"'phi' must be numbers of shape \(N\)"),
+    ('{"phi": [0.5, 0.5, 0.2], "selected": [true, 2], "w": [[0, 0, 0], [0, 0, 0]]}',
+     "'selected' must be integers"),
+    ('{"phi": [0.5, 0.5], "selected": [0], "w": [[0, false]]}',
+     r"'w' must be numbers of shape \(1 x 2\)"),
 ], ids=["list", "string", "no phi", "phi string", "phi scalar", "phi ragged", "phi null",
         "selected null", "selected float", "selected scalar", "w without selected",
-        "w short", "w wide"])
+        "w short", "w wide", "phi true", "selected true", "w false"])
 def test_load_params_refuses_a_malformed_model_file(text, message):
     with pytest.raises(DataError, match=message):
         load_params(io.StringIO(text))

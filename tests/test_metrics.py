@@ -70,6 +70,13 @@ def test_score_positive_class_symmetry():
     assert direct == flipped
 
 
+@pytest.mark.parametrize("positive_class", [0, 2, "1"])
+def test_score_refuses_a_positive_class_outside_the_labels(positive_class):
+    y = HardLabelVector(np.array([1, -1]))
+    with pytest.raises(ValueError, match=r"^positive_class must be \+1 or -1$"):
+        score(y, y, positive_class=positive_class)
+
+
 def test_score_counts_sum_to_n():
     rng = np.random.default_rng(2)
     pred = HardLabelVector(rng.integers(0, 2, 33) * 2 - 1)

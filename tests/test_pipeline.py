@@ -35,6 +35,8 @@ def test_stopping_rule_examples():
     assert stopping_rule([0.7, 0.65, 0.64], patience=2) is True
     with pytest.raises(ValueError):
         stopping_rule([], patience=1)
+    with pytest.raises(ValueError, match="^patience must be at least 1$"):
+        stopping_rule([0.7, 0.6], patience=0)
 
 
 def test_run_stops_when_the_models_agree_everywhere():
@@ -230,6 +232,18 @@ def test_run_requires_real_features():
         run(Dataset(labels=ds.labels, bin_features=ds.bin_features), RunConfig())
 
 
+def test_run_requires_binary_features_past_k0(monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=7))
+    no_bin = Dataset(labels=ds.labels, real_features=ds.real_features)
+    calls = _recording(monkeypatch, pipeline, ["fit_sp"])
+    with pytest.raises(DataError, match="^run requires binary features for the difference model$"):
+        run(no_bin, RunConfig(k_max=1))
+    assert calls["fit_sp"] == []
+    assert run(no_bin, _fast_config(k_max=0)).best_k == 0
+
+
 def test_run_refuses_a_truth_of_the_wrong_length_before_any_fit(monkeypatch):
     import weaksup.pipeline as pipeline
 
@@ -251,6 +265,17 @@ def test_run_reports_the_validation_it_checked():
     report = run(ds, _fast_config(k_max=1))
     assert report.validation == validate(ds)
     assert report.validation.ok
+
+
+@pytest.mark.parametrize("field", ["k_max", "patience", "grid_size"])
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), True, None])
+def test_run_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # a fractional count used to construct: patience failed after the K = 0
+    # fits with a TypeError, grid_size inside np.geomspace
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer index$"):
+        RunConfig(**{field: value})
+    config = RunConfig(**{field: np.int64(3)})
+    assert getattr(config, field) == 3 and type(getattr(config, field)) is int
 
 
 def test_run_config_validation():

@@ -32,6 +32,74 @@ def test_scenario_validation():
         RecoveryScenario(kappa=0.5, n=10, rho=0.2)  # rho below kappa
 
 
+_SUBSET = PlantedSubset(source=1, accuracy=0.3, fraction=0.2)
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    (lambda n: RecoveryScenario(kappa=0.5, n=n), 0, "n must be positive"),
+    (lambda f: PlantedSubset(source=0, accuracy=0.3, fraction=f), 1.0,
+     r"subset fraction must lie in \(0,1\)"),
+    (lambda a: PlantedSubset(source=0, accuracy=a, fraction=0.2), 0.0,
+     r"subset accuracy must lie in \(0,1\)"),
+    (lambda m: E2EScenario(m=m), 0, "m, n, and q_disc must be positive"),
+    (lambda n: E2EScenario(n=n), 0, "m, n, and q_disc must be positive"),
+    (lambda q: E2EScenario(q_disc=q), 0, "m, n, and q_disc must be positive"),
+    (lambda a: E2EScenario(base_accuracies=a), (0.8, 0.8),
+     "base_accuracies and coverages must have length m"),
+    (lambda c: E2EScenario(coverages=c), (0.7,) * 6,
+     "base_accuracies and coverages must have length m"),
+    (lambda a: E2EScenario(base_accuracies=a), 0.5, r"base accuracies must lie in \(0.5,1\)"),
+    (lambda c: E2EScenario(coverages=c), 0.0, r"coverages must lie in \(0,1\]"),
+    (lambda c: E2EScenario(coverages=c), 1.5, r"coverages must lie in \(0,1\]"),
+    # the first planted subset is checked by PlantedSubset, as the others are
+    (lambda a: E2EScenario(flipped_accuracy=a), 1.0, r"subset accuracy must lie in \(0,1\)"),
+    (lambda f: E2EScenario(subset_fraction=f), 0.0, r"subset fraction must lie in \(0,1\)"),
+    (lambda j: E2EScenario(flipped_source=j), 5, "planted subset source out of range"),
+    (lambda j: E2EScenario(flipped_source=j), -1, "planted subset source out of range"),
+    (lambda j: E2EScenario(extra_subsets=(PlantedSubset(j, 0.3, 0.2),)), 5,
+     "planted subset source out of range"),
+    (lambda p: E2EScenario(p=p, extra_subsets=(_SUBSET,)), 1,
+     "p must cover one indicator column per planted subset"),
+], ids=["recovery n", "subset fraction", "subset accuracy", "e2e m", "e2e n", "e2e q_disc",
+        "base length", "coverage length", "base accuracy", "coverage 0", "coverage 1.5",
+        "flipped accuracy", "subset_fraction", "flipped source", "negative flipped source",
+        "extra source", "p"])
+def test_scenarios_refuse_a_setting_out_of_range(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("field", ["m", "n", "p", "q_disc"])
+@pytest.mark.parametrize("value", [100.5, np.float64(5.0), True, None])
+def test_e2e_scenario_refuses_a_count_that_is_not_an_integer(field, value):
+    # a fractional count used to construct and fail inside gen_e2e with a TypeError
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer index$"):
+        E2EScenario(**{field: value})
+    scenario = E2EScenario(**{field: np.int64(6)})
+    assert getattr(scenario, field) == 6 and type(getattr(scenario, field)) is int
+
+
+@pytest.mark.parametrize("field", ["n", "p", "s_size"])
+@pytest.mark.parametrize("value", [2.0, np.float64(5.5), True, None])
+def test_recovery_scenario_refuses_a_count_that_is_not_an_integer(field, value):
+    # a fractional count used to construct and fail inside gen_recovery with a TypeError
+    settings = {"kappa": 0.4, "n": 100, "p": 10, "s_size": 3}
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer index$"):
+        RecoveryScenario(**settings | {field: value})
+    scenario = RecoveryScenario(**settings | {field: np.int32(settings[field])})
+    assert type(getattr(scenario, field)) is int
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be positive"),
+    ({"lambda_policy": "cv"}, "lambda_policy must be 'path' or 'theorem'"),
+], ids=["trials", "policy"])
+def test_recovery_experiment_refuses_a_setting_before_any_draw(kwargs, message, monkeypatch):
+    monkeypatch.setattr(synth, "gen_recovery", lambda scenario: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_recovery_experiment([0.4], [100], **{"trials": 1} | kwargs)
+
+
 @pytest.mark.parametrize("index", [1.5, np.float64(1.0), True, None])
 def test_e2e_scenario_refuses_a_non_integer_source(index):
     # a fractional flipped_source used to pass the range check and plant no subset

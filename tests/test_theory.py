@@ -197,6 +197,8 @@ def test_sample_bound_errors():
         sample_bound(1.0, 0.5, -0.1, 10, 0.1)
     with pytest.raises(ValueError):
         sample_bound(1.0, 0.5, 0.1, 10, 1.5)
+    with pytest.raises(ValueError, match="^p must be at least 1$"):
+        sample_bound(1.0, 0.5, 0.1, 0, 0.1)
 
 
 def test_sample_bound_monotonicity_grid():
