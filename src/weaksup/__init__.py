@@ -27,7 +27,7 @@ from .genmodel import (
     label_sp,
 )
 from .metrics import ClassificationScores, majority_vote, score, soft_label_accuracy
-from .pipeline import RunConfig, RunReport, agreement_rate, run
+from .pipeline import RunConfig, RunReport, run
 from .synth import E2EScenario, RecoveryScenario, gen_e2e, gen_recovery, run_recovery_experiment
 from .theory import ConditionReport, check_conditions, recommended_lambda, sample_bound
 
@@ -53,7 +53,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "ValidationReport",
-    "agreement_rate",
     "check_conditions",
     "disagreement",
     "fit_aug",

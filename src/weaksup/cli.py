@@ -523,7 +523,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--dev-metric", choices=["accuracy", "f1"])
-    p.add_argument("--refresh-disagreement", action=argparse.BooleanOptionalAction)
     p.add_argument("--out-dir", required=True)
     _add_gen_opts(p)
     _add_disc_opts(p)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector, _frozen, _set
+from .data import (DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector, _frozen,
+                   _index, _set)
 
 
 @dataclass(frozen=True)
@@ -255,9 +256,10 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
 def _check_settings(
     tol: float, grid_size: int | None = None, lambda_min_ratio: float | None = None
 ) -> None:
-    """Raise ValueError for a solver tolerance or path grid out of range; a
-    grid setting left None is not checked."""
-    if grid_size is not None and grid_size < 2:
+    """Raise ValueError for a solver tolerance or path grid out of range, or
+    a grid_size that is not an integer; a grid setting left None is not
+    checked."""
+    if grid_size is not None and _index(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
     if lambda_min_ratio is not None and not 0.0 < lambda_min_ratio < 1.0:
         raise ValueError("lambda_min_ratio must lie in (0,1)")
@@ -316,6 +318,7 @@ def regularization_path(
     data.
     """
     _check_settings(tol, grid_size, lambda_min_ratio)
+    stop = np.inf if stop_after is None else _index(stop_after, "stop_after")
     x, y = _problem(features, target)
     gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())
@@ -339,7 +342,7 @@ def regularization_path(
             seen[j] = True
             entry_order.append(j)
             entry_lambdas.append(lam)
-        if stop_after is not None and len(entry_order) >= stop_after:
+        if len(entry_order) >= stop:
             break
 
     lambdas = grid[: len(coefs)].tolist()
@@ -354,7 +357,7 @@ def regularization_path(
 def select_features(path: RegPath, k: int) -> list[int]:
     """First k features by path entry order (fewer, with a warning, if the
     path never activated k features)."""
-    if k < 1:
+    if _index(k, "k") < 1:
         raise ValueError("k must be at least 1")
     if not path.fits:
         raise ValueError("empty regularization path")

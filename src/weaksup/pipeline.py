@@ -47,7 +47,6 @@ class RunConfig:
     lambda_min_ratio: float = 1e-3
     lasso_tol: float = 1e-8
     standardize: bool = False
-    refresh_disagreement: bool = False  # recompute the path each K (extension)
 
     def __post_init__(self):
         _set(self, **{name: _index(getattr(self, name), name)
@@ -63,14 +62,22 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    k: int
-    selected: tuple[int, ...]
+    """One K of the loop; `k` and `selected` are read off `gen_params`."""
+
     agreement: float
     dev_metric: float | None
     gen_params: GenParams
     disc_params: DiscParams
     gen_labels: ProbLabelVector
     disc_labels: HardLabelVector
+
+    @property
+    def k(self) -> int:
+        return self.gen_params.k
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return self.gen_params.selected
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,6 @@ class RunReport:
     @property
     def best(self) -> IterationRecord:
         return self.iterations[self.best_k]
-
-
-def agreement_rate(gen_labels: ProbLabelVector, disc_labels: HardLabelVector) -> float:
-    """Fraction of objects where sign(Y_G) (0 counts as +1) matches Y_D."""
-    return soft_label_accuracy(gen_labels, disc_labels)
 
 
 def stopping_rule(history: list[float], patience: int) -> bool:
@@ -127,13 +129,11 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     counts or ids that disagree across components, truth included) raises
     DataError with its message before any fit, and the report carries the
     validation.  The disagreement vector and the regularization path are
-    computed once from the K=0 models; `refresh_disagreement` recomputes
-    them each K from the K - 1 models instead (off by default).  The path
-    stops once k_max features have entered, since only the first k_max
-    entries are ever selected.  Each K's fits start from the K - 1 models;
-    where a refreshed path no longer extends the K - 1 selection, the
-    generative fit starts from the K = 0 model instead.  Each record
-    carries its K's generative and discriminative labels.
+    computed once, from the K = 0 models.  Each K selects the path's first
+    K entries, so its selection extends K - 1's and its fits start from the
+    K - 1 models.  The path stops once k_max features have entered, since
+    only the first k_max entries are ever selected.  Each record carries
+    its K's generative and discriminative labels.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
@@ -148,15 +148,15 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     use_dev = dataset.truth is not None
     records: list[IterationRecord] = []
 
-    def step(selected: tuple[int, ...], gen: GenParams, yg: ProbLabelVector) -> IterationRecord:
-        """K = len(selected): the discriminative model trained on `gen`'s
-        labels `yg`, warm from the K - 1 weights, and the record's scores."""
+    def step(gen: GenParams, yg: ProbLabelVector) -> IterationRecord:
+        """K = gen.k: the discriminative model trained on `gen`'s labels
+        `yg`, warm from the K - 1 weights, and the record's scores.  The
+        agreement is the fraction of objects where sign(yg), with sign(0) =
+        +1, matches the discriminative labels."""
         disc = fit_disc(real, yg, config.disc, start=records[-1].disc_params if records else None)
         yd = predict(disc, real)
         return IterationRecord(
-            k=len(selected),
-            selected=selected,
-            agreement=agreement_rate(yg, yd),
+            agreement=soft_label_accuracy(yg, yd),
             # dev_metric names a ClassificationScores field: accuracy or f1
             dev_metric=getattr(score(yd, dataset.truth), config.dev_metric) if use_dev else None,
             gen_params=gen,
@@ -169,16 +169,16 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         return [r.dev_metric if use_dev else r.agreement for r in records]
 
     gen0 = fit_sp(dataset.labels, config.gen)
-    records.append(step((), gen0, label_sp(gen0, dataset.labels)))
+    records.append(step(gen0, label_sp(gen0, dataset.labels)))
 
     path = None
     stop_reason = "k_max"
     for k in range(1, config.k_max + 1):
-        if path is None or config.refresh_disagreement:
+        if path is None:
             try:
                 path = regularization_path(
                     dataset.bin_features,
-                    disagreement(records[-1].gen_labels, records[-1].disc_labels),
+                    disagreement(records[0].gen_labels, records[0].disc_labels),
                     grid_size=config.grid_size,
                     lambda_min_ratio=config.lambda_min_ratio,
                     tol=config.lasso_tol,
@@ -191,12 +191,9 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         if len(path.entry_order) < k:
             stop_reason = "path_exhausted"
             break
-        selected = tuple(select_features(path, k))
-        warm = records[-1].gen_params
-        if warm.selected != selected[: warm.k]:  # a refreshed path reordered the entries
-            warm = records[0].gen_params
-        gen = fit_aug(dataset.labels, dataset.bin_features, selected, config.gen, start=warm)
-        records.append(step(selected, gen, label_aug(gen, dataset.labels, dataset.bin_features)))
+        gen = fit_aug(dataset.labels, dataset.bin_features, tuple(select_features(path, k)),
+                      config.gen, start=records[-1].gen_params)
+        records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
         if stopping_rule(tracked(), config.patience):
             stop_reason = "metric_declined"
             break

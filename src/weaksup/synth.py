@@ -265,6 +265,7 @@ def run_recovery_experiment(
     preconditions held (always 1 under the path policy; a draw with a
     singular Sigma_SS fails them).  Every setting, `delta` under either
     policy included, is checked before the first draw."""
+    trials = _index(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
     if lambda_policy not in ("path", "theorem"):

@@ -332,6 +332,7 @@ def test_main_builds_the_parser_once(monkeypatch):
 def test_usage_errors_exit_one():
     assert main(["not-a-command"]) == 1
     assert main(["metrics"]) == 1  # missing required flags
+    assert main(["run", "--labels", "l.csv", "--out-dir", "out", "--refresh-disagreement"]) == 1
     assert main(["--version"]) == 0
 
 
@@ -435,7 +436,8 @@ def test_unknown_config_key_exits_two_naming_it(tiny_dataset, tmp_path, capsys):
     cfg.write_text(json.dumps({"max_iters": 150, "disc-l2": 0.5, "k_max": 2, "trials": 3}))
     assert main(argv) == 0
     capsys.readouterr()
-    for key in ("learning_rate", "disc-learning-rate", "max_iter", "help", "config"):
+    for key in ("learning_rate", "disc-learning-rate", "refresh_disagreement", "max_iter", "help",
+                "config"):
         cfg.write_text(json.dumps({"max_iters": 150, key: 0.1}))
         assert main(argv) == 2
         assert f"unknown option {key!r}" in capsys.readouterr().err

@@ -282,6 +282,25 @@ def test_select_features_prefix_and_truncation():
         select_features(RegPath(lambdas=(), entry_order=(), fits=(), entry_lambdas=()), 1)
 
 
+@pytest.mark.parametrize("value", [1.5, np.float64(2.0), True], ids=["1.5", "float64", "True"])
+@pytest.mark.parametrize("name", ["k", "stop_after"])
+def test_path_counts_refuse_a_value_that_is_not_an_integer(name, value):
+    # read as an int, True would select one entry and stop_after = 1.5 would
+    # stop the path once 2 features had entered
+    rng = np.random.default_rng(8)
+    x = random_pm1(rng, 60, 5)
+    y = rng.uniform(-1, 1, 60)
+
+    def entries(count):
+        if name == "k":
+            return select_features(regularization_path(x, y, grid_size=40), count)
+        return list(regularization_path(x, y, grid_size=40, stop_after=count).entry_order)
+
+    with pytest.raises(ValueError, match=f"^{name}: .* is not an integer index$"):
+        entries(value)
+    assert entries(np.int64(2)) == entries(2)
+
+
 @pytest.mark.parametrize("lambdas, entry_order, entry_lambdas, message", [
     ((0.5, 0.5), (), (), "lambda grid must be strictly decreasing"),
     ((0.5, 0.7), (), (), "lambda grid must be strictly decreasing"),

@@ -106,6 +106,8 @@ def test_soft_label_accuracy_cases():
     assert soft_label_accuracy(zeros, truth) == 0.5  # ties predict +1
     flipped = ProbLabelVector(-truth.labels.astype(float))
     assert soft_label_accuracy(flipped, truth) == 0.0
+    fractional = ProbLabelVector(np.array([0.2, -0.3, 0.0, 0.4]))
+    assert soft_label_accuracy(fractional, truth) == 0.75  # scored by sign
 
 
 def test_length_mismatch_errors():

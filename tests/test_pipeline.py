@@ -2,29 +2,11 @@ import numpy as np
 import pytest
 
 from weaksup.data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal,
-                          HardLabelVector, LabelMatrix, ProbLabelVector, validate)
+                          HardLabelVector, LabelMatrix, validate)
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
-from weaksup.pipeline import RunConfig, agreement_rate, run, stopping_rule
+from weaksup.pipeline import RunConfig, run, stopping_rule
 from weaksup.synth import E2EScenario, gen_e2e
-
-
-def test_agreement_rate_extremes():
-    a = ProbLabelVector(np.array([1.0, -1.0, 1.0]))
-    d = HardLabelVector(np.array([1, -1, 1]))
-    assert agreement_rate(a, d) == 1.0
-    assert agreement_rate(a, HardLabelVector(np.array([-1, 1, -1]))) == 0.0
-
-
-def test_agreement_rate_sign_of_zero_is_positive():
-    gen = ProbLabelVector(np.array([0.2, -0.3, 0.0]))
-    disc = HardLabelVector(np.array([1, 1, -1]))
-    assert agreement_rate(gen, disc) == pytest.approx(1.0 / 3.0)
-
-
-def test_agreement_rate_length_mismatch():
-    with pytest.raises(ValueError):
-        agreement_rate(ProbLabelVector(np.zeros(2)), HardLabelVector(np.array([1])))
 
 
 def test_stopping_rule_examples():
@@ -149,21 +131,6 @@ def test_run_starts_each_k_from_the_previous_fits(monkeypatch):
         assert calls["fit_disc"][k][1]["start"] is report.iterations[k - 1].disc_params
 
 
-def test_run_starts_a_selection_that_drops_earlier_columns_from_k0(monkeypatch):
-    # a refreshed path can reorder its entries, so that K's selection no
-    # longer extends K - 1's; its generative fit then starts from K = 0
-    import weaksup.pipeline as pipeline
-
-    ds = gen_e2e(_small_scenario(seed=9))
-    selections = {1: [0], 2: [1, 0], 3: [1, 0, 2]}
-    monkeypatch.setattr(pipeline, "select_features", lambda path, k: selections[k])
-    calls = _recording(monkeypatch, pipeline, ["fit_aug"])
-    report = run(ds, _fast_config(k_max=3, patience=3, refresh_disagreement=True))
-    assert [r.selected for r in report.iterations] == [(), (0,), (1, 0), (1, 0, 2)]
-    starts = [kwargs["start"] for _, kwargs in calls["fit_aug"]]
-    assert all(s is report.iterations[i].gen_params for s, i in zip(starts, (0, 0, 2)))
-
-
 @pytest.mark.parametrize("seed, best_k", [(0, 0), (2, 1), (9, 2)])
 def test_run_labels_each_k_once_and_returns_the_best_ks_labels(seed, best_k, monkeypatch):
     import weaksup.genmodel as genmodel
@@ -211,9 +178,8 @@ def test_run_finds_planted_subset_and_improves():
 def test_run_path_exhausted_with_tiny_feature_set():
     ds = gen_e2e(_small_scenario(seed=5, p=2))
     report = run(ds, _fast_config(k_max=10, patience=10))
-    assert report.stop_reason in ("path_exhausted", "k_max")
-    if report.stop_reason == "path_exhausted":
-        assert len(report.iterations) <= 3
+    assert report.stop_reason == "path_exhausted"
+    assert [r.selected for r in report.iterations] == [(), (0,), (0, 1)]
 
 
 def test_run_without_truth_tracks_agreement():
@@ -318,27 +284,16 @@ def test_run_with_standardized_features():
     assert a.iterations[0].dev_metric > 0.5
 
 
-@pytest.mark.parametrize("refresh", [False, True])
-def test_run_regresses_the_disagreement_of_k0_or_under_refresh_of_k_minus_1(refresh, monkeypatch):
+def test_run_regresses_the_disagreement_of_k0(monkeypatch):
     import weaksup.pipeline as pipeline
 
     ds = gen_e2e(_small_scenario(seed=9))
     calls = _recording(monkeypatch, pipeline, ["disagreement"])
-    report = run(ds, _fast_config(k_max=3, patience=3, refresh_disagreement=refresh))
+    report = run(ds, _fast_config(k_max=3, patience=3))
     assert len(report.iterations) == 4
-    sources = report.iterations[:3] if refresh else report.iterations[:1]
-    assert len(calls["disagreement"]) == len(sources)
-    for (args, _), record in zip(calls["disagreement"], sources):
-        assert args[0] is record.gen_labels and args[1] is record.disc_labels
-
-
-def test_run_refresh_disagreement_mode():
-    ds = gen_e2e(_small_scenario(seed=9))
-    report = run(ds, _fast_config(k_max=3, patience=3, refresh_disagreement=True))
-    assert report.iterations[0].k == 0
-    assert report.best_k == int(
-        np.argmax([r.dev_metric for r in report.iterations])
-    )
+    [(args, _)] = calls["disagreement"]
+    k0 = report.iterations[0]
+    assert args[0] is k0.gen_labels and args[1] is k0.disc_labels
 
 
 def test_run_tracks_f1_when_requested():
@@ -362,12 +317,11 @@ def _same_report(a, b) -> bool:
     return same
 
 
-@pytest.mark.parametrize("refresh", [False, True])
-def test_path_stopped_at_k_max_matches_the_full_grid(refresh, monkeypatch):
+def test_path_stopped_at_k_max_matches_the_full_grid(monkeypatch):
     import weaksup.pipeline as pipeline
 
     ds = gen_e2e(_small_scenario(seed=11))
-    cfg = _fast_config(k_max=3, patience=3, refresh_disagreement=refresh)
+    cfg = _fast_config(k_max=3, patience=3)
     full_grid = pipeline.regularization_path
     stopped, full = [], []
 
@@ -383,10 +337,9 @@ def test_path_stopped_at_k_max_matches_the_full_grid(refresh, monkeypatch):
     a = run(ds, cfg)
     monkeypatch.setattr(pipeline, "regularization_path", recording(full, True))
     b = run(ds, cfg)
-    assert len(stopped) == len(full) == (3 if refresh else 1)
-    for s, f in zip(stopped, full):
-        assert s.entry_order[: cfg.k_max] == f.entry_order[: cfg.k_max]
-        assert len(s.lambdas) < len(f.lambdas) == cfg.grid_size
+    [s], [f] = stopped, full
+    assert s.entry_order[: cfg.k_max] == f.entry_order[: cfg.k_max]
+    assert len(s.lambdas) < len(f.lambdas) == cfg.grid_size
     assert _same_report(a, b)
 
 

@@ -243,11 +243,13 @@ def test_recovery_experiment_theorem_policy_runs():
 @pytest.mark.parametrize("setting, message", [
     *[({"delta": d}, r"delta must lie in \(0,1\)") for d in (0.0, 1.0, 1.5, -0.1, np.nan)],
     ({"grid_size": 1}, "grid_size"),
+    ({"grid_size": 10.5}, "^grid_size: 10.5 is not an integer index$"),
     ({"lambda_min_ratio": 1.0}, "lambda_min_ratio"),
     ({"tol": np.nan}, "tol"),
     ({"kappas": [0.4, 1.5]}, "kappa"),  # the second cell's scenario, before the first's draw
+    ({"trials": 1.5}, "^trials: 1.5 is not an integer index$"),
 ], ids=["delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan", "grid_size",
-        "lambda_min_ratio", "tol", "kappa"])
+        "grid_size=10.5", "lambda_min_ratio", "tol", "kappa", "trials=1.5"])
 def test_recovery_experiment_checks_every_setting_before_the_first_draw(
     setting, message, policy, monkeypatch
 ):
