@@ -16,7 +16,8 @@ from .data import (
     ValidationReport,
     validate,
 )
-from .diffmodel import DisagreementVector, LassoFit, RegPath, disagreement, lasso_fit
+from .diffmodel import (DisagreementVector, LassoConfig, LassoFit, RegPath, disagreement,
+                        lasso_fit)
 from .discmodel import DiscConfig, DiscParams, fit_disc, noise_aware_loss, predict
 from .genmodel import (
     FitConfig,
@@ -46,6 +47,7 @@ __all__ = [
     "GenParams",
     "HardLabelVector",
     "LabelMatrix",
+    "LassoConfig",
     "LassoFit",
     "ProbLabelVector",
     "RecoveryScenario",

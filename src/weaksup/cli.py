@@ -163,6 +163,12 @@ def _config(cls, args, prefix: str = "", **given):
     return cls(**{name: getattr(args, prefix + name) for name in names} | given)
 
 
+def _run_config(args) -> pipeline.RunConfig:
+    """The loop's settings, its generative and discriminative fits' included."""
+    return _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
+                   disc=_config(discmodel.DiscConfig, args, "disc_"))
+
+
 def _echo(args, keys: list[str]) -> dict:
     return {k: getattr(args, k) for k in keys}
 
@@ -233,13 +239,7 @@ def cmd_diff(args) -> int:
     disc_labels, disc_ids = _load(args.disc_labels, data.load_hard_labels, "disc labels")
     data.check_ids(bin_features=features.object_ids, gen_labels=gen_ids, disc_labels=disc_ids)
     target = diffmodel.disagreement(gen_labels, disc_labels)
-    path = diffmodel.regularization_path(
-        features,
-        target,
-        grid_size=args.grid_size,
-        lambda_min_ratio=args.lambda_min_ratio,
-        tol=args.lasso_tol,
-    )
+    path = diffmodel.regularization_path(features, target, _config(diffmodel.LassoConfig, args))
     selected = diffmodel.select_features(path, args.k)
     k_eff = len(selected)
     sel_idx = path.lambdas.index(path.entry_lambdas[k_eff - 1]) if k_eff else 0
@@ -279,9 +279,7 @@ def cmd_run(args) -> int:
     dataset = data.Dataset(
         labels=labels, bin_features=bin_features, real_features=real_features, truth=truth
     )
-    config = _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
-                     disc=_config(discmodel.DiscConfig, args, "disc_"))
-    report = pipeline.run(dataset, config)
+    report = pipeline.run(dataset, _run_config(args))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,9 +351,7 @@ def cmd_simulate_recovery(args) -> int:
         rho=args.rho,
         lambda_policy=args.lambda_policy,
         delta=args.delta,
-        grid_size=args.grid_size,
-        lambda_min_ratio=args.lambda_min_ratio,
-        tol=args.lasso_tol,
+        lasso=_config(diffmodel.LassoConfig, args),
         jobs=args.jobs,
     )
     _write_rows(
@@ -388,8 +384,7 @@ def _e2e_trial(payload) -> dict:
 def cmd_simulate_e2e(args) -> int:
     if args.trials < 1:
         raise DataError("trials must be positive")
-    cfg = _config(pipeline.RunConfig, args, gen=_config(genmodel.FitConfig, args),
-                  disc=_config(discmodel.DiscConfig, args, "disc_"))
+    cfg = _run_config(args)
     work = []
     for t in range(args.trials):
         scenario = _config(
@@ -400,9 +395,9 @@ def cmd_simulate_e2e(args) -> int:
             seed=synth.derive_trial_seed(args.seed, 0, t),
         )
         work.append((t, scenario, cfg))
+    rows = synth.map_trials(_e2e_trial, work, args.jobs)
     if args.dump_data:
         _dump_dataset(synth.gen_e2e(work[0][1]), Path(args.dump_data))
-    rows = synth.map_trials(_e2e_trial, work, args.jobs)
     _write_rows(args.out, rows[0].keys(), [row.values() for row in rows])
     return EXIT_OK
 

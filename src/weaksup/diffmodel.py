@@ -16,7 +16,9 @@ active columns plus every column whose residual correlation exceeds lambda,
 the only ones a coordinate step can move.  Sweeps over the active columns
 follow until they settle (glmnet's active-set cycling), and a fit is
 accepted only after a KKT check over all P columns, as in the strong rules'
-re-check.  Fits are fully deterministic.
+re-check.  Fits are fully deterministic.  The path's three settings arrive
+as one LassoConfig, which checks them when it is built; every fit takes at
+most MAX_SWEEPS sweeps.
 
 Every public function reads (X, y) through one reader, `_problem`, which
 checks the target's length and finiteness.  Every LassoFit is built by one
@@ -95,6 +97,34 @@ class RegPath:
             raise ValueError("entry_lambdas must parallel entry_order")
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the coordinate-descent tolerance is finite and
+    positive: no fit meets a tolerance of 0 or NaN."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
+
+
+@dataclass(frozen=True)
+class LassoConfig:
+    """The settings of one LASSO path: `grid_size` geometric grid points, an
+    integer of at least 2 (any Python or NumPy integer, read as an int), from
+    lambda_max down to `lambda_min_ratio` * lambda_max, with the ratio in
+    (0, 1), and the coordinate-descent tolerance `lasso_tol`, finite and
+    positive.  A value out of range raises ValueError."""
+
+    grid_size: int = 100
+    lambda_min_ratio: float = 1e-3
+    lasso_tol: float = 1e-8
+
+    def __post_init__(self):
+        _set(self, grid_size=_index(self.grid_size, "grid_size"))
+        if self.grid_size < 2:
+            raise ValueError("grid_size must be at least 2")
+        if not 0.0 < self.lambda_min_ratio < 1.0:
+            raise ValueError("lambda_min_ratio must lie in (0,1)")
+        _check_tol(self.lasso_tol)
+
+
 def disagreement(gen_labels: ProbLabelVector, disc_labels: HardLabelVector) -> DisagreementVector:
     if gen_labels.n != disc_labels.n:
         raise ValueError(f"label lengths differ: {gen_labels.n} vs {disc_labels.n}")
@@ -135,13 +165,15 @@ def _stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x.T @ x) / x.shape[0], _corr(x, y)
 
 
+MAX_SWEEPS = 10_000  # the sweeps one coordinate-descent fit may take (see `_cd_solve`)
+
+
 def _cd_solve(
     gram: np.ndarray,
     corr: np.ndarray,
     lam: float,
     theta: np.ndarray,
     tol: float,
-    max_sweeps: int,
 ) -> None:
     """Working-set coordinate descent; `theta` is updated in place.
 
@@ -155,24 +187,24 @@ def _cd_solve(
     round.  Otherwise sweeps over the active columns follow until one moves
     no coordinate by tol or more, and a new round begins.  A sweep is one
     pass over the working set or the active set, not over all P columns;
-    `max_sweeps` bounds their total.  A fit that uses them all up warns,
+    MAX_SWEEPS bounds their total.  A fit that uses them all up warns,
     at the caller of the public fit, with a RuntimeWarning.
     """
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         q = corr - gram @ theta
         max_delta = _sweep(gram, q, theta, lam, np.flatnonzero((theta != 0.0) | (np.abs(q) > lam)))
         sweeps += 1
         if max_delta < tol and _kkt_from_q(q, theta, lam) <= 5.0 * tol:
             return
         active = np.flatnonzero(theta)
-        while sweeps < max_sweeps and active.size:
+        while sweeps < MAX_SWEEPS and active.size:
             sweeps += 1
             if _sweep(gram, q, theta, lam, active) < tol:
                 break
     warnings.warn(
         f"coordinate descent at lambda={lam!r} did not converge within "
-        f"max_sweeps={max_sweeps}",
+        f"max_sweeps={MAX_SWEEPS}",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -224,13 +256,13 @@ def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tu
     )
 
 
-def _coef(features: FeatureMatrixBinary, coef, lam: float, what: str = "coef") -> np.ndarray:
+def _coef(features: FeatureMatrixBinary, coef, lam: float) -> np.ndarray:
     """`coef` as a float copy, checked to hold one entry per column, at a lam >= 0."""
     if not lam >= 0:
         raise ValueError("lambda must be non-negative")
     theta = np.array(coef, dtype=np.float64)
     if theta.shape != (features.p,):
-        raise ValueError(f"{what} must have one entry per feature column")
+        raise ValueError("coef must have one entry per feature column")
     return theta
 
 
@@ -253,38 +285,18 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
     return _lasso_fits(x, y, coef[None, :], [fit.lam])[0].kkt_residual
 
 
-def _check_settings(
-    tol: float, grid_size: int | None = None, lambda_min_ratio: float | None = None
-) -> None:
-    """Raise ValueError for a solver tolerance or path grid out of range, or
-    a grid_size that is not an integer; a grid setting left None is not
-    checked."""
-    if grid_size is not None and _index(grid_size, "grid_size") < 2:
-        raise ValueError("grid_size must be at least 2")
-    if lambda_min_ratio is not None and not 0.0 < lambda_min_ratio < 1.0:
-        raise ValueError("lambda_min_ratio must lie in (0,1)")
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+def lasso_fit(features: FeatureMatrixBinary, target, lam: float, tol: float = 1e-8) -> LassoFit:
+    """Solve the canonical LASSO at one lambda by cyclic coordinate descent
+    from zero, to the finite and positive tolerance `tol`.
 
-
-def lasso_fit(
-    features: FeatureMatrixBinary,
-    target,
-    lam: float,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-    init: np.ndarray | None = None,
-) -> LassoFit:
-    """Solve the canonical LASSO at one lambda by cyclic coordinate descent.
-
-    `max_sweeps` counts sweeps over the working set or the active set, not
-    over all P columns (see `_cd_solve`); a fit that uses them all up warns
+    A fit that uses up its MAX_SWEEPS sweeps, each over the working set or
+    the active set rather than over all P columns (see `_cd_solve`), warns
     with a RuntimeWarning."""
-    theta = _coef(features, np.zeros(features.p) if init is None else init, lam, "init")
-    _check_settings(tol)
+    theta = _coef(features, np.zeros(features.p), lam)
+    _check_tol(tol)
     x, y = _problem(features, target)
     gram, corr = _stats(x, y)
-    _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
+    _cd_solve(gram, corr, lam, theta, tol)
     return _lasso_fits(x, y, theta[None, :], [float(lam)])[0]
 
 
@@ -296,19 +308,19 @@ def lambda_max(features: FeatureMatrixBinary, target) -> float:
 def regularization_path(
     features: FeatureMatrixBinary,
     target,
-    grid_size: int = 100,
-    lambda_min_ratio: float = 1e-3,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
+    config: LassoConfig = LassoConfig(),
     stop_after: int | None = None,
 ) -> RegPath:
-    """Warm-started fits on a geometric grid from lambda_max downward.
+    """Warm-started fits on the geometric grid of `config`: `grid_size`
+    points from lambda_max down to `lambda_min_ratio` * lambda_max, each fit
+    to the tolerance `lasso_tol`.
 
     entry_order records each feature's first activation; features activating
     at the same grid point are ordered by larger |coef|, then lower index.
-    With `stop_after`, the descent stops early once that many features have
-    activated (the remaining grid points are dropped).  Each grid point
-    whose fit uses up `max_sweeps` warns with a RuntimeWarning.
+    With `stop_after`, an integer of at least 1, the descent stops early once
+    that many features have activated (the remaining grid points are
+    dropped).  Each grid point whose fit uses up MAX_SWEEPS warns with a
+    RuntimeWarning.
 
     Each fit's kkt_residual is the N-object check of `kkt_residual`, taken
     for every grid point at once after the loop by `_lasso_fits`, which
@@ -317,15 +329,16 @@ def regularization_path(
     the solver's Gram statistics, so it still checks the fits against the
     data.
     """
-    _check_settings(tol, grid_size, lambda_min_ratio)
     stop = np.inf if stop_after is None else _index(stop_after, "stop_after")
+    if stop < 1:
+        raise ValueError("stop_after must be at least 1")
     x, y = _problem(features, target)
     gram, corr = _stats(x, y)
     lam_max = float(np.abs(corr).max())
     if lam_max == 0.0:
         raise DataError("no disagreement signal: target is uncorrelated with every feature")
 
-    grid = np.geomspace(lam_max, lam_max * lambda_min_ratio, grid_size)
+    grid = np.geomspace(lam_max, lam_max * config.lambda_min_ratio, config.grid_size)
     grid[0] = lam_max  # exact, so the first fit is all-zero by construction
 
     theta = np.zeros(features.p)
@@ -334,7 +347,7 @@ def regularization_path(
     entry_lambdas: list[float] = []
     seen = np.zeros(features.p, dtype=bool)
     for lam in grid.tolist():
-        _cd_solve(gram, corr, lam, theta, tol, max_sweeps)
+        _cd_solve(gram, corr, lam, theta, config.lasso_tol)
         coefs.append(theta.copy())
         fresh = [j for j in np.flatnonzero(theta).tolist() if not seen[j]]
         fresh.sort(key=lambda j: (-abs(theta[j]), j))

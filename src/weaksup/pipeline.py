@@ -30,34 +30,32 @@ from .data import (
     _set,
     validate,
 )
-from .diffmodel import _check_settings, disagreement, regularization_path, select_features
+from .diffmodel import LassoConfig, disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
 from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
 from .metrics import score, soft_label_accuracy
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(LassoConfig):
+    """The settings of the disagreement path, then those of the loop."""
+
     k_max: int = 10
     patience: int = 1
     dev_metric: str = "accuracy"  # or "f1"
     gen: FitConfig = field(default_factory=FitConfig)
     disc: DiscConfig = field(default_factory=DiscConfig)
-    grid_size: int = 100
-    lambda_min_ratio: float = 1e-3
-    lasso_tol: float = 1e-8
     standardize: bool = False
 
     def __post_init__(self):
-        _set(self, **{name: _index(getattr(self, name), name)
-                      for name in ("k_max", "patience", "grid_size")})
+        super().__post_init__()
+        _set(self, **{name: _index(getattr(self, name), name) for name in ("k_max", "patience")})
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.dev_metric not in ("accuracy", "f1"):
             raise ValueError("dev_metric must be 'accuracy' or 'f1'")
-        _check_settings(self.lasso_tol, self.grid_size, self.lambda_min_ratio)
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,7 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
                 path = regularization_path(
                     dataset.bin_features,
                     disagreement(records[0].gen_labels, records[0].disc_labels),
-                    grid_size=config.grid_size,
-                    lambda_min_ratio=config.lambda_min_ratio,
-                    tol=config.lasso_tol,
+                    config,
                     stop_after=config.k_max,
                 )
             except DataError:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector,
                    LabelMatrix, _index, _set)
-from .diffmodel import (DisagreementVector, _check_settings, lasso_fit, regularization_path,
+from .diffmodel import (DisagreementVector, LassoConfig, lasso_fit, regularization_path,
                         select_features)
 from .theory import _check_delta, check_conditions
 
@@ -207,9 +207,14 @@ def derive_trial_seed(base_seed: int, cell: int, trial: int) -> int:
 
 def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
     """`[trial(w) for w in work]`, spread over `jobs` worker processes when
-    jobs > 1.  Results keep the order of `work`, so they do not depend on
-    `jobs`; `trial` must pickle: a module-level function or a partial of one."""
-    if jobs <= 1:
+    jobs > 1.  `jobs` is an integer of at least 1 (any Python or NumPy
+    integer), checked before the first trial.  Results keep the order of
+    `work`, so they do not depend on `jobs`; `trial` must pickle: a
+    module-level function or a partial of one."""
+    jobs = _index(jobs, "jobs")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if jobs == 1:
         return [trial(w) for w in work]
     # imported here: it pulls in multiprocessing, which `import weaksup` need not pay for
     from concurrent.futures import ProcessPoolExecutor
@@ -218,16 +223,13 @@ def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
         return list(pool.map(trial, work, chunksize=max(1, len(work) // (jobs * 8))))
 
 
-def _recovery_trial(item: tuple[int, RecoveryScenario], policy: str, delta: float, grid_size: int,
-                    lambda_min_ratio: float, tol: float) -> tuple[int, bool, bool, bool]:
+def _recovery_trial(item: tuple[int, RecoveryScenario], policy: str, delta: float,
+                    lasso: LassoConfig) -> tuple[int, bool, bool, bool]:
     cell, scenario = item
     x, target, support = gen_recovery(scenario)
     support_set = set(support)
     if policy == "path":
-        path = regularization_path(
-            x, target, grid_size=grid_size, lambda_min_ratio=lambda_min_ratio, tol=tol,
-            stop_after=scenario.s_size,
-        )
+        path = regularization_path(x, target, lasso, stop_after=scenario.s_size)
         if len(path.entry_order) < scenario.s_size:
             return cell, False, False, True
         selected = set(select_features(path, scenario.s_size))
@@ -239,7 +241,7 @@ def _recovery_trial(item: tuple[int, RecoveryScenario], policy: str, delta: floa
         return cell, False, False, False
     if not report.all_satisfied or report.recommended_lambda is None:
         return cell, False, False, False
-    fit = lasso_fit(x, target, report.recommended_lambda, tol=tol)
+    fit = lasso_fit(x, target, report.recommended_lambda, tol=lasso.lasso_tol)
     active = set(fit.active_set)
     return cell, active == support_set, support_set <= active, True
 
@@ -254,24 +256,25 @@ def run_recovery_experiment(
     rho: float | None = None,
     lambda_policy: str = "path",
     delta: float = 0.2,
-    grid_size: int = 100,
-    lambda_min_ratio: float = 1e-3,
-    tol: float = 1e-8,
+    lasso: LassoConfig = LassoConfig(),
     jobs: int = 1,
 ) -> list[RecoveryCell]:
     """Fraction of seeded trials whose selected support equals the planted one,
     per (kappa, n) grid cell.  Exact equality and containment are both
     reported; `conditions_ok_fraction` tracks how often the recovery
     preconditions held (always 1 under the path policy; a draw with a
-    singular Sigma_SS fails them).  Every setting, `delta` under either
-    policy included, is checked before the first draw."""
+    singular Sigma_SS fails them).  The path policy selects the first s_size
+    entries of a path with the settings `lasso`; the theorem policy fits
+    once at the recommended lambda, to the tolerance `lasso.lasso_tol`.
+    Every setting, `delta` under either policy and `jobs` included, is
+    checked before the first draw; `lasso` checks its own fields when it is
+    built."""
     trials = _index(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
     if lambda_policy not in ("path", "theorem"):
         raise ValueError("lambda_policy must be 'path' or 'theorem'")
     _check_delta(delta)
-    _check_settings(tol, grid_size, lambda_min_ratio)
     cells = [(kappa, n) for kappa in kappas for n in ns]
     work = [
         (ci, RecoveryScenario(kappa=kappa, n=n, p=p, s_size=s_size,
@@ -279,8 +282,7 @@ def run_recovery_experiment(
         for ci, (kappa, n) in enumerate(cells)
         for t in range(trials)
     ]
-    trial = functools.partial(_recovery_trial, policy=lambda_policy, delta=delta,
-                              grid_size=grid_size, lambda_min_ratio=lambda_min_ratio, tol=tol)
+    trial = functools.partial(_recovery_trial, policy=lambda_policy, delta=delta, lasso=lasso)
     results = map_trials(trial, work, jobs)
     counts = np.zeros((len(cells), 3))  # exact, contained, conditions held: RecoveryCell order
     for ci, *flags in results:

@@ -565,6 +565,21 @@ def test_simulate_e2e_rejects_zero_trials(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_job_count_below_one_exits_two_writing_nothing(jobs, tmp_path, capsys):
+    out, dump = tmp_path / "out.csv", tmp_path / "dump"
+    argv = ["simulate-e2e", "--trials", "1", "--n", "300", "--p", "6", "--q-disc", "3",
+            "--k-max", "1", "--jobs", jobs, "--dump-data", str(dump), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
+    assert not dump.exists() and not out.exists()
+    argv = ["simulate-recovery", "--kappa", "0.4", "--n", "200", "--trials", "1",
+            "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_conditions_rejects_a_repeated_support_column(tiny_dataset, tmp_path, capsys):
     ds, paths, _ = tiny_dataset
     dis = tmp_path / "dis.csv"

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import lasso_grid_search, naive_kkt_residual, reference_path
+from weaksup import diffmodel
 from weaksup.data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector
 from weaksup.diffmodel import (
     DisagreementVector,
+    LassoConfig,
     LassoFit,
     RegPath,
     disagreement,
@@ -23,6 +25,7 @@ from weaksup.diffmodel import (
 )
 from weaksup.discmodel import fit_disc, predict
 from weaksup.genmodel import fit_sp, label_sp
+from weaksup.pipeline import RunConfig
 from weaksup.synth import E2EScenario, RecoveryScenario, gen_e2e, gen_recovery
 
 
@@ -147,16 +150,18 @@ def test_kkt_residual_increases_under_perturbation():
     assert kkt_residual(x, y, perturbed) > fit.kkt_residual
 
 
-def test_objective_nonincreasing_across_sweeps():
+def test_objective_nonincreasing_across_sweeps(monkeypatch):
     rng = np.random.default_rng(5)
     x = random_pm1(rng, 40, 6)
     y = rng.uniform(-1, 1, 40)
     lam = 0.05
     theta = np.zeros(6)
+    gram, corr = diffmodel._stats(*diffmodel._problem(x, y))
     prev = lasso_objective(x, y, theta, lam)
+    monkeypatch.setattr(diffmodel, "MAX_SWEEPS", 1)
     with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
         for _ in range(12):
-            theta = lasso_fit(x, y, lam, max_sweeps=1, init=theta).coef
+            diffmodel._cd_solve(gram, corr, lam, theta, 1e-8)
             cur = lasso_objective(x, y, theta, lam)
             assert cur <= prev + 1e-12
             prev = cur
@@ -187,12 +192,12 @@ def _at(coef: np.ndarray, lam: float) -> LassoFit:
     return LassoFit(coef=coef, lam=lam, kkt_residual=0.0)
 
 
-# the public calls that take a coefficient vector (lasso_fit as its start) and a lambda
-POINT_CALLS = {
-    "lasso_fit": lambda x, y, coef, lam: lasso_fit(x, y, lam, init=coef),
+# the public calls that take a lambda, and the two of them that take a coefficient vector
+COEF_CALLS = {
     "lasso_objective": lasso_objective,
     "kkt_residual": lambda x, y, coef, lam: kkt_residual(x, y, _at(coef, lam)),
 }
+POINT_CALLS = {"lasso_fit": lambda x, y, coef, lam: lasso_fit(x, y, lam)} | COEF_CALLS
 
 
 @pytest.mark.parametrize("lam", [-0.1, np.nan])
@@ -204,7 +209,7 @@ def test_negative_lambda_rejected(call, lam):
 
 
 @pytest.mark.parametrize("length", [4, 6])
-@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS.keys())
+@pytest.mark.parametrize("call", COEF_CALLS.values(), ids=COEF_CALLS.keys())
 def test_coef_of_the_wrong_length_rejected(call, length):
     x, y, _ = gen_recovery(RecoveryScenario(kappa=0.4, n=200, p=5, seed=0))
     with pytest.raises(ValueError, match="must have one entry per feature column"):
@@ -217,9 +222,35 @@ def test_lasso_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="tol"):
-            lasso_fit(x, y, 0.01, tol=tol, max_sweeps=200)
+            lasso_fit(x, y, 0.01, tol=tol)
         with pytest.raises(ValueError, match="tol"):
-            regularization_path(x, y, grid_size=20, tol=tol, max_sweeps=200)
+            regularization_path(x, y, LassoConfig(grid_size=20, lasso_tol=tol))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("grid_size", 1, "^grid_size must be at least 2$"),
+    ("grid_size", 10.5, "^grid_size: 10.5 is not an integer index$"),
+    ("grid_size", True, "^grid_size: True is not an integer index$"),
+    *[("lambda_min_ratio", r, r"^lambda_min_ratio must lie in \(0,1\)$") for r in (0.0, 1.0, np.nan)],
+    *[("lasso_tol", t, "^tol must be finite and positive$") for t in (0.0, -1.0, np.nan, np.inf)],
+])
+@pytest.mark.parametrize("cls", [LassoConfig, RunConfig])
+def test_the_lasso_settings_refuse_a_value_out_of_range(cls, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{field: value})
+    config = cls(grid_size=np.int64(5))
+    assert config.grid_size == 5 and type(config.grid_size) is int
+
+
+def test_the_run_config_extends_one_lasso_settings_type():
+    # the CLI's defaults and config echoes, and the benchmark, read these fields
+    fields = {cls: [(f.name, f.default) for f in dataclasses.fields(cls)]
+              for cls in (LassoConfig, RunConfig)}
+    assert fields[LassoConfig] == [("grid_size", 100), ("lambda_min_ratio", 1e-3),
+                                   ("lasso_tol", 1e-8)]
+    assert fields[RunConfig][:3] == fields[LassoConfig]
+    assert [name for name, _ in fields[RunConfig][3:]] == [
+        "k_max", "patience", "dev_metric", "gen", "disc", "standardize"]
 
 
 # -- regularization path ---------------------------------------------------------
@@ -229,7 +260,7 @@ def test_path_starts_all_zero_and_satisfies_kkt():
     rng = np.random.default_rng(6)
     x = random_pm1(rng, 60, 10)
     y = rng.uniform(-1, 1, 60)
-    path = regularization_path(x, y, grid_size=30, tol=1e-8)
+    path = regularization_path(x, y, LassoConfig(grid_size=30, lasso_tol=1e-8))
     assert path.fits[0].active_set == ()
     assert path.lambdas[0] == lambda_max(x, y)
     for fit in path.fits:
@@ -243,25 +274,26 @@ def test_path_rejects_zero_target():
         regularization_path(x, np.zeros(2))
 
 
-def test_path_warns_when_sweeps_run_out():
+def test_path_warns_when_sweeps_run_out(monkeypatch):
     rng = np.random.default_rng(6)
     x = random_pm1(rng, 60, 10)
     y = rng.uniform(-1, 1, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        regularization_path(x, y, grid_size=30)
+        regularization_path(x, y, LassoConfig(grid_size=30))
+    monkeypatch.setattr(diffmodel, "MAX_SWEEPS", 1)
     with pytest.warns(RuntimeWarning, match=r"at lambda=.* max_sweeps=1"):
-        regularization_path(x, y, grid_size=30, max_sweeps=1)
+        regularization_path(x, y, LassoConfig(grid_size=30))
 
 
 def test_path_column_permutation_equivariance():
     rng = np.random.default_rng(7)
     x = random_pm1(rng, 80, 6)
     y = rng.uniform(-1, 1, 80)
-    path = regularization_path(x, y, grid_size=40)
+    path = regularization_path(x, y, LassoConfig(grid_size=40))
     perm = rng.permutation(6)
     x_perm = FeatureMatrixBinary(x.values[:, perm])
-    path_perm = regularization_path(x_perm, y, grid_size=40)
+    path_perm = regularization_path(x_perm, y, LassoConfig(grid_size=40))
     # position i of the permuted matrix is original column perm[i]
     assert [int(perm[j]) for j in path_perm.entry_order] == list(path.entry_order)
 
@@ -270,7 +302,7 @@ def test_select_features_prefix_and_truncation():
     rng = np.random.default_rng(8)
     x = random_pm1(rng, 60, 5)
     y = rng.uniform(-1, 1, 60)
-    path = regularization_path(x, y, grid_size=40)
+    path = regularization_path(x, y, LassoConfig(grid_size=40))
     assert select_features(path, 2)[0] == select_features(path, 1)[0]
     assert select_features(path, 1) == list(path.entry_order[:1])
     with pytest.warns(UserWarning, match="activated"):
@@ -293,12 +325,22 @@ def test_path_counts_refuse_a_value_that_is_not_an_integer(name, value):
 
     def entries(count):
         if name == "k":
-            return select_features(regularization_path(x, y, grid_size=40), count)
-        return list(regularization_path(x, y, grid_size=40, stop_after=count).entry_order)
+            return select_features(regularization_path(x, y, LassoConfig(grid_size=40)), count)
+        return list(regularization_path(x, y, LassoConfig(grid_size=40),
+                                        stop_after=count).entry_order)
 
     with pytest.raises(ValueError, match=f"^{name}: .* is not an integer index$"):
         entries(value)
     assert entries(np.int64(2)) == entries(2)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_path_stop_after_refuses_a_count_below_one(count):
+    rng = np.random.default_rng(8)
+    x = random_pm1(rng, 60, 5)
+    y = rng.uniform(-1, 1, 60)
+    with pytest.raises(ValueError, match="^stop_after must be at least 1$"):
+        regularization_path(x, y, stop_after=count)
 
 
 @pytest.mark.parametrize("lambdas, entry_order, entry_lambdas, message", [
@@ -324,7 +366,7 @@ def test_first_entry_is_max_correlation_feature():
     x = random_pm1(rng, 100, 7)
     y = rng.uniform(-1, 1, 100)
     corr = np.abs(x.values.astype(float).T @ y) / 100
-    path = regularization_path(x, y, grid_size=40)
+    path = regularization_path(x, y, LassoConfig(grid_size=40))
     assert path.entry_order[0] == int(np.argmax(corr))
 
 
@@ -382,7 +424,7 @@ DESIGNS = list(_design_cases())
 def test_path_matches_the_full_sweep_reference(case, stop_after):
     _, x, y = DESIGNS[case]
     tol = 1e-8
-    path = regularization_path(x, y, tol=tol, stop_after=stop_after)
+    path = regularization_path(x, y, LassoConfig(lasso_tol=tol), stop_after=stop_after)
     lambdas, entry_order, entry_lambdas, coefs = reference_path(x.values, y, tol=tol,
                                                                 stop_after=stop_after)
     assert path.lambdas == tuple(lambdas)

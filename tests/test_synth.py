@@ -9,6 +9,7 @@ import pytest
 import weaksup
 from weaksup import synth
 from weaksup.data import validate
+from weaksup.diffmodel import LassoConfig
 from weaksup.genmodel import fit_sp
 from weaksup.synth import (
     E2EScenario,
@@ -229,6 +230,21 @@ def test_recovery_experiment_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("policy", ["path", "theorem"])
+def test_recovery_experiment_fits_with_its_lasso_settings(policy, monkeypatch):
+    lasso = LassoConfig(grid_size=20, lambda_min_ratio=0.01, lasso_tol=1e-7)
+    seen = []
+    path, fit = synth.regularization_path, synth.lasso_fit
+    monkeypatch.setattr(synth, "regularization_path",
+                        lambda x, t, config, **kw: seen.append(config) or path(x, t, config, **kw))
+    monkeypatch.setattr(synth, "lasso_fit",
+                        lambda x, t, lam, tol: seen.append(tol) or fit(x, t, lam, tol=tol))
+    kwargs = dict(kappas=[0.6], ns=[2000], trials=2, p=10, rho=0.6, lambda_policy=policy)
+    cells = run_recovery_experiment(**kwargs, lasso=lasso, jobs=np.int64(1))
+    assert seen and all(s == (lasso if policy == "path" else lasso.lasso_tol) for s in seen)
+    assert cells == run_recovery_experiment(**kwargs, lasso=lasso)
+
+
 def test_recovery_experiment_theorem_policy_runs():
     cells = run_recovery_experiment(
         [0.6], [4000], trials=4, p=10, s_size=3, seed=6, rho=0.6,
@@ -242,14 +258,14 @@ def test_recovery_experiment_theorem_policy_runs():
 @pytest.mark.parametrize("policy", ["path", "theorem"])
 @pytest.mark.parametrize("setting, message", [
     *[({"delta": d}, r"delta must lie in \(0,1\)") for d in (0.0, 1.0, 1.5, -0.1, np.nan)],
-    ({"grid_size": 1}, "grid_size"),
-    ({"grid_size": 10.5}, "^grid_size: 10.5 is not an integer index$"),
-    ({"lambda_min_ratio": 1.0}, "lambda_min_ratio"),
-    ({"tol": np.nan}, "tol"),
     ({"kappas": [0.4, 1.5]}, "kappa"),  # the second cell's scenario, before the first's draw
     ({"trials": 1.5}, "^trials: 1.5 is not an integer index$"),
-], ids=["delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan", "grid_size",
-        "grid_size=10.5", "lambda_min_ratio", "tol", "kappa", "trials=1.5"])
+    ({"jobs": 1.5}, "^jobs: 1.5 is not an integer index$"),
+    ({"jobs": 0}, "^jobs must be at least 1$"),
+    ({"jobs": -3}, "^jobs must be at least 1$"),
+    ({"jobs": True}, "^jobs: True is not an integer index$"),
+], ids=["delta=0", "delta=1", "delta=1.5", "delta=-0.1", "delta=nan", "kappa", "trials=1.5",
+        "jobs=1.5", "jobs=0", "jobs=-3", "jobs=True"])
 def test_recovery_experiment_checks_every_setting_before_the_first_draw(
     setting, message, policy, monkeypatch
 ):
