@@ -463,7 +463,7 @@ def _add_disc_opts(p: _Parser) -> None:
 def _add_lasso_opts(p: _Parser) -> None:
     p.add_argument("--grid-size", type=int, help="lambda grid points")
     p.add_argument("--lambda-min-ratio", type=float, help="smallest lambda / lambda_max")
-    p.add_argument("--lasso-tol", type=float, help="coordinate-descent tolerance")
+    p.add_argument("--lasso-tol", type=float, help="KKT tolerance of each LASSO fit")
 
 
 def build_parser() -> _Parser:

@@ -9,16 +9,19 @@ on one lambda axis.  Columns of X are +-1, hence have exact unit norm under
 the 1/N scaling and are never standardized; the constructor of
 FeatureMatrixBinary is the guard.
 
-Coordinate descent runs on precomputed Gram/correlation statistics (the
-covariance-update strategy), so a sweep costs no pass over the N objects.
-Each round sweeps only the working set, in ascending column order: the
-active columns plus every column whose residual correlation exceeds lambda,
-the only ones a coordinate step can move.  Sweeps over the active columns
-follow until they settle (glmnet's active-set cycling), and a fit is
-accepted only after a KKT check over all P columns, as in the strong rules'
-re-check.  Fits are fully deterministic.  The path's three settings arrive
-as one LassoConfig, which checks them when it is built; every fit takes at
-most MAX_SWEEPS sweeps.
+The solution is piecewise linear in lambda, so every fit is read off the
+exact path (`_homotopy`): LARS with the lasso modification (Osborne,
+Presnell and Turlach 2000; Efron et al. 2004), run on the Gram matrix and
+the correlations, so a breakpoint costs no pass over the N objects.  A
+column enters when its residual correlation reaches lambda and leaves when
+its coefficient reaches zero; between breakpoints each grid point's
+coefficients are a linear function of its lambda, with no solve of their
+own.  A fit is accepted when its KKT violation, taken from the Gram matrix
+over all P columns, is within 5 * tol.  A column that equals or negates a
+lower-index column never enters, since it would make the active block
+singular and the solution is not unique with it (Tibshirani 2013, EJS 7).
+Fits are fully deterministic.  The path's three settings arrive as one
+LassoConfig, which checks them when it is built.
 
 Every public function reads (X, y) through one reader, `_problem`, which
 checks the target's length and finiteness.  Every LassoFit is built by one
@@ -97,11 +100,11 @@ class RegPath:
             raise ValueError("entry_lambdas must parallel entry_order")
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless the coordinate-descent tolerance is finite and
-    positive: no fit meets a tolerance of 0 or NaN."""
+def _check_tol(tol: float, name: str) -> None:
+    """Raise ValueError, naming the setting, unless the KKT tolerance is
+    finite and positive: no fit meets a tolerance of 0 or NaN."""
     if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be finite and positive")
+        raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,9 @@ class LassoConfig:
     """The settings of one LASSO path: `grid_size` geometric grid points, an
     integer of at least 2 (any Python or NumPy integer, read as an int), from
     lambda_max down to `lambda_min_ratio` * lambda_max, with the ratio in
-    (0, 1), and the coordinate-descent tolerance `lasso_tol`, finite and
-    positive.  A value out of range raises ValueError."""
+    (0, 1), and the KKT tolerance `lasso_tol`, finite and positive: a fit is
+    accepted when its Gram-based KKT violation is within 5 * lasso_tol.  A
+    value out of range raises ValueError."""
 
     grid_size: int = 100
     lambda_min_ratio: float = 1e-3
@@ -122,21 +126,13 @@ class LassoConfig:
             raise ValueError("grid_size must be at least 2")
         if not 0.0 < self.lambda_min_ratio < 1.0:
             raise ValueError("lambda_min_ratio must lie in (0,1)")
-        _check_tol(self.lasso_tol)
+        _check_tol(self.lasso_tol, "lasso_tol")
 
 
 def disagreement(gen_labels: ProbLabelVector, disc_labels: HardLabelVector) -> DisagreementVector:
     if gen_labels.n != disc_labels.n:
         raise ValueError(f"label lengths differ: {gen_labels.n} vs {disc_labels.n}")
     return DisagreementVector(-gen_labels.expected * disc_labels.labels)
-
-
-def soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
 
 
 def _target(target, n: int) -> np.ndarray:
@@ -165,72 +161,162 @@ def _stats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x.T @ x) / x.shape[0], _corr(x, y)
 
 
-MAX_SWEEPS = 10_000  # the sweeps one coordinate-descent fit may take (see `_cd_solve`)
+TIE = 1e-9  # breakpoints within this fraction of lambda of each other are one event
+PIVOT = 1e-10  # a column whose Gram pivot on the active block is this small lies in its span
 
 
-def _cd_solve(
-    gram: np.ndarray,
-    corr: np.ndarray,
-    lam: float,
-    theta: np.ndarray,
-    tol: float,
-) -> None:
-    """Working-set coordinate descent; `theta` is updated in place.
+def _kkt(q: np.ndarray, thetas: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Largest KKT violation of each row of `thetas` (G x P) given its
+    residual correlations, the same row of `q`: |q_j - lam sign(theta_j)| on
+    active columns, |q_j| - lam on inactive ones, floored at 0."""
+    lam = lambdas[:, None]
+    viol = np.where(thetas != 0.0, np.abs(q - lam * np.sign(thetas)), np.abs(q) - lam)
+    return np.max(viol, axis=1, initial=0.0)
 
-    Each round starts from the fresh residual correlations
-    q = corr - gram @ theta (exactly the KKT vector; no drift carries over)
-    and sweeps, in ascending column order, only the working set: the active
-    columns plus every column with |q_j| > lam, the only columns a step can
-    move.  The fit is converged when that sweep moves no coordinate by tol
-    or more and the Gram-based KKT violation over all P columns is within
-    5 * tol; a column that violates it has |q_j| > lam and joins the next
-    round.  Otherwise sweeps over the active columns follow until one moves
-    no coordinate by tol or more, and a new round begins.  A sweep is one
-    pass over the working set or the active set, not over all P columns;
-    MAX_SWEEPS bounds their total.  A fit that uses them all up warns,
-    at the caller of the public fit, with a RuntimeWarning.
+
+def _homotopy(gram: np.ndarray, corr: np.ndarray, grid: np.ndarray, stop: float,
+              refresh: bool) -> np.ndarray:
+    """The exact LASSO path from lambda_max down, read at each point of the
+    decreasing `grid`: one row of coefficients per grid point reached.  The
+    path stops at the first grid point by which `stop` columns have been
+    active at a grid point.
+
+    On a segment between breakpoints the active set A and its signs s are
+    fixed, and theta_A(lam) = u - lam d with u = H c_A, d = H s_A and
+    H = G_AA^-1, so the residual correlations are q(lam) = r + lam a with
+    r = c - G_.A u and a = G_.A d.  The segment ends at the largest lam at
+    which an inactive q_j reaches the bound +-lam it heads for (the column
+    enters with that sign) or an active coefficient at least TIE below the
+    segment's top reaches zero (it leaves); events within TIE of it are
+    taken with it.  H is kept as W^T W, where W G_AA W^T = I: an entry
+    borders W with one row, from two products with W, and an exit applies
+    one Householder reflection to W.  A column whose pivot on the active
+    block is at most PIVOT lies in the active columns' span and does not
+    enter until a column leaves; a column that equals or negates a
+    lower-index one never enters.  The grid points of a segment are read
+    off it; with `refresh`, W is first formed again from G_AA and the
+    segment redone.
     """
-    sweeps = 0
-    while sweeps < MAX_SWEEPS:
-        q = corr - gram @ theta
-        max_delta = _sweep(gram, q, theta, lam, np.flatnonzero((theta != 0.0) | (np.abs(q) > lam)))
-        sweeps += 1
-        if max_delta < tol and _kkt_from_q(q, theta, lam) <= 5.0 * tol:
-            return
-        active = np.flatnonzero(theta)
-        while sweeps < MAX_SWEEPS and active.size:
-            sweeps += 1
-            if _sweep(gram, q, theta, lam, active) < tol:
-                break
-    warnings.warn(
-        f"coordinate descent at lambda={lam!r} did not converge within "
-        f"max_sweeps={MAX_SWEEPS}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    p = corr.size
+    free = np.ones(p, dtype=bool)  # inactive columns that may enter
+    spanned: list[int] = []  # inactive columns in the span of the active ones
+    white = np.zeros((p, p))  # W, on its leading m x m block
+    rows = np.empty((p, p))  # G_A., one Gram row per active column, in the order of A
+    cs = np.empty((p, 2))  # [c_A, s_A]
+    ud = np.empty((p, 2))  # [u, d]
+    active: list[int] = []
+    coefs = np.zeros((grid.size, p))
+    entered: set[int] = set()  # columns active at a grid point read so far
+    bounds = np.array([[1.0], [-1.0]])
+    lams = grid.tolist()
+    r, a = corr, np.zeros(p)
+    lam_hi, g, redone = np.inf, 0, False
+    while True:
+        m = len(active)
+        u, d = ud[:m, 0], ud[:m, 1]
+        cap = lam_hi * (1.0 - TIE)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = r / (bounds - a)  # the lam at which q_j = +lam (row 0) and -lam (row 1)
+            zeros = u / d  # the lam at which theta_j = 0
+        # q_j heads for the bound +-lam only where lam -+ q_j shrinks as lam falls,
+        # so a column at its bound enters now if it heads out, not if it heads in
+        hits = np.where((bounds * a < 1.0) & (hits > 0.0) & free, hits, 0.0)
+        zeros = np.where((zeros > 0.0) & (zeros < cap), zeros, 0.0)
+        lam_lo = min(max(hits.max(), zeros.max(initial=0.0)), lam_hi)
+
+        end = g
+        while end < len(lams) and lams[end] >= lam_lo:
+            end += 1
+        if end > g:
+            if refresh and not redone:
+                white[:m, :m] = np.linalg.inv(np.linalg.cholesky(gram[np.ix_(active, active)]))
+                ud[:m] = white[:m, :m].T @ (white[:m, :m] @ cs[:m])
+                r, a = corr - u @ rows[:m], d @ rows[:m]
+                redone = True
+                continue
+            coefs[g:end, active] = u - grid[g:end, None] * d
+            # an active coefficient is nonzero below the breakpoint it entered at
+            entered.update(active)
+            if len(entered) >= stop:
+                return coefs[: g + 1]
+            g = end
+        if g == grid.size:
+            return coefs
+
+        tie = lam_lo * (1.0 - TIE)
+        q = r + lam_lo * a  # continuous across the breakpoint, as theta is
+        out = np.flatnonzero(zeros >= tie)[::-1].tolist()
+        for i in out:  # the last active column takes the leaving one's place
+            m -= 1
+            free[active[i]] = True
+            active[i] = active[m]
+            active.pop()
+            rows[i], cs[i] = rows[m], cs[m]
+            w = white[: m + 1, : m + 1]
+            v = w[:, i].copy()  # reflected onto the last axis, whose row is then dropped
+            w[:, i] = w[:, m]
+            v[-1] += np.copysign(np.sqrt(v @ v), v[-1])
+            w -= np.outer(v, (2.0 / (v @ v)) * (v @ w))
+        if out:
+            ud[:m] = white[:m, :m].T @ (white[:m, :m] @ cs[:m])
+            free[spanned] = True  # a smaller active set may no longer span them
+            spanned.clear()
+        for j in np.flatnonzero(hits.max(axis=0) >= tie).tolist():
+            if (np.abs(gram[j, :j]) == 1.0).any():  # a copy or negation of a lower-index column
+                free[j] = False
+                continue
+            ell = white[:m, :m] @ rows[:m, j]
+            pivot = gram[j, j] - ell @ ell
+            if pivot <= PIVOT:
+                free[j] = False
+                spanned.append(j)
+                continue
+            scale = 1.0 / np.sqrt(pivot)
+            new = white[m, : m + 1]  # W's new row; its new column is zero above it
+            new[:m] = white[:m, :m].T @ ell
+            new *= -scale
+            new[m] = scale
+            white[:m, m] = 0.0
+            rows[m] = gram[j]
+            cs[m] = corr[j], 1.0 if hits[0, j] > hits[1, j] else -1.0
+            ud[m] = 0.0
+            ud[: m + 1] += new[:, None] * (new @ cs[: m + 1])
+            active.append(j)
+            free[j] = False
+            m += 1
+        a = ud[:m, 1] @ rows[:m]
+        r = q - lam_lo * a
+        lam_hi, redone = lam_lo, False
 
 
-def _sweep(gram: np.ndarray, q: np.ndarray, theta: np.ndarray, lam: float, columns: np.ndarray) -> float:
-    """One coordinate-descent pass over `columns` in order, updating theta
-    and q = corr - gram @ theta in place; returns the largest step."""
-    max_delta = 0.0
-    for j in columns.tolist():
-        old = theta[j]
-        new = soft_threshold(q[j] + old, lam)
-        if new != old:
-            d = new - old
-            q -= gram[j] * d
-            theta[j] = new
-            max_delta = max(max_delta, abs(d))
-    return max_delta
+def _path(gram: np.ndarray, corr: np.ndarray, grid: np.ndarray, tol: float,
+          stop: float = np.inf) -> np.ndarray:
+    """The coefficients of `_homotopy`, each grid point's fit accepted when
+    its Gram-based KKT violation is within 5 * tol.  If one misses, the path
+    is taken again with W formed afresh for every segment that holds a grid
+    point, and each fit that still misses warns with a RuntimeWarning."""
+    for refresh in (False, True):
+        coefs = _homotopy(gram, corr, grid, stop, refresh)
+        lam = grid[: len(coefs)]
+        used = np.flatnonzero(coefs.any(axis=0))
+        bad = _kkt(corr - coefs[:, used] @ gram[used], coefs, lam) > 5.0 * tol
+        if not bad.any():
+            return coefs
+    for miss in lam[bad].tolist():
+        warnings.warn(f"the LASSO fit at lambda={miss!r} misses the KKT tolerance "
+                      f"5 * tol, tol={tol!r}", RuntimeWarning, stacklevel=3)
+    return coefs
 
 
-def _kkt_from_q(q: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    """Largest KKT violation given the residual correlations q: |q_j - lam *
-    sign(theta_j)| on active columns, |q_j| - lam on inactive ones, floored
-    at 0."""
-    viol = np.where(theta != 0.0, np.abs(q - lam * np.sign(theta)), np.abs(q) - lam)
-    return float(np.max(viol, initial=0.0))
+def _entries(coefs: np.ndarray, grid: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Each column's first grid point with a nonzero coefficient: the entry
+    order, ties at one grid point by larger |coef| and then lower index, and
+    the entry lambdas."""
+    nonzero = coefs != 0.0
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    first = nonzero.argmax(axis=0)[cols]
+    order = np.lexsort((cols, -np.abs(coefs[first, cols]), first))
+    return tuple(cols[order].tolist()), tuple(grid[first[order]].tolist())
 
 
 def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tuple[LassoFit, ...]:
@@ -250,16 +336,23 @@ def _lasso_fits(x: np.ndarray, y: np.ndarray, thetas: np.ndarray, lambdas) -> tu
         kkt = (x.T @ y - thetas[:, used] @ (x[:, used].T @ x)) / x.shape[0]
     else:
         kkt = (x.T @ (y[:, None] - x[:, used] @ thetas[:, used].T)).T / x.shape[0]
+    lambdas = np.asarray(lambdas, dtype=np.float64)
     return tuple(
-        LassoFit(coef=c, lam=lam, kkt_residual=_kkt_from_q(q, c, lam))
-        for c, lam, q in zip(thetas, lambdas, kkt)
+        LassoFit(coef=c, lam=lam, kkt_residual=v)
+        for c, lam, v in zip(thetas, lambdas.tolist(), _kkt(kkt, thetas, lambdas).tolist())
     )
+
+
+def _lam(lam: float) -> float:
+    """`lam` as a float, checked to be >= 0."""
+    if not lam >= 0:
+        raise ValueError("lambda must be non-negative")
+    return float(lam)
 
 
 def _coef(features: FeatureMatrixBinary, coef, lam: float) -> np.ndarray:
     """`coef` as a float copy, checked to hold one entry per column, at a lam >= 0."""
-    if not lam >= 0:
-        raise ValueError("lambda must be non-negative")
+    _lam(lam)
     theta = np.array(coef, dtype=np.float64)
     if theta.shape != (features.p,):
         raise ValueError("coef must have one entry per feature column")
@@ -286,18 +379,15 @@ def kkt_residual(features: FeatureMatrixBinary, target, fit: LassoFit) -> float:
 
 
 def lasso_fit(features: FeatureMatrixBinary, target, lam: float, tol: float = 1e-8) -> LassoFit:
-    """Solve the canonical LASSO at one lambda by cyclic coordinate descent
-    from zero, to the finite and positive tolerance `tol`.
-
-    A fit that uses up its MAX_SWEEPS sweeps, each over the working set or
-    the active set rather than over all P columns (see `_cd_solve`), warns
-    with a RuntimeWarning."""
-    theta = _coef(features, np.zeros(features.p), lam)
-    _check_tol(tol)
+    """Solve the canonical LASSO at one lambda: the exact path from
+    lambda_max down, read at `lam`.  The fit is accepted when its Gram-based
+    KKT violation is within 5 * `tol`, which must be finite and positive;
+    one that misses it warns with a RuntimeWarning."""
+    grid = np.array([_lam(lam)])
+    _check_tol(tol, "tol")
     x, y = _problem(features, target)
-    gram, corr = _stats(x, y)
-    _cd_solve(gram, corr, lam, theta, tol)
-    return _lasso_fits(x, y, theta[None, :], [float(lam)])[0]
+    coefs = _path(*_stats(x, y), grid, tol)
+    return _lasso_fits(x, y, coefs, grid)[0]
 
 
 def lambda_max(features: FeatureMatrixBinary, target) -> float:
@@ -311,19 +401,21 @@ def regularization_path(
     config: LassoConfig = LassoConfig(),
     stop_after: int | None = None,
 ) -> RegPath:
-    """Warm-started fits on the geometric grid of `config`: `grid_size`
-    points from lambda_max down to `lambda_min_ratio` * lambda_max, each fit
-    to the tolerance `lasso_tol`.
+    """Fits on the geometric grid of `config`, `grid_size` points from
+    lambda_max down to `lambda_min_ratio` * lambda_max, all read off one
+    exact LASSO path, each within the KKT tolerance 5 * `lasso_tol`.
 
     entry_order records each feature's first activation; features activating
     at the same grid point are ordered by larger |coef|, then lower index.
-    With `stop_after`, an integer of at least 1, the descent stops early once
+    A column that equals or negates a lower-index column never activates.
+    With `stop_after`, an integer of at least 1, the path stops early once
     that many features have activated (the remaining grid points are
-    dropped).  Each grid point whose fit uses up MAX_SWEEPS warns with a
+    dropped).  Each grid point whose fit misses the tolerance, even with the
+    active block formed again from the Gram matrix, warns with a
     RuntimeWarning.
 
     Each fit's kkt_residual is the N-object check of `kkt_residual`, taken
-    for every grid point at once after the loop by `_lasso_fits`, which
+    for every grid point at once after the path by `_lasso_fits`, which
     groups the one product by the grid size G, the column count P and the
     number |U| of columns active at any grid point.  It reads X and y, never
     the solver's Gram statistics, so it still checks the fits against the
@@ -340,30 +432,14 @@ def regularization_path(
 
     grid = np.geomspace(lam_max, lam_max * config.lambda_min_ratio, config.grid_size)
     grid[0] = lam_max  # exact, so the first fit is all-zero by construction
-
-    theta = np.zeros(features.p)
-    coefs: list[np.ndarray] = []
-    entry_order: list[int] = []
-    entry_lambdas: list[float] = []
-    seen = np.zeros(features.p, dtype=bool)
-    for lam in grid.tolist():
-        _cd_solve(gram, corr, lam, theta, config.lasso_tol)
-        coefs.append(theta.copy())
-        fresh = [j for j in np.flatnonzero(theta).tolist() if not seen[j]]
-        fresh.sort(key=lambda j: (-abs(theta[j]), j))
-        for j in fresh:
-            seen[j] = True
-            entry_order.append(j)
-            entry_lambdas.append(lam)
-        if len(entry_order) >= stop:
-            break
-
-    lambdas = grid[: len(coefs)].tolist()
+    coefs = _path(gram, corr, grid, config.lasso_tol, stop)
+    lambdas = grid[: len(coefs)]
+    entry_order, entry_lambdas = _entries(coefs, lambdas)
     return RegPath(
-        lambdas=tuple(lambdas),
-        entry_order=tuple(entry_order),
-        fits=_lasso_fits(x, y, np.array(coefs), lambdas),
-        entry_lambdas=tuple(entry_lambdas),
+        lambdas=tuple(lambdas.tolist()),
+        entry_order=entry_order,
+        fits=_lasso_fits(x, y, coefs, lambdas),
+        entry_lambdas=entry_lambdas,
     )
 
 

@@ -232,7 +232,10 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     replaced by its rank among the distinct keys so far, which keeps the
     order and the partition.  One 1-D np.unique of the keys then serves any
     width; without return_index it may use a sort three times faster than
-    the stable one that the first index of each row would need.
+    the stable one that the first index of each row would need.  When the
+    2 * bound + 1 possible keys number at most twice the rows, a counting
+    sort replaces it: np.bincount of the keys shifted by the bound, whose
+    nonzero bins, ranked in order, give the same inverse and counts.
     """
     key = np.zeros(rows.shape[0], np.int64)
     bound = 0  # |key| <= bound
@@ -243,7 +246,15 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key *= 3
         key += column
         bound = 3 * bound + 1
-    _, inverse, count = np.unique(key, return_inverse=True, return_counts=True)
+    if 2 * bound + 1 <= 2 * key.size:
+        key += bound
+        count = np.bincount(key)
+        present = np.flatnonzero(count)
+        rank = np.empty(count.size, np.intp)
+        rank[present] = np.arange(present.size)
+        inverse, count = rank[key], count[present]
+    else:
+        _, inverse, count = np.unique(key, return_inverse=True, return_counts=True)
     member = np.empty(count.size, np.intp)
     member[inverse] = np.arange(key.size)  # any member will do: all share the row
     return member, inverse, count

@@ -130,7 +130,7 @@ def lasso_grid_search(x, y, lam, span=2.0, final_step=1e-3):
         step = max(step / 10.0, final_step)
 
 
-def _soft_threshold(x, t):
+def soft_threshold(x, t):
     return x - t if x > t else x + t if x < -t else 0.0
 
 
@@ -162,7 +162,7 @@ def full_sweep_cd(gram, corr, lam, theta, tol, max_sweeps):
         q = corr - gram @ theta
         max_delta = 0.0
         for j in range(p):
-            new = _soft_threshold(q[j] + theta[j], lam)
+            new = soft_threshold(q[j] + theta[j], lam)
             d = new - theta[j]
             if d != 0.0:
                 q -= gram[j] * d
@@ -175,7 +175,7 @@ def full_sweep_cd(gram, corr, lam, theta, tol, max_sweeps):
         while sweeps < max_sweeps and active.size:
             inner_delta = 0.0
             for j in active:
-                new = _soft_threshold(q[j] + theta[j], lam)
+                new = soft_threshold(q[j] + theta[j], lam)
                 d = new - theta[j]
                 if d != 0.0:
                     q -= gram[j] * d

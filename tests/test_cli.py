@@ -244,7 +244,7 @@ def test_simulate_recovery_grid_shape(tmp_path):
     ("--delta", "1.5", "delta must lie in (0,1)"),
     ("--grid-size", "1", "grid_size must be at least 2"),
     ("--lambda-min-ratio", "1.5", "lambda_min_ratio must lie in (0,1)"),
-    ("--lasso-tol", "0", "tol must be finite and positive"),
+    ("--lasso-tol", "0", "lasso_tol must be finite and positive"),
 ])
 def test_simulate_recovery_refuses_a_bad_setting_before_any_trial(
     option, value, message, policy, tmp_path, capsys, monkeypatch
@@ -639,7 +639,7 @@ def test_non_finite_or_zero_tolerance_exits_two_writing_nothing(tiny_dataset, tm
         (["train-disc", "--real-features", paths["vreal"], "--soft-labels", soft,
           "--disc-grad-tol", "inf"], "grad_tol"),
         (["diff", "--bin-features", paths["xbin"], "--gen-labels", soft,
-          "--disc-labels", hard, "--lasso-tol", "0"], "tol"),
+          "--disc-labels", hard, "--lasso-tol", "0"], "lasso_tol"),
     ]:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: {option} must be finite and positive" in capsys.readouterr().err

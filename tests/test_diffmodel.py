@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import lasso_grid_search, naive_kkt_residual, reference_path
+from oracles import (full_sweep_cd, lasso_grid_search, naive_kkt_residual, reference_path,
+                     soft_threshold)
 from weaksup import diffmodel
 from weaksup.data import DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector
 from weaksup.diffmodel import (
@@ -21,7 +22,6 @@ from weaksup.diffmodel import (
     lasso_objective,
     regularization_path,
     select_features,
-    soft_threshold,
 )
 from weaksup.discmodel import fit_disc, predict
 from weaksup.genmodel import fit_sp, label_sp
@@ -150,7 +150,9 @@ def test_kkt_residual_increases_under_perturbation():
     assert kkt_residual(x, y, perturbed) > fit.kkt_residual
 
 
-def test_objective_nonincreasing_across_sweeps(monkeypatch):
+def test_objective_nonincreasing_across_sweeps():
+    # the coordinate-descent reference that the path is checked against
+    # descends: each of its sweeps lowers the objective or leaves it
     rng = np.random.default_rng(5)
     x = random_pm1(rng, 40, 6)
     y = rng.uniform(-1, 1, 40)
@@ -158,13 +160,12 @@ def test_objective_nonincreasing_across_sweeps(monkeypatch):
     theta = np.zeros(6)
     gram, corr = diffmodel._stats(*diffmodel._problem(x, y))
     prev = lasso_objective(x, y, theta, lam)
-    monkeypatch.setattr(diffmodel, "MAX_SWEEPS", 1)
-    with pytest.warns(RuntimeWarning, match="max_sweeps=1"):
-        for _ in range(12):
-            diffmodel._cd_solve(gram, corr, lam, theta, 1e-8)
-            cur = lasso_objective(x, y, theta, lam)
-            assert cur <= prev + 1e-12
-            prev = cur
+    for _ in range(12):
+        full_sweep_cd(gram, corr, lam, theta, 1e-8, max_sweeps=1)
+        cur = lasso_objective(x, y, theta, lam)
+        assert cur <= prev + 1e-12
+        prev = cur
+    assert cur < lasso_objective(x, y, np.zeros(6), lam)
 
 
 PUBLIC_FITS = {
@@ -232,7 +233,8 @@ def test_lasso_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     ("grid_size", 10.5, "^grid_size: 10.5 is not an integer index$"),
     ("grid_size", True, "^grid_size: True is not an integer index$"),
     *[("lambda_min_ratio", r, r"^lambda_min_ratio must lie in \(0,1\)$") for r in (0.0, 1.0, np.nan)],
-    *[("lasso_tol", t, "^tol must be finite and positive$") for t in (0.0, -1.0, np.nan, np.inf)],
+    *[("lasso_tol", t, "^lasso_tol must be finite and positive$")
+      for t in (0.0, -1.0, np.nan, np.inf)],
 ])
 @pytest.mark.parametrize("cls", [LassoConfig, RunConfig])
 def test_the_lasso_settings_refuse_a_value_out_of_range(cls, field, value, message):
@@ -274,16 +276,24 @@ def test_path_rejects_zero_target():
         regularization_path(x, np.zeros(2))
 
 
-def test_path_warns_when_sweeps_run_out(monkeypatch):
+def test_path_warns_when_a_fit_misses_its_tolerance():
     rng = np.random.default_rng(6)
     x = random_pm1(rng, 60, 10)
     y = rng.uniform(-1, 1, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        regularization_path(x, y, LassoConfig(grid_size=30))
-    monkeypatch.setattr(diffmodel, "MAX_SWEEPS", 1)
-    with pytest.warns(RuntimeWarning, match=r"at lambda=.* max_sweeps=1"):
-        regularization_path(x, y, LassoConfig(grid_size=30))
+        path = regularization_path(x, y, LassoConfig(grid_size=30))
+    # no fit meets a KKT tolerance below rounding, even with the active block
+    # formed again from the Gram matrix; each fit that misses warns, and the
+    # path is still the exact one
+    with pytest.warns(RuntimeWarning, match=r"at lambda=.* tol=1e-30$") as caught:
+        missed = regularization_path(x, y, LassoConfig(grid_size=30, lasso_tol=1e-30))
+    assert 0 < len(caught) < len(path.fits)
+    assert missed.entry_order == path.entry_order
+    np.testing.assert_allclose([f.coef for f in missed.fits], [f.coef for f in path.fits],
+                               rtol=0, atol=1e-12)
+    with pytest.warns(RuntimeWarning, match=r"at lambda=0.01 .* tol=1e-30$"):
+        lasso_fit(x, y, 0.01, tol=1e-30)
 
 
 def test_path_column_permutation_equivariance():
@@ -393,7 +403,7 @@ def test_lambda_above_max_gives_zero(seed):
     assert fit.coef.tolist() == [0.0] * 4
 
 
-# -- working-set solver against the full-sweep reference -------------------------
+# -- the exact path against the full-sweep reference ------------------------------
 
 
 def _design_cases():
@@ -406,7 +416,7 @@ def _design_cases():
     base = rng.integers(0, 2, size=(300, 6)) * 2 - 1
     x = FeatureMatrixBinary(np.column_stack([base, base[:, 1], -base[:, 2]]))
     y = np.clip(0.4 * base[:, 1] - 0.3 * base[:, 2] + rng.normal(0, 0.3, 300), -1, 1)
-    yield "duplicated and negated column", x, y
+    yield ALIASED, x, y
     ds = gen_e2e(E2EScenario(n=3000, m=5, p=20, seed=44))
     yg = label_sp(fit_sp(ds.labels), ds.labels)
     yd = predict(fit_disc(ds.real_features, yg), ds.real_features)
@@ -416,13 +426,12 @@ def _design_cases():
         yield f"gen_recovery P={p}", x, target.values
 
 
+ALIASED = "duplicated and negated column"  # columns 6 and 7 copy column 1 and negate column 2
 DESIGNS = list(_design_cases())
+UNIQUE = [case for case in DESIGNS if case[0] != ALIASED]
 
 
-@pytest.mark.parametrize("stop_after", [None, 3])
-@pytest.mark.parametrize("case", range(len(DESIGNS)), ids=[name for name, _, _ in DESIGNS])
-def test_path_matches_the_full_sweep_reference(case, stop_after):
-    _, x, y = DESIGNS[case]
+def _assert_matches_the_reference(x, y, stop_after=None):
     tol = 1e-8
     path = regularization_path(x, y, LassoConfig(lasso_tol=tol), stop_after=stop_after)
     lambdas, entry_order, entry_lambdas, coefs = reference_path(x.values, y, tol=tol,
@@ -432,6 +441,58 @@ def test_path_matches_the_full_sweep_reference(case, stop_after):
     assert path.entry_lambdas == tuple(entry_lambdas)
     np.testing.assert_allclose(np.array([f.coef for f in path.fits]), coefs, rtol=0, atol=1e-6)
     assert max(f.kkt_residual for f in path.fits) <= 10 * tol
+
+
+@pytest.mark.parametrize("stop_after", [None, 3])
+@pytest.mark.parametrize("case", range(len(UNIQUE)), ids=[name for name, _, _ in UNIQUE])
+def test_path_matches_the_full_sweep_reference(case, stop_after):
+    _, x, y = UNIQUE[case]
+    _assert_matches_the_reference(x, y, stop_after)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(20, 200), st.integers(1, 30))
+def test_path_matches_the_reference_on_random_designs(seed, n, p):
+    rng = np.random.default_rng(seed)
+    x = random_pm1(rng, n, p)
+    y = rng.uniform(-1, 1, n)
+    gram = x.values.T.astype(np.int64) @ x.values
+    assume(not (np.abs(gram[np.triu_indices(p, 1)]) == n).any())  # no column repeats another
+    # past P = N / 2 the active block nears singular at the grid's end, where
+    # coordinate descent stalls short of its tolerance (at N = 20, P = 25 the
+    # reference's KKT residual is 1e-6 after 10,000 sweeps, the path's 1e-15)
+    assume(2 * p <= n)
+    _assert_matches_the_reference(x, y)
+
+
+@pytest.mark.parametrize("stop_after", [None, 3])
+def test_a_copied_or_negated_column_never_enters(stop_after):
+    # With copies the LASSO solution is not unique (Tibshirani 2013, EJS 7):
+    # the reference splits the weight of column 1 with its copy 6 and of
+    # column 2 with its negation 7, the path gives it all to the lower index.
+    # The objective is unique, and the entry order is the reference's with
+    # each copy read as the column it copies.
+    x, y = next((x, y) for name, x, y in DESIGNS if name == ALIASED)
+    tol = 1e-8
+    path = regularization_path(x, y, LassoConfig(lasso_tol=tol), stop_after=stop_after)
+    lambdas, entry_order, _, coefs = reference_path(x.values, y, tol=tol)
+    assert path.lambdas == tuple(lambdas[: len(path.fits)])
+    for fit, reference in zip(path.fits, coefs):
+        assert abs(lasso_objective(x, y, fit.coef, fit.lam)
+                   - lasso_objective(x, y, reference, fit.lam)) <= 1e-10
+        assert fit.coef[6] == fit.coef[7] == 0.0
+    assert max(f.kkt_residual for f in path.fits) <= 10 * tol
+    classes = list(dict.fromkeys({6: 1, 7: 2}.get(j, j) for j in entry_order))
+    assert list(path.entry_order) == classes[: 3 if stop_after else None]
+
+
+def test_a_copy_of_a_support_column_is_not_selected():
+    # column 25 of this draw equals support column 21; it used to enter the
+    # path third, with a coefficient of 6.1e-16
+    x, target, support = gen_recovery(RecoveryScenario(kappa=0.9, n=64, p=30, seed=1013))
+    assert (x.values[:, 25] == x.values[:, 21]).all() and 21 in support
+    path = regularization_path(x, target, stop_after=3)
+    assert 25 not in select_features(path, 3)
+    assert 25 not in regularization_path(x, target).entry_order
 
 
 @pytest.mark.parametrize("p", [20, 60, 300])
@@ -453,3 +514,17 @@ def test_path_kkt_residual_is_the_n_object_check(p):
     assert len(fit.active_set) >= 3
     assert abs(fit.kkt_residual - naive_kkt_residual(x.values, target.values, fit.coef,
                                                      fit.lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_is_exact_with_more_columns_than_objects(seed):
+    # near the end of the grid the active columns span all N = 10 dimensions,
+    # so each inactive column lies in their span and waits for one to leave
+    rng = np.random.default_rng(seed)
+    x = random_pm1(rng, 10, 21)
+    y = rng.uniform(-1, 1, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = regularization_path(x, y)
+    assert max(f.kkt_residual for f in path.fits) <= 1e-7
+    assert max(len(f.active_set) for f in path.fits) == 10

@@ -192,9 +192,12 @@ def test_hessian_matches_finite_differences_of_gradient(k):
 
 @pytest.mark.parametrize("width", [1, 5, 25, 39, 40, 41, 60])
 def test_distinct_rows_partition_like_np_unique(width):
-    # widths past 39 columns make the running base-3 key re-rank
+    # widths past 39 columns make the running base-3 key re-rank; widths 1
+    # and 5 count the keys when they number at most twice the rows (at width
+    # 5, 243 keys: 121 rows sort and 122 count), the rest sort them; few
+    # values make many repeated rows
     rng = np.random.default_rng(width)
-    for n, values in ((1, 3), (500, 3), (3_000, 2)):  # few values: many repeated rows
+    for n, values in ((1, 3), (121, 3), (122, 3), (500, 3), (3_000, 2)):
         rows = rng.integers(-1, values - 1, size=(n, width)).astype(np.int8)
         rows[n // 2 :] = rows[: n - n // 2]
         member, inverse, count = _distinct(rows)
