@@ -276,6 +276,19 @@ def check_ids(**ids: Sequence[str] | None) -> None:
                 )
 
 
+def _constant_columns(x: np.ndarray) -> np.ndarray:
+    """The columns of an N x P matrix whose entries all equal row 0's.  The
+    reduction over the rows reads B rows at a time as one row of B * P >= 4096
+    entries: over N rows of a narrow C-order matrix, each step would read
+    only P, and a transposed copy of a wide one costs more than the check."""
+    n, p = x.shape
+    differs = x != x[:1]
+    fold = max(1, 4096 // max(p, 1))
+    full = n // fold * fold
+    varies = differs[:full].reshape(full // fold, fold * p).any(axis=0).reshape(fold, p).any(axis=0)
+    return np.flatnonzero(~(varies | differs[full:].any(axis=0)))
+
+
 def validate(dataset: Dataset) -> ValidationReport:
     """Report-only consistency and coverage checks; never mutates inputs."""
     findings: list[Finding] = []
@@ -299,8 +312,7 @@ def validate(dataset: Dataset) -> ValidationReport:
 
     constant_cols: tuple[int, ...] = ()
     if dataset.bin_features is not None:
-        x = dataset.bin_features.values
-        constant_cols = tuple(np.flatnonzero((x == x[:1]).all(axis=0)).tolist())
+        constant_cols = tuple(_constant_columns(dataset.bin_features.values).tolist())
         for j in constant_cols:
             findings.append(Finding("warning", f"binary feature column {j} is constant"))
 

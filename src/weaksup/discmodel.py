@@ -12,18 +12,24 @@ labels (p in {0,1}) reduce this to the standard logistic loss exactly.  The
 loss is convex, with Hessian A^T diag(sigma (1 - sigma)) A / N (plus l2 on
 theta) for A = [v, 1], so `fit_disc` runs the damped-Newton solver of
 `genmodel` (IRLS).
+
+Of each evaluation, the scores, sigma(s) and the Hessian do not depend on
+the labels.  Inside `pipeline.run`, which opens a reuse scope, a fit keeps
+that label-free part of its last evaluation when it was made at the returned
+weights; `predict` with those weights reads the scores from it, and the next
+warm fit its first evaluation.  Outside a run nothing is kept.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array, _set
-from .genmodel import NewtonConfig, _sigmoid, newton
+from .genmodel import NewtonConfig, _Kept, _sigmoid, newton
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,9 @@ class DiscConfig(NewtonConfig):
             raise ValueError("l2 must be finite and non-negative")
 
 
+_kept = _Kept("discmodel.kept")  # the last fit's DiscParams, features -> l2, _LabelFree
+
+
 def _log1pexp(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
@@ -64,25 +73,47 @@ def _check_n(features: FeatureMatrixReal, soft: ProbLabelVector) -> None:
         raise ValueError(f"feature rows {features.n} != label count {soft.n}")
 
 
-def _loss_grad_hess(
-    x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The penalized loss at x = [theta, bias], its gradient and its Hessian,
-    from one pass over the scores."""
+class _LabelFree(NamedTuple):
+    """The part of an evaluation at x = [theta, bias] that the labels do not
+    enter: the scores s, log(1 + e^s), sigma(s) and the penalized Hessian."""
+
+    s: np.ndarray
+    log1pexp: np.ndarray
+    sig: np.ndarray
+    hess: np.ndarray
+
+
+def _label_free(x: np.ndarray, v: np.ndarray, l2: float) -> _LabelFree:
     n, q = v.shape
-    theta = x[:-1]
-    s = v @ theta + x[-1]
-    data = _log1pexp(s) - p * s  # p log(1 + e^-s) + (1 - p) log(1 + e^s)
+    s = v @ x[:-1] + x[-1]
     sig = _sigmoid(s)
-    r = sig - p
-    grad = np.append((v.T @ r) / n + l2 * theta, r.mean())
     weights = sig * (1.0 - sig) / n
     weighted = v * weights[:, None]
     hess = np.empty((q + 1, q + 1))
     hess[:q, :q] = weighted.T @ v + l2 * np.eye(q)
     hess[:q, q] = hess[q, :q] = weights @ v
     hess[q, q] = weights.sum()
-    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad, hess
+    return _LabelFree(s, _log1pexp(s), sig, hess)
+
+
+def _loss_grad(
+    free: _LabelFree, x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """The penalized loss at x and its gradient, from x's label-free part."""
+    theta = x[:-1]
+    data = free.log1pexp - p * free.s  # p log(1 + e^-s) + (1 - p) log(1 + e^s)
+    r = free.sig - p
+    grad = np.append((v.T @ r) / v.shape[0] + l2 * theta, r.mean())
+    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad
+
+
+def _loss_grad_hess(
+    x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The penalized loss at x = [theta, bias], its gradient and its Hessian,
+    from one pass over the scores."""
+    free = _label_free(x, v, l2)
+    return (*_loss_grad(free, x, v, p, l2), free.hess)
 
 
 def _evaluate(
@@ -125,7 +156,12 @@ def fit_disc(
 ) -> DiscParams:
     """Deterministic full-batch damped Newton on the negated loss over
     [theta, bias], from the zero vector or, warm, from `start` (a model over
-    the same feature columns, such as the fit on the previous labels)."""
+    the same feature columns, such as the fit on the previous labels).
+
+    Inside a reuse scope, a fit whose last evaluation was at the point it
+    returns keeps that evaluation's label-free part.  A warm fit from that
+    result on the same features and l2 takes its first evaluation's
+    label-free part from it, and `predict` its scores."""
     _check_n(features, soft_labels)
     v = features.values
     p = soft_labels.probability
@@ -134,14 +170,24 @@ def fit_disc(
         start = DiscParams(np.zeros(q))
     if start.q != q:
         raise ValueError(f"start has {start.q} feature weights, the features {q} columns")
+    kept = _kept.get(start, features)
+    first = [kept[1]] if kept is not None and kept[0] == config.l2 else []
+    last = []  # the latest evaluation's x and label-free part
 
     def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        loss, grad, hess = _loss_grad_hess(x, v, p, config.l2)
-        return -loss, -grad, -hess
+        last.clear()  # free the previous evaluation's N-vectors before forming this one's
+        free = first.pop() if first else _label_free(x, v, config.l2)
+        last[:] = x, free
+        loss, grad = _loss_grad(free, x, v, p, config.l2)
+        return -loss, -grad, -free.hess
 
     x0 = np.append(start.theta, start.bias)
     x = newton(value_grad_hess, x0, config.max_iters, config.grad_tol)
-    return DiscParams(theta=x[:q], bias=x[q])
+    params = DiscParams(theta=x[:q], bias=x[q])
+    # the line search may end on a rejected trial, away from x
+    at_x = last[0].tobytes() == x.tobytes()
+    _kept.put((params, features), (config.l2, last[1]) if at_x else None)
+    return params
 
 
 def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarray:
@@ -152,7 +198,8 @@ def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarr
 
 def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:
     """Hard labels sign(theta . v + bias), with sign(0) = +1."""
-    s = decision_scores(params, features)
+    kept = _kept.get(params, features)
+    s = decision_scores(params, features) if kept is None else kept[1].s
     return HardLabelVector(np.where(s >= 0.0, 1, -1).astype(np.int8))
 
 

@@ -15,13 +15,19 @@ anywhere).  An object enters the likelihood only through its (votes,
 selected features) row, so the objective is a weighted sum over the distinct
 rows, of which there are at most min(N, 3^M 2^K); log Z is evaluated once
 per distinct selected-feature row.  Every fit runs through `newton`.
+
+Inside `pipeline.run`, which opens a reuse scope, a fit keeps those distinct
+rows, and labelling with the model it returned reads the labels off them
+instead of forming an N x M product; outside a run nothing is kept.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -260,22 +266,44 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return member, inverse, count
 
 
+class _Rows(NamedTuple):
+    """The distinct (votes, selected features) rows of one data set under one
+    model shape, sorted design first, so they come grouped by design pattern.
+    A row's design is a = [1, x_1 .. x_K]."""
+
+    lam: np.ndarray  # U x M votes, float64, C order
+    a: np.ndarray  # U x (1 + K) designs, float64
+    inverse: np.ndarray  # each object's row
+    per_row: np.ndarray  # each row's object count over N
+    pattern: np.ndarray  # each row's design pattern
+    patterns: np.ndarray  # P x (1 + K) distinct designs
+    bounds: np.ndarray  # pattern p holds rows bounds[p]:bounds[p + 1]
+
+
+def _rows(params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None) -> _Rows:
+    """The distinct rows of `labels` and `params`'s selected columns of
+    `features`, which serve `_objective` and, within a run, `_label`."""
+    votes = labels.votes.T
+    design = _design(params, labels, features)
+    # column-major (selected features, votes) rows: _distinct reads columns
+    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, labels.votes]).T)
+    lam, a = votes[member].astype(np.float64), design[member].astype(np.float64)
+    starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]  # the first row of each pattern
+    bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
+    return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds)
+
+
 def _objective(
-    params: GenParams,
-    labels: LabelMatrix,
-    features: FeatureMatrixBinary | None,
-    w_l2: float,
+    rows: _Rows, w_l2: float
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]:
-    """The penalized objective of `params`'s model shape on one data set, as
-    a function of x = [phi, W.ravel()] returning its value, gradient and
-    Hessian from one pass over the distinct (votes, selected features) rows,
-    each weighted by its object count.  A row's design a = [1, x_1 .. x_K]
-    gives its effective weights a @ [phi; W]; the rows are sorted design
-    first, so they come grouped by design pattern p, and both log Z and the
-    effective weights are formed once per pattern: each row's score
-    phi_eff . votes reads its pattern's weights.  With W = 0 those weights
-    are phi exactly, and each row's sum runs in one order for any K, so the
-    K = 0 scores are the same bit for bit.
+    """The penalized objective of one model shape on one data set, as a
+    function of x = [phi, W.ravel()] returning its value, gradient and
+    Hessian from one pass over the distinct rows, each weighted by its object
+    count.  A row's design a gives its effective weights a @ [phi; W]; both
+    log Z and the effective weights are formed once per pattern p: each
+    row's score phi_eff . votes reads its pattern's weights.  With W = 0
+    those weights are phi exactly, and each row's sum runs in one order for
+    any K, so the K = 0 scores are the same bit for bit.
 
     The value is the mean log-likelihood of the votes given the features,
     minus (w_l2 / 2) ||W||^2.  The row values are averaged over the objects,
@@ -286,18 +314,10 @@ def _objective(
     log Z's curvature, which is diagonal in the sources.  An evaluation
     costs U M^2 for the U rows plus P (1 + K)^2 M^2 for the P patterns.
     """
-    votes = labels.votes.T
-    design = _design(params, labels, features)
-    # column-major (selected features, votes) rows: _distinct reads columns
-    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, labels.votes]).T)
-    lam, a = votes[member].astype(np.float64), design[member].astype(np.float64)
-    starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]  # the first row of each pattern
-    pattern, patterns = np.cumsum(starts) - 1, a[starts]
-    bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
-    per_row = count / labels.n
+    lam, a, inverse, per_row, pattern, patterns, bounds = rows
     # bincount, not add.reduceat, whose pairwise sums move the K = 0 fit's last digit
     per_pattern = np.bincount(pattern, weights=per_row)[:, None]
-    m, k1 = params.m, params.k + 1
+    m, k1 = lam.shape[1], a.shape[1]
     sources = np.arange(m)
     penalized = np.arange(m, k1 * m)
 
@@ -380,7 +400,7 @@ def marginal_loglik(
     The family is fit conditionally on the features: each object uses the
     likelihood at its own effective weights.  `features` may be None at K = 0.
     """
-    return _objective(params, labels, features, w_l2)(_flat(params))[0]
+    return _objective(_rows(params, labels, features), w_l2)(_flat(params))[0]
 
 
 def grad_marginal(
@@ -394,7 +414,7 @@ def grad_marginal(
     The w gradient is the per-object phi gradient weighted by the object's
     feature value, minus the penalty term; it is 0 x M at K = 0.
     """
-    grad = _objective(params, labels, features, w_l2)(_flat(params))[1]
+    grad = _objective(_rows(params, labels, features), w_l2)(_flat(params))[1]
     return grad[: params.m], grad[params.m :].reshape(params.k, params.m)
 
 
@@ -411,6 +431,43 @@ def posterior(params: GenParams, vote_column: np.ndarray, feature_row: np.ndarra
 # -- fitting and labeling --------------------------------------------------------
 
 
+class _Kept:
+    """One model module's record of its last fit, kept only while a `scope()`
+    is open in the current context: `pipeline.run` opens one per module, so
+    its fits hand what their last evaluation formed to the calls that read
+    their result.  Outside a scope nothing is kept.  Inside, each fit
+    replaces the record, and `get` returns it only for the same objects,
+    compared by identity, as the fit recorded it under."""
+
+    def __init__(self, name: str):
+        self._slot: ContextVar[list | None] = ContextVar(name, default=None)
+
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        token = self._slot.set([None])
+        try:
+            yield
+        finally:
+            self._slot.reset(token)
+
+    def put(self, key: tuple, value) -> None:
+        """Keep `value` under `key` (None keeps nothing); outside a scope, a no-op."""
+        slot = self._slot.get()
+        if slot is not None:
+            slot[0] = None if value is None else (key, value)
+
+    def get(self, *key):
+        """The value kept under `key`, or None."""
+        slot = self._slot.get()
+        record = None if slot is None else slot[0]
+        if record is None or not all(a is b for a, b in zip(record[0], key)):
+            return None
+        return record[1]
+
+
+_kept = _Kept("genmodel.kept")  # the last fit's GenParams, labels, features -> _Rows
+
+
 def _fit(
     init: GenParams,
     labels: LabelMatrix,
@@ -421,13 +478,15 @@ def _fit(
 
     Sources with no votes at all keep their initial weights (their gradient
     is masked and their Hessian rows decoupled) so column indices stay stable
-    across pipeline iterations.
+    across pipeline iterations.  Inside a reuse scope the fit keeps its
+    distinct rows for `_label`.
     """
-    evaluate = _objective(init, labels, features, config.w_l2)
+    rows = _rows(init, labels, features)
+    evaluate = _objective(rows, config.w_l2)
     m, k = init.m, init.k
     frozen = np.tile(~(labels.votes != 0).any(axis=1), k + 1)
 
-    def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def masked(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, grad, hess = evaluate(x)
         grad[frozen] = 0.0
         hess[frozen, :] = 0.0
@@ -435,8 +494,10 @@ def _fit(
         hess[frozen, frozen] = -1.0
         return value, grad, hess
 
-    x = newton(value_grad_hess, _flat(init), config.max_iters, config.grad_tol)
-    return GenParams(phi=x[:m], w=x[m:].reshape(k, m), selected=init.selected)
+    x = newton(masked if frozen.any() else evaluate, _flat(init), config.max_iters, config.grad_tol)
+    params = GenParams(phi=x[:m], w=x[m:].reshape(k, m), selected=init.selected)
+    _kept.put((params, labels, features), rows)
+    return params
 
 
 def fit_sp(labels: LabelMatrix, config: FitConfig = FitConfig()) -> GenParams:
@@ -472,14 +533,34 @@ def fit_aug(
     return _fit(GenParams(start.phi, w, selected), labels, features, config)
 
 
+def _vote_scores(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The R scores sum_j lam[j] * weights[j] of two M x R arrays whose rows
+    are the sources, each summed left to right from 0.0 whatever the arrays'
+    memory layout.  (A sum along the sources of an R x M array takes numpy's
+    pairwise order from M = 8 on where the sources lie contiguous in memory,
+    and the left-to-right order where they do not.)"""
+    scores = np.zeros(lam.shape[1])
+    for lam_j, weights_j in zip(lam, weights):
+        scores += lam_j * weights_j
+    return scores
+
+
 def _label(
     params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
 ) -> ProbLabelVector:
-    # the int8 design times [phi; W] is phi itself at K = 0, and each row's sum
-    # runs in one order for any K and N, so the K = 0 labels stay bit for bit
-    weights = _design(params, labels, features) @ np.vstack([params.phi, params.w])  # N x M
-    lam = labels.votes.T.astype(np.float64)  # an einsum on the int8 votes moves last bits
-    return ProbLabelVector(np.tanh(np.einsum("um,um->u", lam, weights)))
+    """tanh of each object's score votes . ([phi; W]^T a) for its design a:
+    on the distinct rows, when the fit that returned `params` kept them for
+    these labels and features, else per object.  [phi; W]^T times the int8
+    design is phi itself at K = 0, and each product with a vote is exact, so
+    both routes sum the same M terms in the same order, and their labels
+    agree bit for bit."""
+    theta_t = np.vstack([params.phi, params.w]).T  # M x (1 + K)
+    rows = _kept.get(params, labels, features)
+    if rows is not None:
+        scores = _vote_scores(rows.lam.T, (theta_t @ rows.patterns.T)[:, rows.pattern])
+        return ProbLabelVector(np.tanh(scores)[rows.inverse])
+    scores = _vote_scores(labels.votes, theta_t @ _design(params, labels, features).T)
+    return ProbLabelVector(np.tanh(scores))
 
 
 def label_sp(params: GenParams, labels: LabelMatrix) -> ProbLabelVector:

@@ -93,4 +93,4 @@ def soft_label_accuracy(soft: ProbLabelVector, truth: HardLabelVector) -> float:
     """Accuracy of sign(expected label) against truth, with sign(0) = +1."""
     if soft.n != truth.n:
         raise ValueError(f"label length {soft.n} != truth length {truth.n}")
-    return float((sign_labels(soft).labels == truth.labels).mean())
+    return float(((soft.expected >= 0.0) == (truth.labels == 1)).mean())

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import discmodel, genmodel
 from .data import (
     DataError,
     Dataset,
@@ -132,6 +133,12 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     K - 1 models.  The path stops once k_max features have entered, since
     only the first k_max entries are ever selected.  Each record carries
     its K's generative and discriminative labels.
+
+    While the loop runs, each model module keeps what its last fit's last
+    evaluation formed, for the calls that read that fit's result: the
+    labels of a generative fit, and the predictions and next warm start of
+    a discriminative fit.  The outputs are the same bit for bit as without
+    it, and nothing is kept once `run` returns or raises.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
@@ -166,33 +173,34 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     def tracked() -> list[float]:  # each K's tracked metric so far
         return [r.dev_metric if use_dev else r.agreement for r in records]
 
-    gen0 = fit_sp(dataset.labels, config.gen)
-    records.append(step(gen0, label_sp(gen0, dataset.labels)))
+    with genmodel._kept.scope(), discmodel._kept.scope():
+        gen0 = fit_sp(dataset.labels, config.gen)
+        records.append(step(gen0, label_sp(gen0, dataset.labels)))
 
-    path = None
-    stop_reason = "k_max"
-    for k in range(1, config.k_max + 1):
-        if path is None:
-            try:
-                path = regularization_path(
-                    dataset.bin_features,
-                    disagreement(records[0].gen_labels, records[0].disc_labels),
-                    config,
-                    stop_after=config.k_max,
-                )
-            except DataError:
-                # models agree everywhere: nothing for the difference model
+        path = None
+        stop_reason = "k_max"
+        for k in range(1, config.k_max + 1):
+            if path is None:
+                try:
+                    path = regularization_path(
+                        dataset.bin_features,
+                        disagreement(records[0].gen_labels, records[0].disc_labels),
+                        config,
+                        stop_after=config.k_max,
+                    )
+                except DataError:
+                    # models agree everywhere: nothing for the difference model
+                    stop_reason = "path_exhausted"
+                    break
+            if len(path.entry_order) < k:
                 stop_reason = "path_exhausted"
                 break
-        if len(path.entry_order) < k:
-            stop_reason = "path_exhausted"
-            break
-        gen = fit_aug(dataset.labels, dataset.bin_features, tuple(select_features(path, k)),
-                      config.gen, start=records[-1].gen_params)
-        records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
-        if stopping_rule(tracked(), config.patience):
-            stop_reason = "metric_declined"
-            break
+            gen = fit_aug(dataset.labels, dataset.bin_features, tuple(select_features(path, k)),
+                          config.gen, start=records[-1].gen_params)
+            records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
+            if stopping_rule(tracked(), config.patience):
+                stop_reason = "metric_declined"
+                break
 
     best_k = int(np.argmax(tracked()))  # first maximum, so ties go to smaller K
     return RunReport(

@@ -104,6 +104,23 @@ def per_object_objective(phi, w, votes, x_sel, w_l2):
     return value, g_phi / n, g_w / n - w_l2 * w
 
 
+def sequential_labels(phi, w, votes, x_sel):
+    """Expected labels tanh(s_o), one object at a time in Python floats: each
+    effective weight phi_j + x_1 W_1j + ... + x_K W_Kj and each score
+    s_o = votes_1o phi_o1 + ... + votes_Mo phi_oM summed left to right from
+    0.0.  votes is M x N, x_sel is N x K."""
+    scores = []
+    for o in range(len(votes[0])):
+        s = 0.0
+        for j, phi_j in enumerate(phi):
+            weight = float(phi_j)
+            for x_i, w_i in zip(x_sel[o], w):
+                weight += float(x_i) * float(w_i[j])
+            s += float(votes[j][o]) * weight
+        scores.append(s)
+    return np.tanh(np.array(scores))
+
+
 def lasso_grid_search(x, y, lam, span=2.0, final_step=1e-3):
     """Global minimizer of (1/2N)||X t - y||^2 + lam ||t||_1 by dense grid
     search, refined multi-resolution down to `final_step` per coordinate.

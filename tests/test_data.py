@@ -293,6 +293,22 @@ def test_validate_counts_match_a_loop_over_sources_and_columns():
     ) == (1, 4, 6)
 
 
+@given(st.integers(1, 3_000), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_validate_finds_the_constant_columns_of_any_shape(n, p, seed):
+    # the check folds rows into runs of 4096 entries: the shapes cover folds
+    # of 1 to 4096 rows, whole and partial; each varying column differs from
+    # row 0 in one random row only
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(p) < 0.5, 1, -1) * np.ones((n, p), dtype=int)
+    varying = rng.random(p) < 0.5
+    for j in np.flatnonzero(varying) if n > 1 else ():
+        x[rng.integers(1, n), j] *= -1
+    report = validate(Dataset(labels=LabelMatrix(np.ones((1, n))), bin_features=FeatureMatrixBinary(x)))
+    assert report.constant_bin_columns == tuple(
+        j for j in range(p) if (x[:, j] == x[0, j]).all()
+    )
+
+
 def test_binary_features_keep_object_ids():
     text = "object_id,f_1\nx,1\ny,-1\n"
     fm = load_binary_features(io.StringIO(text))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oracles import finite_difference, rel_error
+import weaksup.discmodel as discmodel
 from weaksup.data import DataError, FeatureMatrixReal, ProbLabelVector
 from weaksup.discmodel import (
     DiscConfig,
@@ -138,6 +139,72 @@ def test_fit_matches_sklearn_on_hard_labels():
     ref.fit(v, y)
     np.testing.assert_allclose(params.theta, ref.coef_[0], atol=2e-4)
     assert params.bias == pytest.approx(ref.intercept_[0], abs=2e-4)
+
+
+def _count_label_free(monkeypatch) -> list[np.ndarray]:
+    """The x of each label-free evaluation from now on."""
+    points = []
+
+    def counting(x, *args, _label_free=discmodel._label_free):
+        points.append(x.copy())
+        return _label_free(x, *args)
+
+    monkeypatch.setattr(discmodel, "_label_free", counting)
+    return points
+
+
+def test_warm_fits_and_predictions_are_the_same_bytes_inside_a_reuse_scope(monkeypatch):
+    rng = np.random.default_rng(5)
+    v = FeatureMatrixReal(rng.standard_normal((500, 4)))
+    base = v.values @ rng.standard_normal(4)
+    softs = [ProbLabelVector(np.tanh(base + rng.standard_normal(500))) for _ in range(4)]
+    points = _count_label_free(monkeypatch)
+
+    def chain():
+        fits, params = [], None
+        for soft in softs:
+            params = fit_disc(v, soft, start=params)
+            fits.append((params, predict(params, v)))
+        return fits
+
+    alone = chain()
+    evaluations = len(points)
+    with discmodel._kept.scope():
+        scoped = chain()
+    for (a, ya), (b, yb) in zip(alone, scoped):
+        assert np.append(a.theta, a.bias).tobytes() == np.append(b.theta, b.bias).tobytes()
+        assert ya.labels.tobytes() == yb.labels.tobytes()
+    # each of the three warm fits took its first evaluation from the fit before
+    assert len(points) - evaluations == evaluations - 3
+    # the label-free part holds the penalty's curvature: another l2 evaluates afresh
+    other = DiscConfig(l2=0.5)
+    alone = fit_disc(v, softs[0], other, start=scoped[-1][0])
+    with discmodel._kept.scope():
+        start = fit_disc(v, softs[-1], start=scoped[-1][0])
+        assert np.append(start.theta, start.bias).tobytes() == (
+            np.append(scoped[-1][0].theta, scoped[-1][0].bias).tobytes())
+        refit = fit_disc(v, softs[0], other, start=start)
+    assert np.append(refit.theta, refit.bias).tobytes() == np.append(alone.theta, alone.bias).tobytes()
+
+
+def test_a_fit_whose_line_search_ends_on_a_rejected_trial_keeps_nothing(monkeypatch):
+    rng = np.random.default_rng(0)
+    v = FeatureMatrixReal(rng.standard_normal((200, 3)))
+    soft = ProbLabelVector(np.tanh(v.values @ rng.standard_normal(3) + rng.standard_normal(200)))
+    points = _count_label_free(monkeypatch)
+    with discmodel._kept.scope():
+        kept = fit_disc(v, soft)
+        assert discmodel._kept.get(kept, v) is not None
+        # below any reachable gradient: the fit runs until a step no longer moves x
+        stalled = fit_disc(v, soft, DiscConfig(grad_tol=1e-300, max_iters=200), start=kept)
+        assert points[-1].tobytes() != np.append(stalled.theta, stalled.bias).tobytes()
+        assert discmodel._kept.get(stalled, v) is None and discmodel._kept.get(kept, v) is None
+        evaluations = len(points)
+        fit_disc(v, soft, start=stalled)
+        assert len(points) > evaluations  # the warm fit evaluates its start afresh
+        assert predict(stalled, v).labels.tobytes() == (
+            np.where(decision_scores(stalled, v) >= 0.0, 1, -1).astype(np.int8).tobytes()
+        )
 
 
 def test_fit_separable_reaches_full_training_accuracy():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weaksup.genmodel as genmodel
-from oracles import brute_force_joint, finite_difference, per_object_objective, rel_error
+from oracles import (brute_force_joint, finite_difference, per_object_objective, rel_error,
+                     sequential_labels)
 from weaksup.data import DataError, FeatureMatrixBinary, LabelMatrix
 from weaksup.discmodel import DiscConfig
 from weaksup.genmodel import (
@@ -21,6 +22,7 @@ from weaksup.genmodel import (
     _distinct,
     _flat,
     _objective,
+    _rows,
     effective_phi,
     fit_aug,
     fit_sp,
@@ -176,7 +178,7 @@ def test_hessian_matches_finite_differences_of_gradient(k):
     rng = np.random.default_rng(200 + k)
     for m in (3, 20):
         lm, x, params = _random_model(rng, m, k, 80)
-        evaluate = _objective(params, lm, x, 0.03)
+        evaluate = _objective(_rows(params, lm, x), 0.03)
         for _ in range(5):
             flat = np.concatenate([rng.uniform(-1.5, 1.5, m), rng.uniform(-1, 1, m * k)])
             hess = evaluate(flat)[2]
@@ -617,6 +619,36 @@ def test_label_aug_matches_sp_at_zero_w():
     assert a.expected.tobytes() == b.expected.tobytes()
 
 
+@given(st.sampled_from([5, 8, 20]), st.integers(0, 3), st.integers(1, 400),
+       st.integers(0, 2**32 - 1))
+def test_labels_on_the_kept_rows_and_either_vote_layout_agree_bit_for_bit(m, k, n, seed):
+    lm, x, params = _random_model(np.random.default_rng(seed), m, k, n)
+    per_object = label_aug(params, lm, x)
+    with genmodel._kept.scope():
+        genmodel._kept.put((params, lm, x), _rows(params, lm, x))
+        assert genmodel._kept.get(params, lm, x) is not None  # the rows route
+        on_rows = label_aug(params, lm, x)
+    assert on_rows.expected.tobytes() == per_object.expected.tobytes()
+    # the CSV reader stores the votes column-major; the labels do not depend on it
+    column_major = label_aug(params, LabelMatrix(np.asfortranarray(lm.votes)), x)
+    assert column_major.expected.tobytes() == per_object.expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [5, 8, 20])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_labels_equal_the_left_to_right_per_object_sum(m, k):
+    lm, x, params = _random_model(np.random.default_rng(300 + 10 * m + k), m, k, 2_000)
+    with genmodel._kept.scope():
+        fitted = fit_aug(lm, x, params.selected)
+        assert genmodel._kept.get(fitted, lm, x) is not None  # the rows route
+        labels = {"random": (params, label_aug(params, lm, x)),
+                  "fitted, on its rows": (fitted, label_aug(fitted, lm, x))}
+    assert genmodel._kept.get(fitted, lm, x) is None  # the scope has closed
+    for model, got in labels.values():
+        want = sequential_labels(model.phi, model.w, lm.votes, x.values[:, list(model.selected)])
+        assert got.expected.tobytes() == want.tobytes()
+
+
 def test_label_aug_abstain_and_single_object():
     params = GenParams(phi=np.array([0.2]), w=np.array([[0.6]]), selected=(0,))
     lm = LabelMatrix(np.array([[1, 0]]))
@@ -727,7 +759,7 @@ def test_warm_fit_aug_from_a_symmetric_saddle_stays_on_it():
     assert sp.phi[0] == sp.phi[1] == pytest.approx(0.7734, abs=1e-4)
     assert marginal_loglik(sp, lm) == pytest.approx(-2.1155, abs=1e-4)
     assert warm.phi.tobytes() == sp.phi.tobytes() and not warm.w.any()
-    hess = _objective(warm, lm, x, 0.0)(_flat(warm))[2]
+    hess = _objective(_rows(warm, lm, x), 0.0)(_flat(warm))[2]
     assert np.linalg.eigvalsh(hess).max() > 0.5  # not a maximum
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from weaksup.data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal,
                           HardLabelVector, LabelMatrix, validate)
-from weaksup.discmodel import DiscConfig
+from weaksup.discmodel import DiscConfig, fit_disc
 from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
 from weaksup.pipeline import RunConfig, run, stopping_rule
 from weaksup.synth import E2EScenario, gen_e2e
@@ -145,6 +145,53 @@ def test_run_labels_each_k_once_and_returns_the_best_ks_labels(seed, best_k, mon
         again = label_aug(record.gen_params, ds.labels, ds.bin_features)
         assert record.gen_labels.expected.tobytes() == again.expected.tobytes()
     assert report.final_labels is report.best.gen_labels
+
+
+def test_run_keeps_nothing_after_it_returns_or_raises(monkeypatch):
+    import weaksup.discmodel as discmodel
+    import weaksup.genmodel as genmodel
+    import weaksup.pipeline as pipeline
+
+    def scopes():  # None where no reuse scope is open
+        return genmodel._kept._slot.get(), discmodel._kept._slot.get()
+
+    ds = gen_e2e(_small_scenario(seed=5))
+    report = run(ds, _fast_config(k_max=2, patience=2))
+    assert scopes() == (None, None)
+    assert discmodel._kept.get(report.iterations[-1].disc_params, ds.real_features) is None
+
+    seen = []
+
+    def failing_path(*args, **kwargs):
+        seen.append(scopes())
+        raise RuntimeError("path failed")
+
+    monkeypatch.setattr(pipeline, "regularization_path", failing_path)
+    with pytest.raises(RuntimeError, match="path failed"):
+        run(ds, _fast_config(k_max=2, patience=2))
+    assert None not in seen[0]  # open while the run ran
+    assert scopes() == (None, None)
+
+
+def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monkeypatch):
+    import weaksup.discmodel as discmodel
+    import weaksup.genmodel as genmodel
+
+    calls = _recording(monkeypatch, discmodel, ["_label_free"])
+    designs = _recording(monkeypatch, genmodel, ["_design"])["_design"]
+    ds = gen_e2e(_small_scenario(seed=6))
+    cfg = _fast_config(k_max=3, patience=3)
+    report = run(ds, cfg)
+    assert len(designs) == len(report.iterations)  # one per fit: the labels read its rows
+    first = len(calls["_label_free"])
+    run(ds, cfg)
+    assert len(calls["_label_free"]) - first == first
+    # outside a run, the same fits evaluate each warm fit's start once more
+    start = None
+    for record in report.iterations:
+        start = fit_disc(ds.real_features, record.gen_labels, cfg.disc, start=start)
+        assert start.theta.tobytes() == record.disc_params.theta.tobytes()
+    assert len(calls["_label_free"]) - 2 * first == first + len(report.iterations) - 1
 
 
 def test_run_best_k_maximizes_tracked_metric():
