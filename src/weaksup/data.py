@@ -22,9 +22,10 @@ class DataError(Exception):
     """Malformed or out-of-domain input data."""
 
 
-def _frozen(arr: np.ndarray, dtype: type | None = None) -> np.ndarray:
-    """An owned, read-only copy of `arr`, in `dtype` if given."""
-    arr = np.array(arr, dtype=dtype, copy=True)
+def _frozen(arr: np.ndarray, dtype: type | None = None, order: str = "K") -> np.ndarray:
+    """An owned, read-only copy of `arr`, in `dtype` if given, laid out in
+    `order` (np.array's: "K" keeps `arr`'s layout)."""
+    arr = np.array(arr, dtype=dtype, copy=True, order=order)
     arr.setflags(write=False)
     return arr
 
@@ -78,7 +79,8 @@ def _json_array(
 
 @dataclass(frozen=True)
 class LabelMatrix:
-    """Votes of M sources over N objects; entries in {-1, 0, +1}, 0 = abstain."""
+    """Votes of M sources over N objects; entries in {-1, 0, +1}, 0 = abstain.
+    The votes are stored source-major (C order), whatever the layout given."""
 
     votes: np.ndarray
     object_ids: tuple[str, ...] | None = None
@@ -94,7 +96,7 @@ class LabelMatrix:
         if not in_domain.all():
             j, o = np.argwhere(~in_domain)[0]
             raise DataError(f"vote outside {{-1,0,1}} at source {j}, object {o}")
-        _set(self, votes=_frozen(votes, np.int8))
+        _set(self, votes=_frozen(votes, np.int8, "C"))
         if self.object_ids is not None and len(self.object_ids) != self.n:
             raise DataError("object_ids length does not match object count")
         if self.source_names is not None and len(self.source_names) != self.m:
@@ -315,6 +317,10 @@ def validate(dataset: Dataset) -> ValidationReport:
         constant_cols = tuple(_constant_columns(dataset.bin_features.values).tolist())
         for j in constant_cols:
             findings.append(Finding("warning", f"binary feature column {j} is constant"))
+    if dataset.real_features is not None:
+        # collinear with the discriminative model's bias: only l2 splits the weight
+        for j in _constant_columns(dataset.real_features.values).tolist():
+            findings.append(Finding("warning", f"real feature column {j} is constant"))
 
     return ValidationReport(
         n_by_component=n_by,

@@ -6,18 +6,22 @@ distribution: with p_o = P(Y_o = +1) and score s_o = theta . v_o + bias,
     loss = mean_o [ p_o log(1 + exp(-s_o)) + (1 - p_o) log(1 + exp(s_o)) ]
            + (l2 / 2) ||theta||^2
 
-Since log(1 + exp(-s)) = log(1 + exp(s)) - s, each summand is computed as
-log(1 + exp(s_o)) - p_o s_o.  The bias is excluded from the penalty.  Hard
-labels (p in {0,1}) reduce this to the standard logistic loss exactly.  The
-loss is convex, with Hessian A^T diag(sigma (1 - sigma)) A / N (plus l2 on
-theta) for A = [v, 1], so `fit_disc` runs the damped-Newton solver of
-`genmodel` (IRLS).
+Since log(1 + exp(-s)) = log(1 + exp(s)) - s, the data term is
+mean_o log(1 + exp(s_o)) - mean_o p_o s_o.  The bias is excluded from the
+penalty.  Hard labels (p in {0,1}) reduce this to the standard logistic loss
+exactly.  With x = [theta, bias] and the feature-major A = [v, 1]^T, a
+(Q + 1) x N matrix, s = A^T x, so mean_o p_o s_o = c . x for c = A p / N:
+the labels enter a fit only through the (Q + 1)-vector c, formed once per
+fit with A.  The gradient is A sigma(s) / N - c (plus l2 on theta), and the
+loss is convex, with Hessian A diag(sigma (1 - sigma)) A^T / N (plus l2 on
+theta), so `fit_disc` runs the damped-Newton solver of `genmodel` (IRLS).
 
-Of each evaluation, the scores, sigma(s) and the Hessian do not depend on
-the labels.  Inside `pipeline.run`, which opens a reuse scope, a fit keeps
-that label-free part of its last evaluation when it was made at the returned
-weights; `predict` with those weights reads the scores from it, and the next
-warm fit its first evaluation.  Outside a run nothing is kept.
+Of each evaluation, the scores, the mean of log(1 + exp(s)), A sigma(s) / N
+and the Hessian do not depend on the labels.  Inside `pipeline.run`, which
+opens a reuse scope, a fit keeps that label-free part of its last evaluation
+when it was made at the returned weights; `predict` with those weights reads
+the scores from it, and the next warm fit its first evaluation.  Outside a
+run nothing is kept.
 """
 
 from __future__ import annotations
@@ -75,45 +79,52 @@ def _check_n(features: FeatureMatrixReal, soft: ProbLabelVector) -> None:
 
 class _LabelFree(NamedTuple):
     """The part of an evaluation at x = [theta, bias] that the labels do not
-    enter: the scores s, log(1 + e^s), sigma(s) and the penalized Hessian."""
+    enter: the scores s, the mean of log(1 + e^s), A sigma(s) / N and the
+    penalized Hessian."""
 
     s: np.ndarray
-    log1pexp: np.ndarray
-    sig: np.ndarray
+    mean_log1pexp: float
+    a_sig: np.ndarray
     hess: np.ndarray
 
 
-def _label_free(x: np.ndarray, v: np.ndarray, l2: float) -> _LabelFree:
+def _augmented(v: np.ndarray) -> np.ndarray:
+    """A = [v, 1]^T: the features, feature-major, with a row of ones for the
+    bias, as a (Q + 1) x N C-order matrix."""
     n, q = v.shape
-    s = v @ x[:-1] + x[-1]
+    a = np.empty((q + 1, n))
+    a[:q] = v.T
+    a[q] = 1.0
+    return a
+
+
+def _label_free(x: np.ndarray, a: np.ndarray, l2: float) -> _LabelFree:
+    q, n = a.shape[0] - 1, a.shape[1]
+    s = x @ a  # as decision_scores forms them
     sig = _sigmoid(s)
-    weights = sig * (1.0 - sig) / n
-    weighted = v * weights[:, None]
-    hess = np.empty((q + 1, q + 1))
-    hess[:q, :q] = weighted.T @ v + l2 * np.eye(q)
-    hess[:q, q] = hess[q, :q] = weights @ v
-    hess[q, q] = weights.sum()
-    return _LabelFree(s, _log1pexp(s), sig, hess)
+    hess = (a * (sig * (1.0 - sig) / n)) @ a.T
+    hess[np.arange(q), np.arange(q)] += l2
+    return _LabelFree(s, float(_log1pexp(s).mean()), a @ sig / n, hess)
 
 
 def _loss_grad(
-    free: _LabelFree, x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
+    free: _LabelFree, x: np.ndarray, c: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
-    """The penalized loss at x and its gradient, from x's label-free part."""
+    """The penalized loss at x and its gradient, from x's label-free part and
+    the labels' c = A p / N."""
     theta = x[:-1]
-    data = free.log1pexp - p * free.s  # p log(1 + e^-s) + (1 - p) log(1 + e^s)
-    r = free.sig - p
-    grad = np.append((v.T @ r) / v.shape[0] + l2 * theta, r.mean())
-    return float(data.mean() + 0.5 * l2 * (theta @ theta)), grad
+    grad = free.a_sig - c
+    grad[:-1] += l2 * theta
+    return free.mean_log1pexp - float(c @ x) + 0.5 * l2 * float(theta @ theta), grad
 
 
 def _loss_grad_hess(
     x: np.ndarray, v: np.ndarray, p: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The penalized loss at x = [theta, bias], its gradient and its Hessian,
-    from one pass over the scores."""
-    free = _label_free(x, v, l2)
-    return (*_loss_grad(free, x, v, p, l2), free.hess)
+    """The penalized loss at x = [theta, bias], its gradient and its Hessian."""
+    a = _augmented(v)
+    free = _label_free(x, a, l2)
+    return (*_loss_grad(free, x, a @ p / v.shape[0], l2), free.hess)
 
 
 def _evaluate(
@@ -164,8 +175,9 @@ def fit_disc(
     label-free part from it, and `predict` its scores."""
     _check_n(features, soft_labels)
     v = features.values
-    p = soft_labels.probability
-    q = v.shape[1]
+    n, q = v.shape
+    a = _augmented(v)
+    c = a @ soft_labels.probability / n
     if start is None:
         start = DiscParams(np.zeros(q))
     if start.q != q:
@@ -176,9 +188,9 @@ def fit_disc(
 
     def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         last.clear()  # free the previous evaluation's N-vectors before forming this one's
-        free = first.pop() if first else _label_free(x, v, config.l2)
+        free = first.pop() if first else _label_free(x, a, config.l2)
         last[:] = x, free
-        loss, grad = _loss_grad(free, x, v, p, config.l2)
+        loss, grad = _loss_grad(free, x, c, config.l2)
         return -loss, -grad, -free.hess
 
     x0 = np.append(start.theta, start.bias)
@@ -191,9 +203,12 @@ def fit_disc(
 
 
 def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarray:
+    """The scores theta . v + bias, formed as `fit_disc`'s evaluations form
+    them, [theta, bias] times A, so `predict` gives the same labels whether
+    or not it reads a fit's kept scores."""
     if features.q != params.q:
         raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
-    return features.values @ params.theta + params.bias
+    return np.append(params.theta, params.bias) @ _augmented(features.values)
 
 
 def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:

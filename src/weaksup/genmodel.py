@@ -14,11 +14,15 @@ marginal likelihoods, gradients, Hessians and posteriors (no sampling
 anywhere).  An object enters the likelihood only through its (votes,
 selected features) row, so the objective is a weighted sum over the distinct
 rows, of which there are at most min(N, 3^M 2^K); log Z is evaluated once
-per distinct selected-feature row.  Every fit runs through `newton`.
+per distinct selected-feature row.  The K = 0 rows are the distinct vote
+rows, one compression of the votes, and any K's rows refine it by the K
+selected columns.  Every fit runs through `newton`.
 
 Inside `pipeline.run`, which opens a reuse scope, a fit keeps those distinct
 rows, and labelling with the model it returned reads the labels off them
-instead of forming an N x M product; outside a run nothing is kept.
+instead of forming an N x M product; then only the vote compression stays,
+which the next warm fit refines, so each run compresses its votes once.
+Outside a run nothing is kept, and each fit forms its own compression.
 """
 
 from __future__ import annotations
@@ -236,12 +240,7 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     built one column at a time, so a column-major matrix reads fastest.  An
     int64 holds 40 digits; before a digit would overflow it, the key is
     replaced by its rank among the distinct keys so far, which keeps the
-    order and the partition.  One 1-D np.unique of the keys then serves any
-    width; without return_index it may use a sort three times faster than
-    the stable one that the first index of each row would need.  When the
-    2 * bound + 1 possible keys number at most twice the rows, a counting
-    sort replaces it: np.bincount of the keys shifted by the bound, whose
-    nonzero bins, ranked in order, give the same inverse and counts.
+    order and the partition.  `_group` then ranks the keys.
     """
     key = np.zeros(rows.shape[0], np.int64)
     bound = 0  # |key| <= bound
@@ -252,8 +251,24 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key *= 3
         key += column
         bound = 3 * bound + 1
-    if 2 * bound + 1 <= 2 * key.size:
-        key += bound
+    return _group(key, 2 * bound + 1, bound)
+
+
+def _group(
+    key: np.ndarray, size: int, offset: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One member index, the inverse and the count of each distinct value of
+    int64 keys, values in increasing order; the keys lie in [-offset,
+    size - offset), and this may overwrite them.
+
+    One 1-D np.unique serves any range; without return_index it may use a
+    sort three times faster than the stable one that the first index of each
+    value would need.  When the `size` possible keys number at most twice
+    the keys, a counting sort replaces it: np.bincount of the keys, whose
+    nonzero bins, ranked in order, give the same inverse and counts.
+    """
+    if size <= 2 * key.size:
+        key += offset
         count = np.bincount(key)
         present = np.flatnonzero(count)
         rank = np.empty(count.size, np.intp)
@@ -262,8 +277,42 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         _, inverse, count = np.unique(key, return_inverse=True, return_counts=True)
     member = np.empty(count.size, np.intp)
-    member[inverse] = np.arange(key.size)  # any member will do: all share the row
+    member[inverse] = np.arange(key.size)  # any member will do: all share the value
     return member, inverse, count
+
+
+class _Votes(NamedTuple):
+    """The compression of one data set's votes: each object's rank among the
+    U0 distinct vote rows, in `_distinct`'s order, and U0."""
+
+    rank: np.ndarray
+    distinct: int
+
+
+def _refine(
+    votes: _Votes, columns: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_group` of the distinct (columns, votes) rows for {-1, +1} feature
+    columns, plus each distinct row's design code.
+
+    The code reads the bits (x_i > 0) with the first column most
+    significant, so the key code * U0 + vote rank orders the rows as
+    `_distinct` orders the stacked (x_1 .. x_K, votes) rows.  Before the key
+    range 2^K U0 would pass int64, the code is replaced by its rank among
+    the distinct codes so far, which keeps the order and the partition."""
+    code = np.zeros(votes.rank.size, np.int64)
+    bound = 1  # code < bound
+    for column in columns:
+        if 2 * bound * votes.distinct - 1 > KEY_LIMIT:
+            _, code = np.unique(code, return_inverse=True)
+            bound = int(code.max(initial=0)) + 1
+        code <<= 1
+        code += column > 0
+        bound *= 2
+    key = code * votes.distinct
+    key += votes.rank
+    member, inverse, count = _group(key, bound * votes.distinct)
+    return member, inverse, count, code[member]
 
 
 class _Rows(NamedTuple):
@@ -278,19 +327,41 @@ class _Rows(NamedTuple):
     pattern: np.ndarray  # each row's design pattern
     patterns: np.ndarray  # P x (1 + K) distinct designs
     bounds: np.ndarray  # pattern p holds rows bounds[p]:bounds[p + 1]
+    votes: _Votes  # the vote compression these rows refine
 
 
-def _rows(params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None) -> _Rows:
+def _rows(
+    params: GenParams,
+    labels: LabelMatrix,
+    features: FeatureMatrixBinary | None,
+    votes: _Votes | None = None,
+) -> _Rows:
     """The distinct rows of `labels` and `params`'s selected columns of
-    `features`, which serve `_objective` and, within a run, `_label`."""
-    votes = labels.votes.T
-    design = _design(params, labels, features)
-    # column-major (selected features, votes) rows: _distinct reads columns
-    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, labels.votes]).T)
-    lam, a = votes[member].astype(np.float64), design[member].astype(np.float64)
-    starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]  # the first row of each pattern
-    bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
-    return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds)
+    `features`, which serve `_objective` and, within a run, `_label`.
+
+    The K = 0 rows are the distinct vote rows, `_distinct` of the votes; the
+    rows of any K refine that compression by the K selected columns, from
+    `votes` when given (the compression of these labels), else from a
+    compression formed here.  Only the U distinct rows' votes and designs
+    are gathered."""
+    _check_design(params, labels, features)
+    fresh = votes is None
+    if fresh:
+        member, inverse, count = _distinct(labels.votes.T)
+        votes, row_code = _Votes(inverse, count.size), np.zeros(count.size, np.int64)
+    if params.k or not fresh:
+        columns = (features.values[:, j] for j in params.selected)
+        member, inverse, count, row_code = _refine(votes, columns)
+    u = member.size
+    lam = labels.votes.T[member].astype(np.float64)
+    a = np.ones((u, 1 + params.k))
+    if params.k:
+        a[:, 1:] = features.values[np.ix_(member, params.selected)]
+    starts = np.empty(u, bool)  # the first row of each pattern
+    starts[0] = True
+    np.not_equal(row_code[1:], row_code[:-1], out=starts[1:])
+    bounds = np.append(np.flatnonzero(starts), u)
+    return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds, votes)
 
 
 def _objective(
@@ -314,7 +385,7 @@ def _objective(
     log Z's curvature, which is diagonal in the sources.  An evaluation
     costs U M^2 for the U rows plus P (1 + K)^2 M^2 for the P patterns.
     """
-    lam, a, inverse, per_row, pattern, patterns, bounds = rows
+    lam, a, inverse, per_row, pattern, patterns, bounds, _ = rows
     # bincount, not add.reduceat, whose pairwise sums move the K = 0 fit's last digit
     per_pattern = np.bincount(pattern, weights=per_row)[:, None]
     m, k1 = lam.shape[1], a.shape[1]
@@ -343,16 +414,15 @@ def _objective(
     return evaluate
 
 
-def _design(
+def _check_design(
     params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
-) -> np.ndarray:
-    """Each object's design [1, x_1 .. x_K] over the selected feature columns,
-    as an N x (1 + K) int8 matrix."""
+) -> None:
+    """Raise unless `params` can read `labels` and its selected columns of
+    `features`."""
     if params.m != labels.m:
         raise ValueError(f"parameter count {params.m} != source count {labels.m}")
-    design = np.ones((labels.n, 1 + params.k), np.int8)
     if not params.k:
-        return design
+        return
     if features is None:
         raise ValueError("a model with selected features needs a feature matrix")
     if features.n != labels.n:
@@ -362,7 +432,17 @@ def _design(
             f"selected feature index {max(params.selected)} out of range for "
             f"{features.p} columns"
         )
-    design[:, 1:] = features.values[:, list(params.selected)]
+
+
+def _design(
+    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
+) -> np.ndarray:
+    """Each object's design [1, x_1 .. x_K] over the selected feature columns,
+    as an N x (1 + K) int8 matrix."""
+    _check_design(params, labels, features)
+    design = np.ones((labels.n, 1 + params.k), np.int8)
+    if params.k:
+        design[:, 1:] = features.values[:, list(params.selected)]
     return design
 
 
@@ -465,7 +545,8 @@ class _Kept:
         return record[1]
 
 
-_kept = _Kept("genmodel.kept")  # the last fit's GenParams, labels, features -> _Rows
+# the last fit's GenParams, labels, features -> its _Rows, or their _Votes once labelled
+_kept = _Kept("genmodel.kept")
 
 
 def _fit(
@@ -473,15 +554,17 @@ def _fit(
     labels: LabelMatrix,
     features: FeatureMatrixBinary | None,
     config: FitConfig,
+    votes: _Votes | None = None,
 ) -> GenParams:
-    """Joint damped-Newton ascent on (phi, W) from `init`.
+    """Joint damped-Newton ascent on (phi, W) from `init`, on rows that
+    refine `votes` when given.
 
     Sources with no votes at all keep their initial weights (their gradient
     is masked and their Hessian rows decoupled) so column indices stay stable
     across pipeline iterations.  Inside a reuse scope the fit keeps its
     distinct rows for `_label`.
     """
-    rows = _rows(init, labels, features)
+    rows = _rows(init, labels, features, votes)
     evaluate = _objective(rows, config.w_l2)
     m, k = init.m, init.k
     frozen = np.tile(~(labels.votes != 0).any(axis=1), k + 1)
@@ -519,7 +602,9 @@ def fit_aug(
     columns.  phi starts at phi_init and W at zero, or, warm, at `start`: a
     fitted model whose selected columns are a prefix of `selected`, with
     zero rows for the columns it lacks.  Model K - 1 is model K with
-    W_K = 0, so from the K - 1 optimum the fit never scores below it."""
+    W_K = 0, so from the K - 1 optimum the fit never scores below it.
+    Inside a reuse scope, the fit refines the vote compression that
+    `start`'s fit kept for these labels."""
     selected = tuple(_index(i, "selected") for i in selected)
     if start is None:
         start = GenParams(np.full(labels.m, config.phi_init))
@@ -530,7 +615,9 @@ def fit_aug(
             f"start's selected columns {start.selected} are not a prefix of {selected}"
         )
     w = np.vstack([start.w, np.zeros((len(selected) - start.k, labels.m))])
-    return _fit(GenParams(start.phi, w, selected), labels, features, config)
+    kept = _kept.get(start, labels)  # start's rows, or their vote compression
+    votes = kept.votes if isinstance(kept, _Rows) else kept
+    return _fit(GenParams(start.phi, w, selected), labels, features, config, votes)
 
 
 def _vote_scores(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -553,11 +640,13 @@ def _label(
     these labels and features, else per object.  [phi; W]^T times the int8
     design is phi itself at K = 0, and each product with a vote is exact, so
     both routes sum the same M terms in the same order, and their labels
-    agree bit for bit."""
+    agree bit for bit.  Once read, the kept rows give way to their vote
+    compression, which is all the next warm fit needs."""
     theta_t = np.vstack([params.phi, params.w]).T  # M x (1 + K)
     rows = _kept.get(params, labels, features)
-    if rows is not None:
+    if isinstance(rows, _Rows):
         scores = _vote_scores(rows.lam.T, (theta_t @ rows.patterns.T)[:, rows.pattern])
+        _kept.put((params, labels, features), rows.votes)
         return ProbLabelVector(np.tanh(scores)[rows.inverse])
     scores = _vote_scores(labels.votes, theta_t @ _design(params, labels, features).T)
     return ProbLabelVector(np.tanh(scores))

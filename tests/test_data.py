@@ -36,6 +36,15 @@ def test_load_label_matrix_transcription():
     assert lm.object_ids == ("a", "b")
 
 
+def test_label_matrix_votes_are_source_major_however_read():
+    text = "object_id,lf_1,lf_2,lf_3\n" + "".join(f"o{i},1,0,-1\n" for i in range(5))
+    assert load_label_matrix(io.StringIO(text)).votes.flags.c_contiguous
+    votes = np.asfortranarray(np.random.default_rng(0).integers(-1, 2, (3, 7)))
+    lm = LabelMatrix(votes)
+    assert lm.votes.flags.c_contiguous and lm.votes.dtype == np.int8
+    np.testing.assert_array_equal(lm.votes, votes)
+
+
 def test_load_label_matrix_out_of_domain_names_cell():
     text = "object_id,lf_1,lf_2\na,1,2\n"
     with pytest.raises(DataError, match=r"row 1, column lf_2"):
@@ -275,6 +284,18 @@ def test_validate_flags_constant_columns_and_never_mutates():
     report = validate(ds)
     assert report.constant_bin_columns == (0,)
     np.testing.assert_array_equal(ds.bin_features.values, before)
+
+
+def test_validate_warns_about_a_constant_real_feature_column():
+    real = np.random.default_rng(4).standard_normal((6, 3))
+    real[:, 1] = 2.5  # collinear with the discriminative model's bias
+    ds = Dataset(labels=LabelMatrix(np.ones((1, 6))), real_features=FeatureMatrixReal(real))
+    report = validate(ds)
+    assert report.ok
+    assert [f.message for f in report.findings] == ["real feature column 1 is constant"]
+    assert report.constant_bin_columns == ()
+    real[:, 1] += np.arange(6)
+    assert validate(Dataset(labels=ds.labels, real_features=FeatureMatrixReal(real))).findings == ()
 
 
 def test_validate_counts_match_a_loop_over_sources_and_columns():

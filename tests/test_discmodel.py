@@ -99,6 +99,40 @@ def test_hessian_matches_finite_differences_of_gradient():
         np.testing.assert_allclose(hess, hess.T, rtol=1e-14, atol=0)
 
 
+def _per_object(x, v, p, l2):
+    """The loss, gradient and Hessian summed object by object: each object's
+    two-term loss, its residual sigma(s) - p and its weight sigma (1 - sigma)."""
+    n, q = v.shape
+    theta = x[:-1]
+    s = v @ theta + x[-1]
+    sig = 0.5 * (1.0 + np.tanh(0.5 * s))
+    value = np.mean(p * np.logaddexp(0.0, -s) + (1.0 - p) * np.logaddexp(0.0, s))
+    r = sig - p
+    grad = np.append(v.T @ r / n + l2 * theta, r.mean())
+    a = np.column_stack([v, np.ones(n)])
+    hess = sum(w * np.outer(row, row) for w, row in zip(sig * (1.0 - sig) / n, a))
+    hess[:q, :q] += l2 * np.eye(q)
+    return value + 0.5 * l2 * theta @ theta, grad, hess
+
+
+@pytest.mark.parametrize("hard", [False, True])
+def test_the_labels_entering_through_one_vector_match_the_per_object_sums(hard):
+    rng = np.random.default_rng(21)
+    n, q = 400, 4
+    v = rng.standard_normal((n, q)) * np.array([1.0, 10.0, 0.1, 30.0])
+    p = rng.integers(0, 2, n).astype(float) if hard else rng.uniform(0, 1, n)
+    for _ in range(5):
+        x = rng.standard_normal(q + 1)
+        assert (np.abs(v @ x[:-1] + x[-1]) > 40).any()
+        value, grad, hess = _loss_grad_hess(x, v, p, 0.05)
+        want_value, want_grad, want_hess = _per_object(x, v, p, 0.05)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert rel_error(grad, want_grad) <= 1e-12
+        assert rel_error(hess, want_hess) <= 1e-12
+        numeric = finite_difference(lambda y: _loss_grad_hess(y, v, p, 0.05)[0], x)
+        assert rel_error(grad, numeric) < 1e-6
+
+
 @pytest.mark.parametrize("score", [-800.0, -40.0, 40.0, 800.0])
 @pytest.mark.parametrize("p", [0.0, 1e-12, 1.0])
 def test_loss_at_extreme_scores_matches_the_two_term_form(score, p):

@@ -220,6 +220,41 @@ def test_distinct_rows_tell_apart_rows_that_differ_past_the_first_key():
     np.testing.assert_array_equal(member, [3, 2, 0, 1])
 
 
+def _stacked_rows(params, lm, x):
+    """The rows as `_distinct` of the stacked (selected features, votes)
+    rows gives them, each object's design built in full."""
+    design = genmodel._design(params, lm, x)
+    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, lm.votes]).T)
+    lam, a = lm.votes.T[member].astype(np.float64), design[member].astype(np.float64)
+    starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]
+    bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
+    return lam, a, inverse, count / lm.n, np.cumsum(starts) - 1, a[starts], bounds
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [5, 20])
+@pytest.mark.parametrize("k, n", [(0, 600), (1, 600), (2, 600), (3, 600), (4, 600), (60, 300)])
+def test_rows_refined_from_the_vote_compression_equal_the_stacked_rows(k, n, m, order):
+    # at K = 60 the 2^60 design codes times the distinct vote rows pass the
+    # int64 key range, so the code is ranked before the last columns enter
+    rng = np.random.default_rng(1000 * k + m)
+    votes = rng.integers(-1, 2, size=(m, n))
+    votes[:, n // 2:] = votes[:, : n - n // 2]  # repeated rows
+    lm = LabelMatrix(np.asarray(votes, order=order))
+    x = FeatureMatrixBinary(rng.choice([-1, 1], size=(n, k + 3)))
+    params = GenParams(np.zeros(m), np.zeros((k, m)), tuple(rng.permutation(k + 3)[:k].tolist()))
+    want = _stacked_rows(params, lm, x)
+    compression = _rows(GenParams(np.zeros(m)), lm, None).votes
+    assert (2**k * compression.distinct > np.iinfo(np.int64).max) == (k == 60)
+    for got in (_rows(params, lm, x), _rows(params, lm, x, compression)):
+        assert len(got) == len(want) + 1
+        for field, a, b in zip(got._fields, got, want):
+            np.testing.assert_array_equal(a, b, err_msg=field)
+        assert got.lam.flags.c_contiguous
+        assert got.votes.distinct == compression.distinct
+        np.testing.assert_array_equal(got.votes.rank, compression.rank)
+
+
 # -- the solver ------------------------------------------------------------------
 
 
@@ -647,6 +682,22 @@ def test_labels_equal_the_left_to_right_per_object_sum(m, k):
     for model, got in labels.values():
         want = sequential_labels(model.phi, model.w, lm.votes, x.values[:, list(model.selected)])
         assert got.expected.tobytes() == want.tobytes()
+
+
+def test_the_record_keeps_only_the_vote_compression_once_labelled():
+    lm, x, params = _random_model(np.random.default_rng(7), 5, 2, 1_000)
+    with genmodel._kept.scope():
+        k0 = fit_sp(lm)
+        rows = genmodel._kept.get(k0, lm, None)
+        assert isinstance(rows, genmodel._Rows)
+        label_sp(k0, lm)
+        assert genmodel._kept.get(k0, lm, None) is rows.votes  # N ranks, no rows
+        fitted = fit_aug(lm, x, params.selected, start=k0)  # refines that compression
+        assert genmodel._kept.get(fitted, lm, x).votes is rows.votes
+        first = label_aug(fitted, lm, x)
+        assert genmodel._kept.get(fitted, lm, x) is rows.votes
+        again = label_aug(fitted, lm, x)  # per object now, the same bits
+    assert first.expected.tobytes() == again.expected.tobytes()
 
 
 def test_label_aug_abstain_and_single_object():

@@ -178,11 +178,11 @@ def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monke
     import weaksup.genmodel as genmodel
 
     calls = _recording(monkeypatch, discmodel, ["_label_free"])
-    designs = _recording(monkeypatch, genmodel, ["_design"])["_design"]
+    rows = _recording(monkeypatch, genmodel, ["_rows"])["_rows"]
     ds = gen_e2e(_small_scenario(seed=6))
     cfg = _fast_config(k_max=3, patience=3)
     report = run(ds, cfg)
-    assert len(designs) == len(report.iterations)  # one per fit: the labels read its rows
+    assert len(rows) == len(report.iterations)  # one per fit: the labels read its rows
     first = len(calls["_label_free"])
     run(ds, cfg)
     assert len(calls["_label_free"]) - first == first
@@ -192,6 +192,19 @@ def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monke
         start = fit_disc(ds.real_features, record.gen_labels, cfg.disc, start=start)
         assert start.theta.tobytes() == record.disc_params.theta.tobytes()
     assert len(calls["_label_free"]) - 2 * first == first + len(report.iterations) - 1
+
+
+def test_each_run_forms_one_vote_compression_that_every_k_refines(monkeypatch):
+    import weaksup.genmodel as genmodel
+
+    distinct = _recording(monkeypatch, genmodel, ["_distinct"])["_distinct"]
+    ds = gen_e2e(_small_scenario(seed=6))
+    cfg = _fast_config(k_max=3, patience=3)
+    report = run(ds, cfg)
+    assert len(report.iterations) == 4 and len(distinct) == 1
+    assert distinct[0][0][0].base is ds.labels.votes  # the votes alone, as N x M
+    run(ds, cfg)  # nothing outlives a run: the next one forms its own
+    assert len(distinct) == 2
 
 
 def test_run_best_k_maximizes_tracked_metric():
