@@ -14,9 +14,10 @@ marginal likelihoods, gradients, Hessians and posteriors (no sampling
 anywhere).  An object enters the likelihood only through its (votes,
 selected features) row, so the objective is a weighted sum over the distinct
 rows, of which there are at most min(N, 3^M 2^K); log Z is evaluated once
-per distinct selected-feature row.  The K = 0 rows are the distinct vote
-rows, one compression of the votes, and any K's rows refine it by the K
-selected columns.  Every fit runs through `newton`.
+per distinct selected-feature row.  One routine, `_refine`, keys both
+groupings: the K = 0 rows are the distinct vote rows, one compression of the
+votes, and any K's rows refine it by the K selected columns.  Every fit runs
+through `newton`.
 
 Inside `pipeline.run`, which opens a reuse scope, a fit keeps those distinct
 rows, and labelling with the model it returned reads the labels off them
@@ -31,7 +32,7 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -230,36 +231,9 @@ def _log_z(phi_rows: np.ndarray) -> np.ndarray:
 KEY_LIMIT = np.iinfo(np.int64).max
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One member index, the inverse and the count of each distinct row of a
-    matrix with entries in {-1, 0, 1}, rows in the lexicographic order of
-    np.unique(axis=0).
-
-    Each row gets one int64 key: its entries read as balanced-ternary
-    digits, which order the keys as np.unique orders the rows.  The key is
-    built one column at a time, so a column-major matrix reads fastest.  An
-    int64 holds 40 digits; before a digit would overflow it, the key is
-    replaced by its rank among the distinct keys so far, which keeps the
-    order and the partition.  `_group` then ranks the keys.
-    """
-    key = np.zeros(rows.shape[0], np.int64)
-    bound = 0  # |key| <= bound
-    for column in np.asarray(rows).T:
-        if 3 * bound + 1 > KEY_LIMIT:
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max(initial=0))
-        key *= 3
-        key += column
-        bound = 3 * bound + 1
-    return _group(key, 2 * bound + 1, bound)
-
-
-def _group(
-    key: np.ndarray, size: int, offset: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One member index, the inverse and the count of each distinct value of
-    int64 keys, values in increasing order; the keys lie in [-offset,
-    size - offset), and this may overwrite them.
+    int64 keys in [0, size), values in increasing order.
 
     One 1-D np.unique serves any range; without return_index it may use a
     sort three times faster than the stable one that the first index of each
@@ -268,7 +242,6 @@ def _group(
     nonzero bins, ranked in order, give the same inverse and counts.
     """
     if size <= 2 * key.size:
-        key += offset
         count = np.bincount(key)
         present = np.flatnonzero(count)
         rank = np.empty(count.size, np.intp)
@@ -282,37 +255,51 @@ def _group(
 
 
 class _Votes(NamedTuple):
-    """The compression of one data set's votes: each object's rank among the
-    U0 distinct vote rows, in `_distinct`'s order, and U0."""
+    """One data set's objects grouped by their distinct rows: a member of
+    each row, each object's rank among the rows and each row's object
+    count.  The vote compression, `_compress`, groups by the votes alone;
+    it is the K = 0 grouping, which every K's rows refine."""
 
+    member: np.ndarray
     rank: np.ndarray
-    distinct: int
+    count: np.ndarray
 
 
 def _refine(
-    votes: _Votes, columns: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_group` of the distinct (columns, votes) rows for {-1, +1} feature
-    columns, plus each distinct row's design code.
+    groups: _Votes, digits: Iterable[np.ndarray], radix: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_group` of the rows of `groups` refined by columns of digits in
+    [0, radix).
 
-    The code reads the bits (x_i > 0) with the first column most
-    significant, so the key code * U0 + vote rank orders the rows as
-    `_distinct` orders the stacked (x_1 .. x_K, votes) rows.  Before the key
-    range 2^K U0 would pass int64, the code is replaced by its rank among
-    the distinct codes so far, which keeps the order and the partition."""
-    code = np.zeros(votes.rank.size, np.int64)
-    bound = 1  # code < bound
-    for column in columns:
-        if 2 * bound * votes.distinct - 1 > KEY_LIMIT:
-            _, code = np.unique(code, return_inverse=True)
-            bound = int(code.max(initial=0)) + 1
-        code <<= 1
-        code += column > 0
-        bound *= 2
-    key = code * votes.distinct
-    key += votes.rank
-    member, inverse, count = _group(key, bound * votes.distinct)
-    return member, inverse, count, code[member]
+    Each object's key is a mixed-radix number whose digits are its column
+    digits in base `radix`, the first column most significant, and last its
+    rank among the U rows of `groups` in base U, so the keys order the
+    refined rows by their column digits, then by their rank.  Before the key
+    range would pass int64, the key so far is replaced by its rank among
+    the distinct keys, which keeps the order and the partition."""
+    u = groups.count.size
+    key = np.zeros(groups.rank.size, np.int64)
+    bound = 1  # key < bound
+    for digit in digits:
+        if radix * bound * u - 1 > KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max(initial=0)) + 1
+        if bound > 1:  # else every key is 0
+            key *= radix
+        key += digit
+        bound *= radix
+    if u > 1:  # the rank is the last digit
+        key *= u
+        key += groups.rank
+    return _group(key, bound * u)
+
+
+def _compress(labels: LabelMatrix) -> _Votes:
+    """The vote compression: the one group of all objects refined by the M
+    vote columns, each vote v read as the digit v + 1, so the distinct vote
+    rows come in the lexicographic order of np.unique(axis=0)."""
+    everyone = _Votes(np.zeros(1, np.intp), np.zeros(labels.n, np.intp), np.array([labels.n]))
+    return _Votes(*_refine(everyone, labels.votes + 1, 3))
 
 
 class _Rows(NamedTuple):
@@ -339,19 +326,17 @@ def _rows(
     """The distinct rows of `labels` and `params`'s selected columns of
     `features`, which serve `_objective` and, within a run, `_label`.
 
-    The K = 0 rows are the distinct vote rows, `_distinct` of the votes; the
-    rows of any K refine that compression by the K selected columns, from
-    `votes` when given (the compression of these labels), else from a
-    compression formed here.  Only the U distinct rows' votes and designs
-    are gathered."""
+    The K = 0 rows are the vote compression: `votes` when given (the
+    compression of these labels), else `_compress` of the labels.  The rows
+    of any K are `_refine` of it by the K selected columns, each entry x
+    read as the bit x > 0.  Only the U distinct rows' votes and designs are
+    gathered."""
     _check_design(params, labels, features)
-    fresh = votes is None
-    if fresh:
-        member, inverse, count = _distinct(labels.votes.T)
-        votes, row_code = _Votes(inverse, count.size), np.zeros(count.size, np.int64)
-    if params.k or not fresh:
-        columns = (features.values[:, j] for j in params.selected)
-        member, inverse, count, row_code = _refine(votes, columns)
+    votes = _compress(labels) if votes is None else votes
+    member, inverse, count = votes
+    if params.k:
+        columns = (features.values[:, j] > 0 for j in params.selected)
+        member, inverse, count = _refine(votes, columns, 2)
     u = member.size
     lam = labels.votes.T[member].astype(np.float64)
     a = np.ones((u, 1 + params.k))
@@ -359,7 +344,7 @@ def _rows(
         a[:, 1:] = features.values[np.ix_(member, params.selected)]
     starts = np.empty(u, bool)  # the first row of each pattern
     starts[0] = True
-    np.not_equal(row_code[1:], row_code[:-1], out=starts[1:])
+    np.not_equal(a[1:], a[:-1]).any(axis=1, out=starts[1:])
     bounds = np.append(np.flatnonzero(starts), u)
     return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds, votes)
 

@@ -16,6 +16,7 @@ best K's model, whatever K is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .data import (
 )
 from .diffmodel import LassoConfig, disagreement, regularization_path, select_features
 from .discmodel import DiscConfig, DiscParams, fit_disc, predict
-from .genmodel import FitConfig, GenParams, fit_aug, fit_sp, label_aug, label_sp
+from .genmodel import FitConfig, FitError, GenParams, fit_aug, fit_sp, label_aug, label_sp
 from .metrics import score, soft_label_accuracy
 
 
@@ -121,6 +122,14 @@ def standardize(features: FeatureMatrixReal) -> tuple[FeatureMatrixReal, np.ndar
     return standardized, mean, scale
 
 
+def _named(model: str, k: int, fit: Callable, *args, **kwargs):
+    """`fit(*args, **kwargs)`, whose FitError names the `model` and K."""
+    try:
+        return fit(*args, **kwargs)
+    except FitError as error:
+        raise FitError(f"{model} fit at K = {k}: {error}") from error
+
+
 def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     """Execute the full loop and return the best-K state.
 
@@ -132,7 +141,8 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     K entries, so its selection extends K - 1's and its fits start from the
     K - 1 models.  The path stops once k_max features have entered, since
     only the first k_max entries are ever selected.  Each record carries
-    its K's generative and discriminative labels.
+    its K's generative and discriminative labels.  A fit that fails raises
+    FitError naming its model, generative or discriminative, and its K.
 
     While the loop runs, each model module keeps what its last fit's last
     evaluation formed, for the calls that read that fit's result: the
@@ -158,7 +168,8 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         `yg`, warm from the K - 1 weights, and the record's scores.  The
         agreement is the fraction of objects where sign(yg), with sign(0) =
         +1, matches the discriminative labels."""
-        disc = fit_disc(real, yg, config.disc, start=records[-1].disc_params if records else None)
+        disc = _named("discriminative", gen.k, fit_disc, real, yg, config.disc,
+                      start=records[-1].disc_params if records else None)
         yd = predict(disc, real)
         return IterationRecord(
             agreement=soft_label_accuracy(yg, yd),
@@ -174,29 +185,29 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
         return [r.dev_metric if use_dev else r.agreement for r in records]
 
     with genmodel._kept.scope(), discmodel._kept.scope():
-        gen0 = fit_sp(dataset.labels, config.gen)
+        gen0 = _named("generative", 0, fit_sp, dataset.labels, config.gen)
         records.append(step(gen0, label_sp(gen0, dataset.labels)))
 
-        path = None
-        stop_reason = "k_max"
-        for k in range(1, config.k_max + 1):
-            if path is None:
-                try:
-                    path = regularization_path(
-                        dataset.bin_features,
-                        disagreement(records[0].gen_labels, records[0].disc_labels),
-                        config,
-                        stop_after=config.k_max,
-                    )
-                except DataError:
-                    # models agree everywhere: nothing for the difference model
-                    stop_reason = "path_exhausted"
-                    break
+        stop_reason, k_max = "k_max", config.k_max
+        if k_max:
+            try:
+                path = regularization_path(
+                    dataset.bin_features,
+                    disagreement(records[0].gen_labels, records[0].disc_labels),
+                    config,
+                    stop_after=config.k_max,
+                )
+            except DataError:
+                # lambda_max = 0: the disagreement is uncorrelated with every
+                # binary column, so the difference model has nothing to select
+                stop_reason, k_max = "path_exhausted", 0
+        for k in range(1, k_max + 1):
             if len(path.entry_order) < k:
                 stop_reason = "path_exhausted"
                 break
-            gen = fit_aug(dataset.labels, dataset.bin_features, tuple(select_features(path, k)),
-                          config.gen, start=records[-1].gen_params)
+            gen = _named("generative", k, fit_aug, dataset.labels, dataset.bin_features,
+                         tuple(select_features(path, k)), config.gen,
+                         start=records[-1].gen_params)
             records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
             if stopping_rule(tracked(), config.patience):
                 stop_reason = "metric_declined"

@@ -626,6 +626,21 @@ def test_run_with_a_bad_grid_size_exits_two_before_any_fit(
     assert calls == [] and not out_dir.exists()
 
 
+def test_run_names_the_fit_that_failed(tiny_dataset, tmp_path, capsys):
+    ds, paths, _ = tiny_dataset
+    huge = tmp_path / "huge.csv"  # the real features scaled by 1e200
+    with open(huge, "w") as f:
+        f.write("object_id," + ",".join(f"v_{j}" for j in range(ds.real_features.q)) + "\n")
+        for i, row in enumerate(ds.real_features.values * 1e200):
+            f.write(f"{i}," + ",".join(repr(float(v)) for v in row) + "\n")
+    argv = ["run", "--labels", paths["labels"], "--bin-features", paths["xbin"],
+            "--real-features", str(huge), "--out-dir", str(tmp_path / "out")]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    assert ("error: discriminative fit at K = 0: non-finite objective or derivative at "
+            "iteration 0\n") in capsys.readouterr().err
+
+
 def test_non_finite_or_zero_tolerance_exits_two_writing_nothing(tiny_dataset, tmp_path, capsys):
     ds, paths, _ = tiny_dataset
     model, soft, hard = (str(tmp_path / f) for f in ("model.json", "soft.csv", "hard.csv"))

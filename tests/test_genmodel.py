@@ -19,7 +19,6 @@ from weaksup.genmodel import (
     FitError,
     GenParams,
     NewtonConfig,
-    _distinct,
     _flat,
     _objective,
     _rows,
@@ -192,39 +191,45 @@ def test_hessian_matches_finite_differences_of_gradient(k):
             np.testing.assert_array_equal(hess, hess.T)
 
 
-@pytest.mark.parametrize("width", [1, 5, 25, 39, 40, 41, 60])
-def test_distinct_rows_partition_like_np_unique(width):
-    # widths past 39 columns make the running base-3 key re-rank; widths 1
-    # and 5 count the keys when they number at most twice the rows (at width
-    # 5, 243 keys: 121 rows sort and 122 count), the rest sort them; few
+def _unique_rows(rows):
+    """np.unique's first member, inverse and count of each distinct row."""
+    _, member, inverse, count = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    return member, inverse.reshape(-1), count
+
+
+@pytest.mark.parametrize("m", [1, 5, 25, 39, 40, 41, 60])
+def test_distinct_rows_partition_like_np_unique(m):
+    # from 40 sources on the running base-3 code re-ranks; M = 1 and 5
+    # count the keys when they number at most twice the objects (at M = 5,
+    # 243 keys: 121 objects sort and 122 count), the rest sort them; few
     # values make many repeated rows
-    rng = np.random.default_rng(width)
+    rng = np.random.default_rng(m)
     for n, values in ((1, 3), (121, 3), (122, 3), (500, 3), (3_000, 2)):
-        rows = rng.integers(-1, values - 1, size=(n, width)).astype(np.int8)
+        rows = rng.integers(-1, values - 1, size=(n, m)).astype(np.int8)
         rows[n // 2 :] = rows[: n - n // 2]
-        member, inverse, count = _distinct(rows)
-        unique, want_inverse, want_count = np.unique(
-            rows, axis=0, return_inverse=True, return_counts=True
-        )
-        np.testing.assert_array_equal(rows[member], unique)
-        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+        member, rank, count = genmodel._compress(LabelMatrix(rows.T))
+        want_member, want_rank, want_count = _unique_rows(rows)
+        np.testing.assert_array_equal(rows[member], rows[want_member])
+        np.testing.assert_array_equal(rank, want_rank)
         np.testing.assert_array_equal(count, want_count)
 
 
 def test_distinct_rows_tell_apart_rows_that_differ_past_the_first_key():
     rows = np.zeros((4, 80), np.int8)
     rows[1, 79], rows[2, 40], rows[3, 0] = 1, -1, -1
-    member, inverse, count = _distinct(rows)
-    np.testing.assert_array_equal(inverse, [2, 3, 1, 0])
+    member, rank, count = genmodel._compress(LabelMatrix(rows.T))
+    np.testing.assert_array_equal(rank, [2, 3, 1, 0])
     np.testing.assert_array_equal(count, [1, 1, 1, 1])
     np.testing.assert_array_equal(member, [3, 2, 0, 1])
 
 
 def _stacked_rows(params, lm, x):
-    """The rows as `_distinct` of the stacked (selected features, votes)
-    rows gives them, each object's design built in full."""
+    """The rows as np.unique of the stacked (selected features, votes) rows
+    gives them, each object's design built in full."""
     design = genmodel._design(params, lm, x)
-    member, inverse, count = _distinct(np.vstack([design[:, 1:].T, lm.votes]).T)
+    member, inverse, count = _unique_rows(np.vstack([design[:, 1:].T, lm.votes]).T)
     lam, a = lm.votes.T[member].astype(np.float64), design[member].astype(np.float64)
     starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]
     bounds = np.r_[np.flatnonzero(starts), a.shape[0]]
@@ -232,11 +237,12 @@ def _stacked_rows(params, lm, x):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("m", [5, 20])
+@pytest.mark.parametrize("m", [5, 20, 45])
 @pytest.mark.parametrize("k, n", [(0, 600), (1, 600), (2, 600), (3, 600), (4, 600), (60, 300)])
 def test_rows_refined_from_the_vote_compression_equal_the_stacked_rows(k, n, m, order):
-    # at K = 60 the 2^60 design codes times the distinct vote rows pass the
-    # int64 key range, so the code is ranked before the last columns enter
+    # at M = 45 the 3^45 vote codes pass the int64 key range, and at K = 60
+    # the 2^60 design codes times the distinct vote rows do, so each stage's
+    # code is ranked before its last columns enter
     rng = np.random.default_rng(1000 * k + m)
     votes = rng.integers(-1, 2, size=(m, n))
     votes[:, n // 2:] = votes[:, : n - n // 2]  # repeated rows
@@ -245,14 +251,17 @@ def test_rows_refined_from_the_vote_compression_equal_the_stacked_rows(k, n, m, 
     params = GenParams(np.zeros(m), np.zeros((k, m)), tuple(rng.permutation(k + 3)[:k].tolist()))
     want = _stacked_rows(params, lm, x)
     compression = _rows(GenParams(np.zeros(m)), lm, None).votes
-    assert (2**k * compression.distinct > np.iinfo(np.int64).max) == (k == 60)
+    np.testing.assert_array_equal(compression.rank, _unique_rows(lm.votes.T)[1])
+    key_limit = np.iinfo(np.int64).max
+    assert (3**m > key_limit) == (m == 45)
+    assert (2**k * compression.count.size > key_limit) == (k == 60)
     for got in (_rows(params, lm, x), _rows(params, lm, x, compression)):
         assert len(got) == len(want) + 1
         for field, a, b in zip(got._fields, got, want):
             np.testing.assert_array_equal(a, b, err_msg=field)
         assert got.lam.flags.c_contiguous
-        assert got.votes.distinct == compression.distinct
-        np.testing.assert_array_equal(got.votes.rank, compression.rank)
+        for field, a, b in zip(compression._fields, got.votes, compression):
+            np.testing.assert_array_equal(a, b, err_msg=field)
 
 
 # -- the solver ------------------------------------------------------------------
@@ -664,7 +673,7 @@ def test_labels_on_the_kept_rows_and_either_vote_layout_agree_bit_for_bit(m, k, 
         assert genmodel._kept.get(params, lm, x) is not None  # the rows route
         on_rows = label_aug(params, lm, x)
     assert on_rows.expected.tobytes() == per_object.expected.tobytes()
-    # the CSV reader stores the votes column-major; the labels do not depend on it
+    # votes given column-major, which LabelMatrix stores in C order, give the same labels
     column_major = label_aug(params, LabelMatrix(np.asfortranarray(lm.votes)), x)
     assert column_major.expected.tobytes() == per_object.expected.tobytes()
 

@@ -4,7 +4,8 @@ import pytest
 from weaksup.data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal,
                           HardLabelVector, LabelMatrix, validate)
 from weaksup.discmodel import DiscConfig, fit_disc
-from weaksup.genmodel import FitConfig, fit_sp, label_aug, label_sp, marginal_loglik
+from weaksup.genmodel import (FitConfig, FitError, fit_aug, fit_sp, label_aug, label_sp,
+                              marginal_loglik)
 from weaksup.pipeline import RunConfig, run, stopping_rule
 from weaksup.synth import E2EScenario, gen_e2e
 
@@ -197,14 +198,37 @@ def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monke
 def test_each_run_forms_one_vote_compression_that_every_k_refines(monkeypatch):
     import weaksup.genmodel as genmodel
 
-    distinct = _recording(monkeypatch, genmodel, ["_distinct"])["_distinct"]
+    compress = _recording(monkeypatch, genmodel, ["_compress"])["_compress"]
     ds = gen_e2e(_small_scenario(seed=6))
     cfg = _fast_config(k_max=3, patience=3)
     report = run(ds, cfg)
-    assert len(report.iterations) == 4 and len(distinct) == 1
-    assert distinct[0][0][0].base is ds.labels.votes  # the votes alone, as N x M
+    assert len(report.iterations) == 4 and len(compress) == 1
+    assert compress[0][0][0] is ds.labels  # the run's votes alone
     run(ds, cfg)  # nothing outlives a run: the next one forms its own
-    assert len(distinct) == 2
+    assert len(compress) == 2
+
+
+def test_a_failed_fit_names_its_model_and_k(monkeypatch):
+    import weaksup.pipeline as pipeline
+
+    ds = gen_e2e(_small_scenario(seed=6))
+    huge = Dataset(labels=ds.labels, bin_features=ds.bin_features,
+                   real_features=FeatureMatrixReal(ds.real_features.values * 1e200))
+    with np.errstate(all="ignore"), pytest.raises(FitError, match=(
+        r"^discriminative fit at K = 0: non-finite objective or derivative at iteration 0$"
+    )):
+        run(huge, _fast_config(k_max=3))
+
+    def fit_aug_failing_at_k2(labels, features, selected, *args, **kwargs):
+        if len(selected) == 2:
+            raise FitError("non-finite objective or derivative at iteration 4")
+        return fit_aug(labels, features, selected, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_aug", fit_aug_failing_at_k2)
+    with pytest.raises(FitError, match=(
+        r"^generative fit at K = 2: non-finite objective or derivative at iteration 4$"
+    )):
+        run(ds, _fast_config(k_max=3, patience=3))
 
 
 def test_run_best_k_maximizes_tracked_metric():
