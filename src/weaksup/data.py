@@ -3,7 +3,9 @@
 Labeling-function votes are stored source-major (M x N) because every model
 computation iterates per source; feature matrices are object-major.  All
 containers freeze their arrays after construction and are safe to share
-read-only across workers.
+read-only across workers.  One derived value is cached besides: a
+LabelMatrix's vote compression, its objects grouped by distinct vote row,
+formed on first use, frozen too, and kept as long as the votes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import csv
 import operator
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence, TextIO
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -77,6 +80,72 @@ def _json_array(
     raise DataError(f"model file: {key!r} must be {kind} of shape ({dims})")
 
 
+KEY_LIMIT = np.iinfo(np.int64).max
+
+
+def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One member index, the inverse and the count of each distinct value of
+    int64 keys in [0, size), values in increasing order.
+
+    One 1-D np.unique serves any range; without return_index it may use a
+    sort three times faster than the stable one that the first index of each
+    value would need.  When the `size` possible keys number at most twice
+    the keys, a counting sort replaces it: np.bincount of the keys, whose
+    nonzero bins, ranked in order, give the same inverse and counts.
+    """
+    if size <= 2 * key.size:
+        count = np.bincount(key)
+        present = np.flatnonzero(count)
+        rank = np.empty(count.size, np.intp)
+        rank[present] = np.arange(present.size)
+        inverse, count = rank[key], count[present]
+    else:
+        _, inverse, count = np.unique(key, return_inverse=True, return_counts=True)
+    member = np.empty(count.size, np.intp)
+    member[inverse] = np.arange(key.size)  # any member will do: all share the value
+    return member, inverse, count
+
+
+class _Votes(NamedTuple):
+    """One data set's objects grouped by their distinct rows: a member of
+    each row, each object's rank among the rows and each row's object
+    count.  The vote compression, `LabelMatrix._compression`, groups by
+    the votes alone; it is the K = 0 grouping, which every K's rows refine."""
+
+    member: np.ndarray
+    rank: np.ndarray
+    count: np.ndarray
+
+
+def _refine(
+    groups: _Votes, digits: Iterable[np.ndarray], radix: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_group` of the rows of `groups` refined by columns of digits in
+    [0, radix).
+
+    Each object's key is a mixed-radix number whose digits are its column
+    digits in base `radix`, the first column most significant, and last its
+    rank among the U rows of `groups` in base U, so the keys order the
+    refined rows by their column digits, then by their rank.  Before the key
+    range would pass int64, the key so far is replaced by its rank among
+    the distinct keys, which keeps the order and the partition."""
+    u = groups.count.size
+    key = np.zeros(groups.rank.size, np.int64)
+    bound = 1  # key < bound
+    for digit in digits:
+        if radix * bound * u - 1 > KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max(initial=0)) + 1
+        if bound > 1:  # else every key is 0
+            key *= radix
+        key += digit
+        bound *= radix
+    if u > 1:  # the rank is the last digit
+        key *= u
+        key += groups.rank
+    return _group(key, bound * u)
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """Votes of M sources over N objects; entries in {-1, 0, +1}, 0 = abstain.
@@ -109,6 +178,19 @@ class LabelMatrix:
     @property
     def n(self) -> int:
         return self.votes.shape[1]
+
+    @cached_property
+    def _compression(self) -> _Votes:
+        """The vote compression, formed on first use: the one group of all
+        objects refined by the M vote columns, each vote v read as the digit
+        v + 1, so the distinct vote rows come in the lexicographic order of
+        np.unique(axis=0).  Its arrays are read-only and take at most 24 N
+        bytes."""
+        everyone = _Votes(np.zeros(1, np.intp), np.zeros(self.n, np.intp), np.array([self.n]))
+        votes = _Votes(*_refine(everyone, self.votes + 1, 3))
+        for arr in votes:
+            arr.setflags(write=False)
+        return votes
 
 
 @dataclass(frozen=True)

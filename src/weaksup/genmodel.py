@@ -14,16 +14,15 @@ marginal likelihoods, gradients, Hessians and posteriors (no sampling
 anywhere).  An object enters the likelihood only through its (votes,
 selected features) row, so the objective is a weighted sum over the distinct
 rows, of which there are at most min(N, 3^M 2^K); log Z is evaluated once
-per distinct selected-feature row.  One routine, `_refine`, keys both
-groupings: the K = 0 rows are the distinct vote rows, one compression of the
-votes, and any K's rows refine it by the K selected columns.  Every fit runs
-through `newton`.
+per distinct selected-feature row.  The K = 0 rows are the distinct vote
+rows, the vote compression that each LabelMatrix forms once and keeps with
+its votes, and any K's rows refine it by the K selected columns (both through
+`data._refine`).  Every fit runs through `newton`.
 
 Inside `pipeline.run`, which opens a reuse scope, a fit keeps those distinct
 rows, and labelling with the model it returned reads the labels off them
-instead of forming an N x M product; then only the vote compression stays,
-which the next warm fit refines, so each run compresses its votes once.
-Outside a run nothing is kept, and each fit forms its own compression.
+instead of forming an N x M product; once read, they are dropped.  Outside a
+run no rows are kept.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .data import (DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _index,
-                   _json_array, _set)
+                   _json_array, _refine, _set)
 
 LOG2 = float(np.log(2.0))
 
@@ -228,80 +227,6 @@ def _log_z(phi_rows: np.ndarray) -> np.ndarray:
 # -- shared evaluation core ---------------------------------------------------
 
 
-KEY_LIMIT = np.iinfo(np.int64).max
-
-
-def _group(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One member index, the inverse and the count of each distinct value of
-    int64 keys in [0, size), values in increasing order.
-
-    One 1-D np.unique serves any range; without return_index it may use a
-    sort three times faster than the stable one that the first index of each
-    value would need.  When the `size` possible keys number at most twice
-    the keys, a counting sort replaces it: np.bincount of the keys, whose
-    nonzero bins, ranked in order, give the same inverse and counts.
-    """
-    if size <= 2 * key.size:
-        count = np.bincount(key)
-        present = np.flatnonzero(count)
-        rank = np.empty(count.size, np.intp)
-        rank[present] = np.arange(present.size)
-        inverse, count = rank[key], count[present]
-    else:
-        _, inverse, count = np.unique(key, return_inverse=True, return_counts=True)
-    member = np.empty(count.size, np.intp)
-    member[inverse] = np.arange(key.size)  # any member will do: all share the value
-    return member, inverse, count
-
-
-class _Votes(NamedTuple):
-    """One data set's objects grouped by their distinct rows: a member of
-    each row, each object's rank among the rows and each row's object
-    count.  The vote compression, `_compress`, groups by the votes alone;
-    it is the K = 0 grouping, which every K's rows refine."""
-
-    member: np.ndarray
-    rank: np.ndarray
-    count: np.ndarray
-
-
-def _refine(
-    groups: _Votes, digits: Iterable[np.ndarray], radix: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_group` of the rows of `groups` refined by columns of digits in
-    [0, radix).
-
-    Each object's key is a mixed-radix number whose digits are its column
-    digits in base `radix`, the first column most significant, and last its
-    rank among the U rows of `groups` in base U, so the keys order the
-    refined rows by their column digits, then by their rank.  Before the key
-    range would pass int64, the key so far is replaced by its rank among
-    the distinct keys, which keeps the order and the partition."""
-    u = groups.count.size
-    key = np.zeros(groups.rank.size, np.int64)
-    bound = 1  # key < bound
-    for digit in digits:
-        if radix * bound * u - 1 > KEY_LIMIT:
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max(initial=0)) + 1
-        if bound > 1:  # else every key is 0
-            key *= radix
-        key += digit
-        bound *= radix
-    if u > 1:  # the rank is the last digit
-        key *= u
-        key += groups.rank
-    return _group(key, bound * u)
-
-
-def _compress(labels: LabelMatrix) -> _Votes:
-    """The vote compression: the one group of all objects refined by the M
-    vote columns, each vote v read as the digit v + 1, so the distinct vote
-    rows come in the lexicographic order of np.unique(axis=0)."""
-    everyone = _Votes(np.zeros(1, np.intp), np.zeros(labels.n, np.intp), np.array([labels.n]))
-    return _Votes(*_refine(everyone, labels.votes + 1, 3))
-
-
 class _Rows(NamedTuple):
     """The distinct (votes, selected features) rows of one data set under one
     model shape, sorted design first, so they come grouped by design pattern.
@@ -314,26 +239,17 @@ class _Rows(NamedTuple):
     pattern: np.ndarray  # each row's design pattern
     patterns: np.ndarray  # P x (1 + K) distinct designs
     bounds: np.ndarray  # pattern p holds rows bounds[p]:bounds[p + 1]
-    votes: _Votes  # the vote compression these rows refine
 
 
-def _rows(
-    params: GenParams,
-    labels: LabelMatrix,
-    features: FeatureMatrixBinary | None,
-    votes: _Votes | None = None,
-) -> _Rows:
+def _rows(params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None) -> _Rows:
     """The distinct rows of `labels` and `params`'s selected columns of
     `features`, which serve `_objective` and, within a run, `_label`.
 
-    The K = 0 rows are the vote compression: `votes` when given (the
-    compression of these labels), else `_compress` of the labels.  The rows
-    of any K are `_refine` of it by the K selected columns, each entry x
-    read as the bit x > 0.  Only the U distinct rows' votes and designs are
-    gathered."""
+    The K = 0 rows are the labels' vote compression.  The rows of any K are
+    `_refine` of it by the K selected columns, each entry x read as the bit
+    x > 0.  Only the U distinct rows' votes and designs are gathered."""
     _check_design(params, labels, features)
-    votes = _compress(labels) if votes is None else votes
-    member, inverse, count = votes
+    member, inverse, count = votes = labels._compression
     if params.k:
         columns = (features.values[:, j] > 0 for j in params.selected)
         member, inverse, count = _refine(votes, columns, 2)
@@ -346,7 +262,7 @@ def _rows(
     starts[0] = True
     np.not_equal(a[1:], a[:-1]).any(axis=1, out=starts[1:])
     bounds = np.append(np.flatnonzero(starts), u)
-    return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds, votes)
+    return _Rows(lam, a, inverse, count / labels.n, np.cumsum(starts) - 1, a[starts], bounds)
 
 
 def _objective(
@@ -370,7 +286,7 @@ def _objective(
     log Z's curvature, which is diagonal in the sources.  An evaluation
     costs U M^2 for the U rows plus P (1 + K)^2 M^2 for the P patterns.
     """
-    lam, a, inverse, per_row, pattern, patterns, bounds, _ = rows
+    lam, a, inverse, per_row, pattern, patterns, bounds = rows
     # bincount, not add.reduceat, whose pairwise sums move the K = 0 fit's last digit
     per_pattern = np.bincount(pattern, weights=per_row)[:, None]
     m, k1 = lam.shape[1], a.shape[1]
@@ -530,26 +446,21 @@ class _Kept:
         return record[1]
 
 
-# the last fit's GenParams, labels, features -> its _Rows, or their _Votes once labelled
+# the last fit's GenParams, labels, features -> its _Rows, until `_label` reads them
 _kept = _Kept("genmodel.kept")
 
 
 def _fit(
-    init: GenParams,
-    labels: LabelMatrix,
-    features: FeatureMatrixBinary | None,
-    config: FitConfig,
-    votes: _Votes | None = None,
+    init: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None, config: FitConfig
 ) -> GenParams:
-    """Joint damped-Newton ascent on (phi, W) from `init`, on rows that
-    refine `votes` when given.
+    """Joint damped-Newton ascent on (phi, W) from `init`.
 
     Sources with no votes at all keep their initial weights (their gradient
     is masked and their Hessian rows decoupled) so column indices stay stable
     across pipeline iterations.  Inside a reuse scope the fit keeps its
     distinct rows for `_label`.
     """
-    rows = _rows(init, labels, features, votes)
+    rows = _rows(init, labels, features)
     evaluate = _objective(rows, config.w_l2)
     m, k = init.m, init.k
     frozen = np.tile(~(labels.votes != 0).any(axis=1), k + 1)
@@ -587,9 +498,7 @@ def fit_aug(
     columns.  phi starts at phi_init and W at zero, or, warm, at `start`: a
     fitted model whose selected columns are a prefix of `selected`, with
     zero rows for the columns it lacks.  Model K - 1 is model K with
-    W_K = 0, so from the K - 1 optimum the fit never scores below it.
-    Inside a reuse scope, the fit refines the vote compression that
-    `start`'s fit kept for these labels."""
+    W_K = 0, so from the K - 1 optimum the fit never scores below it."""
     selected = tuple(_index(i, "selected") for i in selected)
     if start is None:
         start = GenParams(np.full(labels.m, config.phi_init))
@@ -600,9 +509,7 @@ def fit_aug(
             f"start's selected columns {start.selected} are not a prefix of {selected}"
         )
     w = np.vstack([start.w, np.zeros((len(selected) - start.k, labels.m))])
-    kept = _kept.get(start, labels)  # start's rows, or their vote compression
-    votes = kept.votes if isinstance(kept, _Rows) else kept
-    return _fit(GenParams(start.phi, w, selected), labels, features, config, votes)
+    return _fit(GenParams(start.phi, w, selected), labels, features, config)
 
 
 def _vote_scores(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -625,13 +532,12 @@ def _label(
     these labels and features, else per object.  [phi; W]^T times the int8
     design is phi itself at K = 0, and each product with a vote is exact, so
     both routes sum the same M terms in the same order, and their labels
-    agree bit for bit.  Once read, the kept rows give way to their vote
-    compression, which is all the next warm fit needs."""
+    agree bit for bit.  Once read, the kept rows are dropped."""
     theta_t = np.vstack([params.phi, params.w]).T  # M x (1 + K)
     rows = _kept.get(params, labels, features)
-    if isinstance(rows, _Rows):
+    if rows is not None:
         scores = _vote_scores(rows.lam.T, (theta_t @ rows.patterns.T)[:, rows.pattern])
-        _kept.put((params, labels, features), rows.votes)
+        _kept.put((params, labels, features), None)
         return ProbLabelVector(np.tanh(scores)[rows.inverse])
     scores = _vote_scores(labels.votes, theta_t @ _design(params, labels, features).T)
     return ProbLabelVector(np.tanh(scores))

@@ -148,7 +148,9 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     evaluation formed, for the calls that read that fit's result: the
     labels of a generative fit, and the predictions and next warm start of
     a discriminative fit.  The outputs are the same bit for bit as without
-    it, and nothing is kept once `run` returns or raises.
+    it, and nothing is kept once `run` returns or raises.  (The labels'
+    vote compression, which every generative fit refines, is formed once
+    and kept with the `LabelMatrix` itself.)
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")

@@ -1,12 +1,15 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weaksup import cli
+from weaksup import __version__, cli
 from weaksup import data as wdata
 from weaksup.cli import build_parser, main
 from weaksup.discmodel import DiscConfig
@@ -334,6 +337,15 @@ def test_usage_errors_exit_one():
     assert main(["metrics"]) == 1  # missing required flags
     assert main(["run", "--labels", "l.csv", "--out-dir", "out", "--refresh-disagreement"]) == 1
     assert main(["--version"]) == 0
+
+
+def test_the_module_runs_as_a_script(tmp_path):
+    # `python -m weaksup.cli`, as README documents it, reaches main through
+    # the module's __main__ guard
+    src = str(Path(cli.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-m", "weaksup.cli", "--version"], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stdout) == (0, f"weaksup {__version__}\n")
 
 
 def test_missing_file_exits_two(capsys):

@@ -45,6 +45,27 @@ def test_label_matrix_votes_are_source_major_however_read():
     np.testing.assert_array_equal(lm.votes, votes)
 
 
+def test_the_vote_compression_is_formed_on_first_use_and_kept(monkeypatch):
+    votes = np.random.default_rng(1).integers(-1, 2, (4, 300))
+    formed = []
+    refine = data._refine
+    monkeypatch.setattr(data, "_refine", lambda *args: formed.append(args) or refine(*args))
+    lm = LabelMatrix(votes, source_names=("a", "b", "c", "d"))
+    before = repr(lm)
+    assert not formed  # construction forms nothing
+    compression = lm._compression
+    assert lm._compression is compression and len(formed) == 1
+    assert not any(arr.flags.writeable for arr in compression)
+    column_major = LabelMatrix(np.asfortranarray(votes))._compression
+    for field, a, b in zip(compression._fields, compression, column_major):
+        np.testing.assert_array_equal(a, b, err_msg=field)
+    assert repr(lm) == before and "_compression" not in before
+    # equality still compares the fields alone, formed compression or not
+    one = LabelMatrix([[1]])
+    one._compression
+    assert one == LabelMatrix([[1]]) and one != LabelMatrix([[-1]])
+
+
 def test_load_label_matrix_out_of_domain_names_cell():
     text = "object_id,lf_1,lf_2\na,1,2\n"
     with pytest.raises(DataError, match=r"row 1, column lf_2"):

@@ -209,7 +209,7 @@ def test_distinct_rows_partition_like_np_unique(m):
     for n, values in ((1, 3), (121, 3), (122, 3), (500, 3), (3_000, 2)):
         rows = rng.integers(-1, values - 1, size=(n, m)).astype(np.int8)
         rows[n // 2 :] = rows[: n - n // 2]
-        member, rank, count = genmodel._compress(LabelMatrix(rows.T))
+        member, rank, count = LabelMatrix(rows.T)._compression
         want_member, want_rank, want_count = _unique_rows(rows)
         np.testing.assert_array_equal(rows[member], rows[want_member])
         np.testing.assert_array_equal(rank, want_rank)
@@ -219,7 +219,7 @@ def test_distinct_rows_partition_like_np_unique(m):
 def test_distinct_rows_tell_apart_rows_that_differ_past_the_first_key():
     rows = np.zeros((4, 80), np.int8)
     rows[1, 79], rows[2, 40], rows[3, 0] = 1, -1, -1
-    member, rank, count = genmodel._compress(LabelMatrix(rows.T))
+    member, rank, count = LabelMatrix(rows.T)._compression
     np.testing.assert_array_equal(rank, [2, 3, 1, 0])
     np.testing.assert_array_equal(count, [1, 1, 1, 1])
     np.testing.assert_array_equal(member, [3, 2, 0, 1])
@@ -246,22 +246,22 @@ def test_rows_refined_from_the_vote_compression_equal_the_stacked_rows(k, n, m, 
     rng = np.random.default_rng(1000 * k + m)
     votes = rng.integers(-1, 2, size=(m, n))
     votes[:, n // 2:] = votes[:, : n - n // 2]  # repeated rows
-    lm = LabelMatrix(np.asarray(votes, order=order))
+    fresh, formed = (LabelMatrix(np.asarray(votes, order=order)) for _ in range(2))
+    compression = formed._compression
     x = FeatureMatrixBinary(rng.choice([-1, 1], size=(n, k + 3)))
     params = GenParams(np.zeros(m), np.zeros((k, m)), tuple(rng.permutation(k + 3)[:k].tolist()))
-    want = _stacked_rows(params, lm, x)
-    compression = _rows(GenParams(np.zeros(m)), lm, None).votes
-    np.testing.assert_array_equal(compression.rank, _unique_rows(lm.votes.T)[1])
+    want = _stacked_rows(params, fresh, x)
+    np.testing.assert_array_equal(compression.rank, _unique_rows(fresh.votes.T)[1])
     key_limit = np.iinfo(np.int64).max
     assert (3**m > key_limit) == (m == 45)
     assert (2**k * compression.count.size > key_limit) == (k == 60)
-    for got in (_rows(params, lm, x), _rows(params, lm, x, compression)):
-        assert len(got) == len(want) + 1
+    for lm in (fresh, formed):  # the compression formed by the fit, or before it
+        got = _rows(params, lm, x)
+        assert len(got) == len(want)
         for field, a, b in zip(got._fields, got, want):
             np.testing.assert_array_equal(a, b, err_msg=field)
         assert got.lam.flags.c_contiguous
-        for field, a, b in zip(compression._fields, got.votes, compression):
-            np.testing.assert_array_equal(a, b, err_msg=field)
+    assert formed._compression is compression
 
 
 # -- the solver ------------------------------------------------------------------
@@ -693,18 +693,21 @@ def test_labels_equal_the_left_to_right_per_object_sum(m, k):
         assert got.expected.tobytes() == want.tobytes()
 
 
-def test_the_record_keeps_only_the_vote_compression_once_labelled():
+def test_the_record_keeps_only_the_vote_compression_once_labelled(monkeypatch):
     lm, x, params = _random_model(np.random.default_rng(7), 5, 2, 1_000)
+    refined = []  # the grouping each K >= 1 fit's rows refine
+    refine = genmodel._refine
+    monkeypatch.setattr(genmodel, "_refine",
+                        lambda groups, *args: refined.append(groups) or refine(groups, *args))
     with genmodel._kept.scope():
         k0 = fit_sp(lm)
-        rows = genmodel._kept.get(k0, lm, None)
-        assert isinstance(rows, genmodel._Rows)
+        assert isinstance(genmodel._kept.get(k0, lm, None), genmodel._Rows)
         label_sp(k0, lm)
-        assert genmodel._kept.get(k0, lm, None) is rows.votes  # N ranks, no rows
-        fitted = fit_aug(lm, x, params.selected, start=k0)  # refines that compression
-        assert genmodel._kept.get(fitted, lm, x).votes is rows.votes
+        assert genmodel._kept._slot.get() == [None]  # the record is empty
+        fitted = fit_aug(lm, x, params.selected, start=k0)
+        assert len(refined) == 1 and refined[0] is lm._compression  # the same compression
         first = label_aug(fitted, lm, x)
-        assert genmodel._kept.get(fitted, lm, x) is rows.votes
+        assert genmodel._kept._slot.get() == [None]
         again = label_aug(fitted, lm, x)  # per object now, the same bits
     assert first.expected.tobytes() == again.expected.tobytes()
 

@@ -196,16 +196,23 @@ def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monke
 
 
 def test_each_run_forms_one_vote_compression_that_every_k_refines(monkeypatch):
+    import weaksup.data as data
     import weaksup.genmodel as genmodel
 
-    compress = _recording(monkeypatch, genmodel, ["_compress"])["_compress"]
+    # data._refine forms a compression; genmodel._refine refines one for K >= 1
+    compress = _recording(monkeypatch, data, ["_refine"])["_refine"]
+    refine = _recording(monkeypatch, genmodel, ["_refine"])["_refine"]
     ds = gen_e2e(_small_scenario(seed=6))
     cfg = _fast_config(k_max=3, patience=3)
     report = run(ds, cfg)
     assert len(report.iterations) == 4 and len(compress) == 1
-    assert compress[0][0][0] is ds.labels  # the run's votes alone
-    run(ds, cfg)  # nothing outlives a run: the next one forms its own
-    assert len(compress) == 2
+    assert len(refine) == 3 and all(args[0] is ds.labels._compression for args, _ in refine)
+    run(ds, cfg)  # the compression stays with the labels: the next run forms none
+    assert len(compress) == 1 and len(refine) == 6
+    assert refine[-1][0][0] is ds.labels._compression
+    same_votes = Dataset(LabelMatrix(ds.labels.votes), ds.bin_features, ds.real_features)
+    run(same_votes, cfg)  # new labels of the same votes form their own
+    assert len(compress) == 2 and refine[-1][0][0] is same_votes.labels._compression
 
 
 def test_a_failed_fit_names_its_model_and_k(monkeypatch):
