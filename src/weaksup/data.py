@@ -3,7 +3,9 @@
 Labeling-function votes are stored source-major (M x N) because every model
 computation iterates per source; feature matrices are object-major.  All
 containers freeze their arrays after construction and are safe to share
-read-only across workers.  One derived value is cached besides: a
+read-only across workers: pickle and deepcopy rebuild them through their
+constructors, so a copy is validated and frozen too.  Every container
+holds at least one object.  One derived value is cached besides: a
 LabelMatrix's vote compression, its objects grouped by distinct vote row,
 formed on first use, frozen too, and kept as long as the votes.
 """
@@ -14,7 +16,7 @@ import contextlib
 import csv
 import operator
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
@@ -37,6 +39,13 @@ def _set(obj, **fields) -> None:
     # frozen-dataclass field assignment during __post_init__
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
+
+
+def _rebuild(self) -> tuple:
+    """`__reduce__` of a frozen container: pickle and deepcopy construct the
+    copy from its fields, so it is validated and its arrays are frozen as
+    the original's are.  Cached values are not carried."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _index(value, what: str, error: type[Exception] = ValueError) -> int:
@@ -171,6 +180,8 @@ class LabelMatrix:
         if self.source_names is not None and len(self.source_names) != self.m:
             raise DataError("source_names length does not match source count")
 
+    __reduce__ = _rebuild
+
     @property
     def m(self) -> int:
         return self.votes.shape[0]
@@ -205,6 +216,8 @@ class FeatureMatrixBinary:
         values = np.asarray(self.values)
         if values.ndim != 2:
             raise DataError("binary feature matrix must be 2-dimensional")
+        if values.shape[0] < 1 or values.shape[1] < 1:
+            raise DataError("binary feature matrix needs at least one object and one column")
         in_domain = (values == 1) | (values == -1)
         if not in_domain.all():
             o, j = np.argwhere(~in_domain)[0]
@@ -214,6 +227,8 @@ class FeatureMatrixBinary:
             raise DataError("column_names length does not match feature count")
         if self.object_ids is not None and len(self.object_ids) != self.n:
             raise DataError("object_ids length does not match object count")
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:
@@ -236,6 +251,8 @@ class FeatureMatrixReal:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise DataError("real feature matrix must be 2-dimensional")
+        if values.shape[0] < 1:
+            raise DataError("real feature matrix needs at least one object")
         if not np.isfinite(values).all():
             o, j = np.argwhere(~np.isfinite(values))[0]
             raise DataError(f"non-finite feature at object {o}, column {j}")
@@ -244,6 +261,8 @@ class FeatureMatrixReal:
             raise DataError("column_names length does not match feature count")
         if self.object_ids is not None and len(self.object_ids) != self.n:
             raise DataError("object_ids length does not match object count")
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:
@@ -264,11 +283,15 @@ class HardLabelVector:
         labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise DataError("hard labels must be a vector")
+        if labels.shape[0] < 1:
+            raise DataError("hard labels need at least one object")
         in_domain = (labels == 1) | (labels == -1)
         if not in_domain.all():
             o = np.argwhere(~in_domain)[0, 0]
             raise DataError(f"hard label outside {{-1,+1}} at object {o}")
         _set(self, labels=_frozen(labels, np.int8))
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:
@@ -288,10 +311,14 @@ class ProbLabelVector:
         expected = np.asarray(self.expected, dtype=np.float64)
         if expected.ndim != 1:
             raise DataError("soft labels must be a vector")
+        if expected.shape[0] < 1:
+            raise DataError("soft labels need at least one object")
         if not np.isfinite(expected).all() or (np.abs(expected) > 1.0).any():
             o = np.argwhere(~(np.isfinite(expected) & (np.abs(expected) <= 1.0)))[0, 0]
             raise DataError(f"expected label outside [-1,1] at object {o}")
         _set(self, expected=_frozen(expected))
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector, _frozen,
-                   _index, _set)
+                   _index, _rebuild, _set)
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,13 @@ class DisagreementVector:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise DataError("disagreement must be a vector")
+        if values.shape[0] < 1:
+            raise DataError("disagreement needs at least one object")
         if not np.isfinite(values).all() or (np.abs(values) > 1.0).any():
             raise DataError("disagreement entries must lie in [-1,1]")
         _set(self, values=_frozen(values))
+
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:
@@ -71,6 +75,8 @@ class LassoFit:
 
     def __post_init__(self):
         _set(self, coef=_frozen(self.coef, np.float64))
+
+    __reduce__ = _rebuild
 
     @property
     def active_set(self) -> tuple[int, ...]:

@@ -16,12 +16,13 @@ fit with A.  The gradient is A sigma(s) / N - c (plus l2 on theta), and the
 loss is convex, with Hessian A diag(sigma (1 - sigma)) A^T / N (plus l2 on
 theta), so `fit_disc` runs the damped-Newton solver of `genmodel` (IRLS).
 
-Of each evaluation, the scores, the mean of log(1 + exp(s)), A sigma(s) / N
-and the Hessian do not depend on the labels.  Inside `pipeline.run`, which
-opens a reuse scope, a fit keeps that label-free part of its last evaluation
-when it was made at the returned weights; `predict` with those weights reads
-the scores from it, and the next warm fit its first evaluation.  Outside a
-run nothing is kept.
+Of each evaluation, the mean of log(1 + exp(s)), A sigma(s) / N and
+A diag(sigma (1 - sigma)) A^T / N depend on x and A alone: neither the
+labels nor the penalty enter them.  Inside `pipeline.run`, which opens a
+reuse scope, a fit keeps that label-free part of its last evaluation with
+the point x it was taken at, and the next warm fit on the same features
+whose start has the same bytes as that x takes its first evaluation from
+it.  Outside a run nothing is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .data import FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array, _set
+from .data import (FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array,
+                   _rebuild, _set)
 from .genmodel import NewtonConfig, _Kept, _sigmoid, newton
 
 
@@ -46,6 +48,8 @@ class DiscParams:
         if theta.ndim != 1 or not np.isfinite(theta).all() or not np.isfinite(self.bias):
             raise ValueError("theta and bias must be finite")
         _set(self, theta=_frozen(theta), bias=float(self.bias))
+
+    __reduce__ = _rebuild
 
     @property
     def q(self) -> int:
@@ -65,7 +69,7 @@ class DiscConfig(NewtonConfig):
             raise ValueError("l2 must be finite and non-negative")
 
 
-_kept = _Kept("discmodel.kept")  # the last fit's DiscParams, features -> l2, _LabelFree
+_kept = _Kept("discmodel.kept")  # features -> the last evaluation's x and _LabelFree
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -78,11 +82,10 @@ def _check_n(features: FeatureMatrixReal, soft: ProbLabelVector) -> None:
 
 
 class _LabelFree(NamedTuple):
-    """The part of an evaluation at x = [theta, bias] that the labels do not
-    enter: the scores s, the mean of log(1 + e^s), A sigma(s) / N and the
-    penalized Hessian."""
+    """The part of an evaluation at x = [theta, bias] that neither the labels
+    nor the penalty enter: with s = A^T x, the mean of log(1 + e^s),
+    A sigma(s) / N and A diag(sigma (1 - sigma) / N) A^T."""
 
-    s: np.ndarray
     mean_log1pexp: float
     a_sig: np.ndarray
     hess: np.ndarray
@@ -98,24 +101,25 @@ def _augmented(v: np.ndarray) -> np.ndarray:
     return a
 
 
-def _label_free(x: np.ndarray, a: np.ndarray, l2: float) -> _LabelFree:
-    q, n = a.shape[0] - 1, a.shape[1]
-    s = x @ a  # as decision_scores forms them
+def _label_free(x: np.ndarray, a: np.ndarray) -> _LabelFree:
+    n = a.shape[1]
+    s = x @ a
     sig = _sigmoid(s)
-    hess = (a * (sig * (1.0 - sig) / n)) @ a.T
-    hess[np.arange(q), np.arange(q)] += l2
-    return _LabelFree(s, float(_log1pexp(s).mean()), a @ sig / n, hess)
+    return _LabelFree(float(_log1pexp(s).mean()), a @ sig / n, (a * (sig * (1.0 - sig) / n)) @ a.T)
 
 
 def _loss_grad(
     free: _LabelFree, x: np.ndarray, c: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """The penalized loss at x and its gradient, from x's label-free part and
-    the labels' c = A p / N."""
-    theta = x[:-1]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The penalized loss at x, its gradient and its Hessian, from x's
+    label-free part and the labels' c = A p / N."""
+    q = x.shape[0] - 1
+    theta = x[:q]
     grad = free.a_sig - c
-    grad[:-1] += l2 * theta
-    return free.mean_log1pexp - float(c @ x) + 0.5 * l2 * float(theta @ theta), grad
+    grad[:q] += l2 * theta
+    hess = free.hess.copy()
+    hess[np.arange(q), np.arange(q)] += l2
+    return free.mean_log1pexp - float(c @ x) + 0.5 * l2 * float(theta @ theta), grad, hess
 
 
 def _loss_grad_hess(
@@ -123,8 +127,7 @@ def _loss_grad_hess(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The penalized loss at x = [theta, bias], its gradient and its Hessian."""
     a = _augmented(v)
-    free = _label_free(x, a, l2)
-    return (*_loss_grad(free, x, a @ p / v.shape[0], l2), free.hess)
+    return _loss_grad(_label_free(x, a), x, a @ p / v.shape[0], l2)
 
 
 def _evaluate(
@@ -169,10 +172,10 @@ def fit_disc(
     [theta, bias], from the zero vector or, warm, from `start` (a model over
     the same feature columns, such as the fit on the previous labels).
 
-    Inside a reuse scope, a fit whose last evaluation was at the point it
-    returns keeps that evaluation's label-free part.  A warm fit from that
-    result on the same features and l2 takes its first evaluation's
-    label-free part from it, and `predict` its scores."""
+    Inside a reuse scope, a fit keeps the label-free part of its last
+    evaluation, wherever its line search ended, with the point it was taken
+    at.  A warm fit on the same features whose start has that point's bytes
+    takes its first evaluation's label-free part from it, under any l2."""
     _check_n(features, soft_labels)
     v = features.values
     n, q = v.shape
@@ -182,39 +185,32 @@ def fit_disc(
         start = DiscParams(np.zeros(q))
     if start.q != q:
         raise ValueError(f"start has {start.q} feature weights, the features {q} columns")
-    kept = _kept.get(start, features)
-    first = [kept[1]] if kept is not None and kept[0] == config.l2 else []
+    x0 = np.append(start.theta, start.bias)
+    kept = _kept.get(features)
+    first = [kept[1]] if kept is not None and kept[0].tobytes() == x0.tobytes() else []
     last = []  # the latest evaluation's x and label-free part
 
     def value_grad_hess(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        last.clear()  # free the previous evaluation's N-vectors before forming this one's
-        free = first.pop() if first else _label_free(x, a, config.l2)
+        free = first.pop() if first else _label_free(x, a)
         last[:] = x, free
-        loss, grad = _loss_grad(free, x, c, config.l2)
-        return -loss, -grad, -free.hess
+        loss, grad, hess = _loss_grad(free, x, c, config.l2)
+        return -loss, -grad, -hess
 
-    x0 = np.append(start.theta, start.bias)
     x = newton(value_grad_hess, x0, config.max_iters, config.grad_tol)
-    params = DiscParams(theta=x[:q], bias=x[q])
-    # the line search may end on a rejected trial, away from x
-    at_x = last[0].tobytes() == x.tobytes()
-    _kept.put((params, features), (config.l2, last[1]) if at_x else None)
-    return params
+    _kept.put((features,), tuple(last))
+    return DiscParams(theta=x[:q], bias=x[q])
 
 
 def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarray:
-    """The scores theta . v + bias, formed as `fit_disc`'s evaluations form
-    them, [theta, bias] times A, so `predict` gives the same labels whether
-    or not it reads a fit's kept scores."""
+    """The scores theta . v + bias."""
     if features.q != params.q:
         raise ValueError(f"feature columns {features.q} != parameter count {params.q}")
-    return np.append(params.theta, params.bias) @ _augmented(features.values)
+    return features.values @ params.theta + params.bias
 
 
 def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:
     """Hard labels sign(theta . v + bias), with sign(0) = +1."""
-    kept = _kept.get(params, features)
-    s = decision_scores(params, features) if kept is None else kept[1].s
+    s = decision_scores(params, features)
     return HardLabelVector(np.where(s >= 0.0, 1, -1).astype(np.int8))
 
 

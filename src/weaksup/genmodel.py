@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .data import (DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _index,
-                   _json_array, _refine, _set)
+                   _json_array, _rebuild, _refine, _set)
 
 LOG2 = float(np.log(2.0))
 
@@ -75,6 +75,8 @@ class GenParams:
             raise ValueError("selected indices must be distinct and non-negative")
         _set(self, phi=_frozen(phi), w=_frozen(w), selected=selected)
 
+    __reduce__ = _rebuild
+
     @property
     def m(self) -> int:
         return self.phi.shape[0]
@@ -105,14 +107,18 @@ class NewtonConfig:
 @dataclass(frozen=True)
 class FitConfig(NewtonConfig):
     """`newton`'s settings for the generative fits, the start `phi_init` of
-    every accuracy weight, and the L2 penalty `w_l2` on the adjustment rows,
-    finite and non-negative."""
+    every accuracy weight, finite and positive, and the L2 penalty `w_l2` on
+    the adjustment rows, finite and non-negative.  (At phi = 0 every
+    gradient entry is exactly 0 by the sign symmetry, so a fit would stay
+    there, and a negative start reaches the sign-flipped model.)"""
 
     phi_init: float = 0.5
     w_l2: float = 0.01
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0 < self.phi_init < np.inf:
+            raise ValueError("phi_init must be finite and positive")
         if not 0 <= self.w_l2 < np.inf:
             raise ValueError("w_l2 must be finite and non-negative")
 

@@ -99,6 +99,7 @@ def stopping_rule(history: list[float], patience: int) -> bool:
     running maximum attained before it."""
     if not history:
         raise ValueError("history must be non-empty")
+    patience = _index(patience, "patience")
     if patience < 1:
         raise ValueError("patience must be at least 1")
     window = range(max(0, len(history) - patience), len(history))
@@ -146,8 +147,8 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
 
     While the loop runs, each model module keeps what its last fit's last
     evaluation formed, for the calls that read that fit's result: the
-    labels of a generative fit, and the predictions and next warm start of
-    a discriminative fit.  The outputs are the same bit for bit as without
+    labels of a generative fit, and the next warm start of a
+    discriminative fit.  The outputs are the same bit for bit as without
     it, and nothing is kept once `run` returns or raises.  (The labels'
     vote compression, which every generative fit refines, is formed once
     and kept with the `LabelMatrix` itself.)

@@ -358,6 +358,10 @@ def test_bad_config_value_exits_two(tiny_dataset, tmp_path, capsys):
     argv = ["fit-gen", "--labels", paths["labels"], "--out", str(tmp_path / "m.json")]
     assert main([*argv, "--grad-tol", "-1"]) == 2
     assert "grad_tol" in capsys.readouterr().err
+    for value in ("0", "-0.5", "nan"):
+        assert main([*argv, "--phi-init", value]) == 2
+        assert "phi_init" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
     cfg = tmp_path / "cfg.json"
     # a wrong type, a float no int can hold, a fraction, and a bool, which
     # the command line would refuse as well

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from weaksup.data import (
     save_soft_labels,
     validate,
 )
+from weaksup.diffmodel import DisagreementVector, LassoFit
+from weaksup.discmodel import DiscParams
+from weaksup.genmodel import GenParams
 
 
 def test_load_label_matrix_transcription():
@@ -204,8 +210,18 @@ def test_type_domain_checks():
      "object_ids length does not match object count"),
     (HardLabelVector, np.ones((2, 2)), "hard labels must be a vector"),
     (ProbLabelVector, np.zeros((2, 2)), "soft labels must be a vector"),
+    # empty inputs used to construct, then fail inside numpy reductions (the
+    # path's lambda_max) or with a ZeroDivisionError (metrics.score)
+    (FeatureMatrixBinary, np.ones((0, 3)), "binary feature matrix needs at least one object and one column"),
+    (FeatureMatrixBinary, np.ones((3, 0)), "binary feature matrix needs at least one object and one column"),
+    (FeatureMatrixReal, np.zeros((0, 3)), "real feature matrix needs at least one object"),
+    (HardLabelVector, np.ones(0), "hard labels need at least one object"),
+    (ProbLabelVector, np.zeros(0), "soft labels need at least one object"),
+    (DisagreementVector, np.zeros(0), "disagreement needs at least one object"),
 ], ids=["labels 1-d", "labels empty", "labels ids", "labels names", "binary 1-d",
-        "binary names", "binary ids", "real 1-d", "real ids", "hard 2-d", "soft 2-d"])
+        "binary names", "binary ids", "real 1-d", "real ids", "hard 2-d", "soft 2-d",
+        "binary no objects", "binary no columns", "real empty", "hard empty", "soft empty",
+        "disagreement empty"])
 def test_containers_refuse_a_bad_shape_or_name_count(call, bad, message):
     with pytest.raises(DataError, match=f"^{message}"):
         call(bad)
@@ -235,6 +251,49 @@ def test_domain_checks_refuse_near_misses(bad):
         FeatureMatrixBinary(pm1)
     with pytest.raises(DataError, match=r"^hard label outside \{-1,\+1\} at object 1$"):
         HardLabelVector(pm1[1])
+
+
+def _containers():
+    lm = LabelMatrix(np.array([[1, 0, -1], [0, 1, 1]]), ("a", "b", "c"), ("s", "t"))
+    lm._compression  # formed, so the test sees that a copy does not carry it
+    return [
+        lm,
+        FeatureMatrixBinary(np.array([[1, -1], [-1, 1], [1, 1]]), ("x", "y"), ("a", "b", "c")),
+        FeatureMatrixReal(np.array([[0.1, -2.0], [3.5, 1e-300]]), ("u", "v"), ("a", "b")),
+        HardLabelVector(np.array([1, -1, 1])),
+        ProbLabelVector(np.array([0.25, -1.0, 1 / 3])),
+        DisagreementVector(np.array([-0.5, 0.0, 1.0])),
+        LassoFit(np.array([0.0, 1.5, -2.0]), 0.125, 1e-9),
+        GenParams(np.array([0.5, -0.25]), np.array([[1.0, 2.0]]), (3,)),
+        DiscParams(np.array([0.1, 0.2, 0.3]), -0.7),
+    ]
+
+
+@pytest.mark.parametrize("index", range(9), ids=[type(c).__name__ for c in _containers()])
+@pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_containers_stay_validated_and_read_only_across_a_round_trip(index, round_trip):
+    original = _containers()[index]
+    again = round_trip(original)
+    assert type(again) is type(original) and "_compression" not in vars(again)
+    for field in dataclasses.fields(original):
+        before, after = getattr(original, field.name), getattr(again, field.name)
+        if isinstance(before, np.ndarray):
+            assert (after.dtype, after.shape) == (before.dtype, before.shape)
+            assert after.tobytes() == before.tobytes() and after.flags.c_contiguous
+            assert not after.flags.writeable
+            with pytest.raises(ValueError):
+                after.flat[0] = 0
+        else:
+            assert after == before and type(after) is type(before)
+
+
+def test_an_unpickled_container_is_validated_again():
+    votes = bytes([1] * 6 + [0] * 6 + [1] * 6)
+    stream = pickle.dumps(LabelMatrix(np.frombuffer(votes, np.int8).reshape(1, -1)))
+    assert stream.count(votes) == 1
+    with pytest.raises(DataError, match=r"^vote outside \{-1,0,1\} at source 0, object 6$"):
+        pickle.loads(stream.replace(votes, votes[:6] + b"\x05" + votes[7:]))
 
 
 def test_containers_are_immutable():

@@ -210,32 +210,53 @@ def test_warm_fits_and_predictions_are_the_same_bytes_inside_a_reuse_scope(monke
         assert ya.labels.tobytes() == yb.labels.tobytes()
     # each of the three warm fits took its first evaluation from the fit before
     assert len(points) - evaluations == evaluations - 3
-    # the label-free part holds the penalty's curvature: another l2 evaluates afresh
+    # the label-free part holds no penalty: a warm fit under another l2 takes
+    # it and returns the bytes of the same fit evaluating its start afresh
     other = DiscConfig(l2=0.5)
+    evaluations = len(points)
     alone = fit_disc(v, softs[0], other, start=scoped[-1][0])
+    fresh = len(points) - evaluations
     with discmodel._kept.scope():
         start = fit_disc(v, softs[-1], start=scoped[-1][0])
         assert np.append(start.theta, start.bias).tobytes() == (
             np.append(scoped[-1][0].theta, scoped[-1][0].bias).tobytes())
+        evaluations = len(points)
         refit = fit_disc(v, softs[0], other, start=start)
+        assert len(points) - evaluations == fresh - 1
     assert np.append(refit.theta, refit.bias).tobytes() == np.append(alone.theta, alone.bias).tobytes()
 
 
-def test_a_fit_whose_line_search_ends_on_a_rejected_trial_keeps_nothing(monkeypatch):
+def test_predict_gives_the_same_labels_inside_a_reuse_scope_as_outside():
+    rng = np.random.default_rng(7)
+    v = FeatureMatrixReal(rng.standard_normal((300, 3)))
+    soft = ProbLabelVector(np.tanh(v.values @ rng.standard_normal(3) + rng.standard_normal(300)))
+    params = fit_disc(v, soft)
+    other = DiscParams(theta=rng.standard_normal(3), bias=-0.2)
+    alone = [predict(params, v), predict(other, v)]
+    with discmodel._kept.scope():
+        assert fit_disc(v, soft).theta.tobytes() == params.theta.tobytes()
+        assert discmodel._kept.get(v) is not None
+        scoped = [predict(params, v), predict(other, v)]
+    for a, b, p in zip(alone, scoped, (params, other)):
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.labels.tolist() == np.where(decision_scores(p, v) >= 0.0, 1, -1).tolist()
+
+
+def test_a_stalled_fit_records_its_last_trial_and_a_warm_fit_from_it_starts_afresh(monkeypatch):
     rng = np.random.default_rng(0)
     v = FeatureMatrixReal(rng.standard_normal((200, 3)))
     soft = ProbLabelVector(np.tanh(v.values @ rng.standard_normal(3) + rng.standard_normal(200)))
     points = _count_label_free(monkeypatch)
     with discmodel._kept.scope():
         kept = fit_disc(v, soft)
-        assert discmodel._kept.get(kept, v) is not None
         # below any reachable gradient: the fit runs until a step no longer moves x
         stalled = fit_disc(v, soft, DiscConfig(grad_tol=1e-300, max_iters=200), start=kept)
-        assert points[-1].tobytes() != np.append(stalled.theta, stalled.bias).tobytes()
-        assert discmodel._kept.get(stalled, v) is None and discmodel._kept.get(kept, v) is None
+        x = np.append(stalled.theta, stalled.bias)
+        # the line search ended on a rejected trial, away from x, and the record holds that trial
+        assert discmodel._kept.get(v)[0].tobytes() == points[-1].tobytes() != x.tobytes()
         evaluations = len(points)
         fit_disc(v, soft, start=stalled)
-        assert len(points) > evaluations  # the warm fit evaluates its start afresh
+        assert points[evaluations].tobytes() == x.tobytes()  # the warm fit evaluates its start afresh
         assert predict(stalled, v).labels.tobytes() == (
             np.where(decision_scores(stalled, v) >= 0.0, 1, -1).astype(np.int8).tobytes()
         )
@@ -250,6 +271,15 @@ def test_fit_separable_reaches_full_training_accuracy():
     params = fit_disc(features, _hard_soft(y), DiscConfig(l2=0.01))
     pred = predict(params, features)
     assert (pred.labels == y).mean() == 1.0
+
+
+def test_fit_with_no_feature_columns_is_the_bias_alone():
+    # Q = 0 is allowed: the loss is then minimized where sigma(bias) = mean p
+    soft = ProbLabelVector(np.array([0.5, -0.2, 0.9, 0.1]))
+    params = fit_disc(FeatureMatrixReal(np.zeros((4, 0))), soft)
+    p = soft.probability.mean()
+    assert params.q == 0 and params.bias == pytest.approx(np.log(p / (1 - p)), abs=1e-5)
+    assert predict(params, FeatureMatrixReal(np.zeros((2, 0)))).labels.tolist() == [1, 1]
 
 
 def test_fit_stays_at_zero_for_all_zero_soft_labels():

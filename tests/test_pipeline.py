@@ -20,6 +20,8 @@ def test_stopping_rule_examples():
         stopping_rule([], patience=1)
     with pytest.raises(ValueError, match="^patience must be at least 1$"):
         stopping_rule([0.7, 0.6], patience=0)
+    with pytest.raises(ValueError, match="^patience: 1.5 is not an integer index$"):
+        stopping_rule([0.7, 0.6], patience=1.5)  # used to raise TypeError from range
 
 
 def test_run_stops_when_the_models_agree_everywhere():
@@ -159,7 +161,7 @@ def test_run_keeps_nothing_after_it_returns_or_raises(monkeypatch):
     ds = gen_e2e(_small_scenario(seed=5))
     report = run(ds, _fast_config(k_max=2, patience=2))
     assert scopes() == (None, None)
-    assert discmodel._kept.get(report.iterations[-1].disc_params, ds.real_features) is None
+    assert discmodel._kept.get(ds.real_features) is None
 
     seen = []
 
