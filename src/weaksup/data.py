@@ -1,11 +1,12 @@
 """Core data containers, CSV ingestion, and validation.
 
 Labeling-function votes are stored source-major (M x N) because every model
-computation iterates per source; feature matrices are object-major.  All
-containers freeze their arrays after construction and are safe to share
-read-only across workers: pickle and deepcopy rebuild them through their
-constructors, so a copy is validated and frozen too.  Every container
-holds at least one object.  One derived value is cached besides: a
+computation iterates per source; feature matrices are object-major.  Each
+container checks its array in one routine, `_checked` (rank, at least one
+object, value domain), and freezes it: it is safe to share read-only across
+workers, and pickle and deepcopy rebuild it through its constructor, so a
+copy is checked too.  Each domain is one predicate here, read also by the
+CSV loaders and per-row evaluators.  One derived value is cached besides: a
 LabelMatrix's vote compression, its objects grouped by distinct vote row,
 formed on first use, frozen too, and kept as long as the votes.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import numbers
 import operator
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -55,6 +57,64 @@ def _index(value, what: str, error: type[Exception] = ValueError) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise error(f"{what}: {value!r} is not an integer index")
+
+
+def _real(value, what: str):
+    """`value`, any Python or NumPy real number, unchanged.  A bool, None or
+    a non-number, which a range check would misread, raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what}: {value!r} is not a real number")
+    return value
+
+
+def _positive(value, what: str) -> None:
+    """Raise ValueError, naming the setting, unless `value` is a finite and
+    positive number: no fit meets a tolerance of 0 or NaN, nor starts at 0."""
+    if not 0.0 < _real(value, what) < np.inf:
+        raise ValueError(f"{what} must be finite and positive")
+
+
+# The value domains: each maps an array, or one parsed value, to where it lies inside.
+def _is_vote(v):  # a vote: -1, 0 (abstain) or +1
+    return (v == -1) | (v == 0) | (v == 1)
+
+
+def _is_sign(v):  # a binary feature or hard label: -1 or +1
+    return (v == -1) | (v == 1)
+
+
+def _is_unit(v):  # a soft label or disagreement: finite, in [-1, 1]
+    return np.isfinite(v) & (np.abs(v) <= 1.0)
+
+
+_is_finite = np.isfinite  # a real feature
+
+
+def _checked(values, noun: str, axes: tuple[str, ...], domain: Callable, outside: str,
+             dtype: type, order: str = "K", required: int | None = None) -> np.ndarray:
+    """`values` as a container's owned, read-only array in `dtype`, once it has
+    one dimension per name in `axes`, an entry on each of its first `required`
+    axes (all by default) and each entry in `domain`; else DataError names the
+    container, its `noun`, or the first entry outside: "`outside` at source 0,
+    object 6".  Values for int8 are checked before the cast, which can wrap."""
+    arr = np.asarray(values, None if dtype is np.int8 else dtype)
+    if arr.ndim != len(axes):
+        shape = f"2-dimensional ({' x '.join(f'{a}s' for a in axes)})" if axes[1:] else "a vector"
+        raise DataError(f"{noun} must be {shape}")
+    if 0 in arr.shape[:required]:
+        ones = " and ".join(f"one {axis}" for axis in axes[:required])
+        raise DataError(f"{noun} need{'' if noun.endswith('s') else 's'} at least {ones}")
+    inside = domain(arr)
+    if not inside.all():
+        where = zip(axes, np.argwhere(~inside)[0].tolist())
+        raise DataError(f"{outside} at " + ", ".join(f"{axis} {i}" for axis, i in where))
+    return _frozen(arr, dtype, order)
+
+
+def _check_length(names: Sequence[str] | None, field: str, count: int, noun: str) -> None:
+    """Raise DataError unless the optional `names` number `count`."""
+    if names is not None and len(names) != count:
+        raise DataError(f"{field} length does not match {noun} count")
 
 
 def _holds_bool(value) -> bool:
@@ -165,20 +225,10 @@ class LabelMatrix:
     source_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        votes = np.asarray(self.votes)
-        if votes.ndim != 2:
-            raise DataError("label matrix must be 2-dimensional (sources x objects)")
-        if votes.shape[0] < 1 or votes.shape[1] < 1:
-            raise DataError("label matrix needs at least one source and one object")
-        in_domain = (votes == -1) | (votes == 0) | (votes == 1)
-        if not in_domain.all():
-            j, o = np.argwhere(~in_domain)[0]
-            raise DataError(f"vote outside {{-1,0,1}} at source {j}, object {o}")
-        _set(self, votes=_frozen(votes, np.int8, "C"))
-        if self.object_ids is not None and len(self.object_ids) != self.n:
-            raise DataError("object_ids length does not match object count")
-        if self.source_names is not None and len(self.source_names) != self.m:
-            raise DataError("source_names length does not match source count")
+        _set(self, votes=_checked(self.votes, "label matrix", ("source", "object"), _is_vote,
+                                  "vote outside {-1,0,1}", np.int8, "C"))
+        _check_length(self.object_ids, "object_ids", self.n, "object")
+        _check_length(self.source_names, "source_names", self.m, "source")
 
     __reduce__ = _rebuild
 
@@ -213,20 +263,10 @@ class FeatureMatrixBinary:
     object_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 2:
-            raise DataError("binary feature matrix must be 2-dimensional")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise DataError("binary feature matrix needs at least one object and one column")
-        in_domain = (values == 1) | (values == -1)
-        if not in_domain.all():
-            o, j = np.argwhere(~in_domain)[0]
-            raise DataError(f"binary feature outside {{-1,+1}} at object {o}, column {j}")
-        _set(self, values=_frozen(values, np.int8))
-        if self.column_names is not None and len(self.column_names) != self.p:
-            raise DataError("column_names length does not match feature count")
-        if self.object_ids is not None and len(self.object_ids) != self.n:
-            raise DataError("object_ids length does not match object count")
+        _set(self, values=_checked(self.values, "binary feature matrix", ("object", "column"),
+                                   _is_sign, "binary feature outside {-1,+1}", np.int8))
+        _check_length(self.column_names, "column_names", self.p, "feature")
+        _check_length(self.object_ids, "object_ids", self.n, "object")
 
     __reduce__ = _rebuild
 
@@ -241,26 +281,17 @@ class FeatureMatrixBinary:
 
 @dataclass(frozen=True)
 class FeatureMatrixReal:
-    """N x Q real-valued feature matrix; all entries finite."""
+    """N x Q real-valued feature matrix; all entries finite, Q >= 0."""
 
     values: np.ndarray
     column_names: tuple[str, ...] | None = None
     object_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DataError("real feature matrix must be 2-dimensional")
-        if values.shape[0] < 1:
-            raise DataError("real feature matrix needs at least one object")
-        if not np.isfinite(values).all():
-            o, j = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(f"non-finite feature at object {o}, column {j}")
-        _set(self, values=_frozen(values))
-        if self.column_names is not None and len(self.column_names) != self.q:
-            raise DataError("column_names length does not match feature count")
-        if self.object_ids is not None and len(self.object_ids) != self.n:
-            raise DataError("object_ids length does not match object count")
+        _set(self, values=_checked(self.values, "real feature matrix", ("object", "column"),
+                                   _is_finite, "non-finite feature", np.float64, required=1))
+        _check_length(self.column_names, "column_names", self.q, "feature")
+        _check_length(self.object_ids, "object_ids", self.n, "object")
 
     __reduce__ = _rebuild
 
@@ -280,16 +311,8 @@ class HardLabelVector:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1:
-            raise DataError("hard labels must be a vector")
-        if labels.shape[0] < 1:
-            raise DataError("hard labels need at least one object")
-        in_domain = (labels == 1) | (labels == -1)
-        if not in_domain.all():
-            o = np.argwhere(~in_domain)[0, 0]
-            raise DataError(f"hard label outside {{-1,+1}} at object {o}")
-        _set(self, labels=_frozen(labels, np.int8))
+        _set(self, labels=_checked(self.labels, "hard labels", ("object",), _is_sign,
+                                   "hard label outside {-1,+1}", np.int8))
 
     __reduce__ = _rebuild
 
@@ -308,15 +331,8 @@ class ProbLabelVector:
     expected: np.ndarray
 
     def __post_init__(self):
-        expected = np.asarray(self.expected, dtype=np.float64)
-        if expected.ndim != 1:
-            raise DataError("soft labels must be a vector")
-        if expected.shape[0] < 1:
-            raise DataError("soft labels need at least one object")
-        if not np.isfinite(expected).all() or (np.abs(expected) > 1.0).any():
-            o = np.argwhere(~(np.isfinite(expected) & (np.abs(expected) <= 1.0)))[0, 0]
-            raise DataError(f"expected label outside [-1,1] at object {o}")
-        _set(self, expected=_frozen(expected))
+        _set(self, expected=_checked(self.expected, "soft labels", ("object",), _is_unit,
+                                     "expected label outside [-1,1]", np.float64))
 
     __reduce__ = _rebuild
 
@@ -642,8 +658,7 @@ def _write_table(
 def load_label_matrix(reader: TextIO) -> LabelMatrix:
     """Read `object_id,lf_1..lf_M` CSV into a source-major LabelMatrix."""
     names, ids, votes = _read_table(
-        reader, "labels", np.int64,
-        lambda v: (v >= -1) & (v <= 1),
+        reader, "labels", np.int64, _is_vote,
         lambda i, col, cell, v: f"labels: row {i}, column {col}: {v} outside {{-1,0,1}}",
     )
     return LabelMatrix(votes=votes.T, object_ids=ids, source_names=names)
@@ -658,10 +673,9 @@ def load_binary_features(reader: TextIO, encoding: str = "pm1") -> FeatureMatrix
     """Read `object_id,f_1..f_P` CSV; `zero_one` maps 0 -> -1, 1 -> +1."""
     if encoding not in ("pm1", "zero_one"):
         raise DataError(f"unknown binary feature encoding {encoding!r}")
-    low = -1.0 if encoding == "pm1" else 0.0
     names, ids, values = _read_table(
         reader, "binary features", np.float64,
-        lambda v: (v == low) | (v == 1.0),
+        _is_sign if encoding == "pm1" else lambda v: (v == 0.0) | (v == 1.0),
         lambda i, col, cell, v: (
             f"binary features: row {i}, column {col}: {cell!r} invalid for encoding {encoding}"
         ),
@@ -680,7 +694,7 @@ def save_binary_features(features: FeatureMatrixBinary, writer: TextIO) -> None:
 def load_real_features(reader: TextIO) -> FeatureMatrixReal:
     """Read `object_id,v_1..v_Q` CSV of finite reals."""
     names, ids, values = _read_table(
-        reader, "real features", np.float64, np.isfinite,
+        reader, "real features", np.float64, _is_finite,
         lambda i, col, cell, v: f"real features: row {i}, column {col}: non-finite value",
     )
     return FeatureMatrixReal(values, column_names=names, object_ids=ids)
@@ -694,8 +708,7 @@ def save_real_features(features: FeatureMatrixReal, writer: TextIO) -> None:
 def load_hard_labels(reader: TextIO, what: str = "truth") -> tuple[HardLabelVector, tuple[str, ...]]:
     """Read `object_id,y` CSV with y in {-1,+1}; returns (labels, object ids)."""
     _, ids, values = _read_table(
-        reader, what, np.int64,
-        lambda v: (v == -1) | (v == 1),
+        reader, what, np.int64, _is_sign,
         lambda i, col, cell, v: f"{what}: row {i}, column {col}: {v} outside {{-1,+1}}",
         vector=True,
     )
@@ -705,8 +718,7 @@ def load_hard_labels(reader: TextIO, what: str = "truth") -> tuple[HardLabelVect
 def load_soft_labels(reader: TextIO) -> tuple[ProbLabelVector, tuple[str, ...]]:
     """Read `object_id,expected_label[,probability]` CSV; returns (labels, ids)."""
     _, ids, values = _read_table(
-        reader, "soft labels", np.float64,
-        lambda v: np.isfinite(v) & (np.abs(v) <= 1.0),
+        reader, "soft labels", np.float64, _is_unit,
         lambda i, col, cell, v: f"soft labels: row {i}: {v} outside [-1,1]",
         vector=True,
         header_error=lambda names: (
@@ -731,7 +743,7 @@ def save_hard_labels(labels: HardLabelVector, ids: Sequence[str] | None, writer:
 def load_vector(reader: TextIO, column: str, what: str) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read a two-column `object_id,<column>` CSV of finite reals."""
     _, ids, values = _read_table(
-        reader, what, np.float64, np.isfinite,
+        reader, what, np.float64, _is_finite,
         lambda i, col, cell, v: f"{what}: row {i}: non-finite value",
         vector=True,
         header_error=lambda names: (

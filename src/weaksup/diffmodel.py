@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector, _frozen,
-                   _index, _rebuild, _set)
+from .data import (DataError, FeatureMatrixBinary, HardLabelVector, ProbLabelVector, _checked,
+                   _frozen, _index, _is_unit, _positive, _real, _rebuild, _set)
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,8 @@ class DisagreementVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise DataError("disagreement must be a vector")
-        if values.shape[0] < 1:
-            raise DataError("disagreement needs at least one object")
-        if not np.isfinite(values).all() or (np.abs(values) > 1.0).any():
-            raise DataError("disagreement entries must lie in [-1,1]")
-        _set(self, values=_frozen(values))
+        _set(self, values=_checked(self.values, "disagreement", ("object",), _is_unit,
+                                   "disagreement outside [-1,1]", np.float64))
 
     __reduce__ = _rebuild
 
@@ -106,13 +100,6 @@ class RegPath:
             raise ValueError("entry_lambdas must parallel entry_order")
 
 
-def _check_tol(tol: float, name: str) -> None:
-    """Raise ValueError, naming the setting, unless the KKT tolerance is
-    finite and positive: no fit meets a tolerance of 0 or NaN."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"{name} must be finite and positive")
-
-
 @dataclass(frozen=True)
 class LassoConfig:
     """The settings of one LASSO path: `grid_size` geometric grid points, an
@@ -130,9 +117,9 @@ class LassoConfig:
         _set(self, grid_size=_index(self.grid_size, "grid_size"))
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-        if not 0.0 < self.lambda_min_ratio < 1.0:
+        if not 0.0 < _real(self.lambda_min_ratio, "lambda_min_ratio") < 1.0:
             raise ValueError("lambda_min_ratio must lie in (0,1)")
-        _check_tol(self.lasso_tol, "lasso_tol")
+        _positive(self.lasso_tol, "lasso_tol")
 
 
 def disagreement(gen_labels: ProbLabelVector, disc_labels: HardLabelVector) -> DisagreementVector:
@@ -390,7 +377,7 @@ def lasso_fit(features: FeatureMatrixBinary, target, lam: float, tol: float = 1e
     KKT violation is within 5 * `tol`, which must be finite and positive;
     one that misses it warns with a RuntimeWarning."""
     grid = np.array([_lam(lam)])
-    _check_tol(tol, "tol")
+    _positive(tol, "tol")
     x, y = _problem(features, target)
     coefs = _path(*_stats(x, y), grid, tol)
     return _lasso_fits(x, y, coefs, grid)[0]

@@ -34,7 +34,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .data import (FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array,
-                   _rebuild, _set)
+                   _real, _rebuild, _set)
 from .genmodel import NewtonConfig, _Kept, _sigmoid, newton
 
 
@@ -65,7 +65,7 @@ class DiscConfig(NewtonConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.l2 < np.inf:
+        if not 0 <= _real(self.l2, "l2") < np.inf:
             raise ValueError("l2 must be finite and non-negative")
 
 
@@ -211,7 +211,7 @@ def decision_scores(params: DiscParams, features: FeatureMatrixReal) -> np.ndarr
 def predict(params: DiscParams, features: FeatureMatrixReal) -> HardLabelVector:
     """Hard labels sign(theta . v + bias), with sign(0) = +1."""
     s = decision_scores(params, features)
-    return HardLabelVector(np.where(s >= 0.0, 1, -1).astype(np.int8))
+    return HardLabelVector(np.where(s >= 0.0, np.int8(1), np.int8(-1)))
 
 
 def params_to_dict(params: DiscParams, config: DiscConfig) -> dict:

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .data import (DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _index,
-                   _json_array, _rebuild, _refine, _set)
+                   _is_sign, _is_vote, _json_array, _positive, _real, _rebuild, _refine, _set)
 
 LOG2 = float(np.log(2.0))
 
@@ -100,8 +100,7 @@ class NewtonConfig:
         _set(self, max_iters=_index(self.max_iters, "max_iters"))
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if not 0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and positive")
+        _positive(self.grad_tol, "grad_tol")
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,8 @@ class FitConfig(NewtonConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 < self.phi_init < np.inf:
-            raise ValueError("phi_init must be finite and positive")
-        if not 0 <= self.w_l2 < np.inf:
+        _positive(self.phi_init, "phi_init")
+        if not 0 <= _real(self.w_l2, "w_l2") < np.inf:
             raise ValueError("w_l2 must be finite and non-negative")
 
 
@@ -365,7 +363,7 @@ def effective_phi(params: GenParams, feature_row: np.ndarray = ()) -> np.ndarray
     x = np.asarray(feature_row, dtype=np.float64)
     if x.shape != (params.k,):
         raise ValueError(f"feature row must have length {params.k}")
-    if not np.isin(x, (-1.0, 1.0)).all():
+    if not _is_sign(x).all():
         raise DataError("feature row entries must lie in {-1,+1}")
     return params.phi + x @ params.w
 
@@ -410,7 +408,7 @@ def posterior(params: GenParams, vote_column: np.ndarray, feature_row: np.ndarra
     lam = np.asarray(vote_column, dtype=np.float64)
     if lam.shape != params.phi.shape:
         raise ValueError("vote column length must match parameter count")
-    if not np.isin(lam, (-1.0, 0.0, 1.0)).all():
+    if not _is_vote(lam).all():
         raise DataError("vote entries must lie in {-1,0,+1}")
     return float(_sigmoid(2.0 * float(effective_phi(params, feature_row) @ lam)))
 

@@ -86,7 +86,7 @@ def score(
 
 def sign_labels(soft: ProbLabelVector) -> HardLabelVector:
     """sign(expected label) per object, with sign(0) = +1."""
-    return HardLabelVector(np.where(soft.expected >= 0.0, 1, -1))
+    return HardLabelVector(np.where(soft.expected >= 0.0, np.int8(1), np.int8(-1)))
 
 
 def soft_label_accuracy(soft: ProbLabelVector, truth: HardLabelVector) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector,
-                   LabelMatrix, _index, _set)
+                   LabelMatrix, _index, _real, _set)
 from .diffmodel import (DisagreementVector, LassoConfig, lasso_fit, regularization_path,
                         select_features)
 from .theory import _check_delta, check_conditions
@@ -43,13 +43,13 @@ class RecoveryScenario:
 
     def __post_init__(self):
         _set(self, **{name: _index(getattr(self, name), name) for name in ("n", "p", "s_size")})
-        if not 0.0 < self.kappa <= 1.0:
+        if not 0.0 < _real(self.kappa, "kappa") <= 1.0:
             raise ValueError("kappa must lie in (0,1]; 1 is the degenerate limit")
         if not 1 <= self.s_size < self.p:
             raise ValueError("need 1 <= s_size < p")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.rho is not None and not self.kappa <= self.rho <= 1.0:
+        if self.rho is not None and not self.kappa <= _real(self.rho, "rho") <= 1.0:
             raise ValueError("rho must lie in [kappa, 1]")
 
     @property
@@ -89,9 +89,9 @@ class PlantedSubset:
 
     def __post_init__(self):
         _set(self, source=_index(self.source, "subset source"))
-        if not 0.0 < self.fraction < 1.0:
+        if not 0.0 < _real(self.fraction, "fraction") < 1.0:
             raise ValueError("subset fraction must lie in (0,1)")
-        if not 0.0 < self.accuracy < 1.0:
+        if not 0.0 < _real(self.accuracy, "accuracy") < 1.0:
             raise ValueError("subset accuracy must lie in (0,1)")
 
 
@@ -122,10 +122,10 @@ class E2EScenario:
     def __post_init__(self):
         _set(self, **{name: _index(getattr(self, name), name)
                       for name in ("m", "n", "p", "q_disc", "flipped_source")})
-        base = self.base_accuracies
-        base = (float(base),) * self.m if isinstance(base, (int, float)) else tuple(base)
-        cov = self.coverages
-        cov = (float(cov),) * self.m if isinstance(cov, (int, float)) else tuple(cov)
+        base, cov = (  # one real for all sources, as a float, or one real per source
+            tuple(_real(x, key) for x in v) if np.ndim(v) else (float(_real(v, key)),) * self.m
+            for key, v in (("base_accuracies", self.base_accuracies), ("coverages", self.coverages))
+        )
         _set(self, base_accuracies=base, coverages=cov, extra_subsets=tuple(self.extra_subsets))
         if self.m < 1 or self.n < 1 or self.q_disc < 1:
             raise ValueError("m, n, and q_disc must be positive")
@@ -135,6 +135,8 @@ class E2EScenario:
             raise ValueError("base accuracies must lie in (0.5,1)")
         if not all(0.0 < c <= 1.0 for c in cov):
             raise ValueError("coverages must lie in (0,1]")
+        _real(self.subset_fraction, "subset_fraction")
+        _real(self.flipped_accuracy, "flipped_accuracy")
         for sub in self.subsets:  # each PlantedSubset checks its own accuracy and fraction
             if not 0 <= sub.source < self.m:
                 raise ValueError("planted subset source out of range")

@@ -3,10 +3,11 @@ model: incoherence, dependence, relevance, and irrelevance slack, plus the
 recommended lambda and the sample-size bound they imply.
 
 All expectations are replaced by plug-in sample averages over the provided
-data; the quantities are reported as empirical estimates.  Only
-`check_conditions` splits X into X_S and X_Sbar, for a support it checks.
-Both gamma and c read one least-squares coefficient of the target on X_S,
-formed from the sample blocks: no pass over the N objects forms a residual.
+data; the quantities are reported as empirical estimates.
+`check_conditions` reads X, y and the correlations (1/N) X^T y as the
+difference model does, and its sample blocks off the support's rows of the
+Gram matrix.  Both gamma and c read one least-squares coefficient of the
+target on X_S, formed from those blocks: no pass over N objects forms a residual.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, FeatureMatrixBinary, _index
-from .diffmodel import DisagreementVector, _target
+from .data import DataError, FeatureMatrixBinary, _index, _real
+from .diffmodel import DisagreementVector, _corr, _problem
 
 
 def matrix_inf_norm(a: np.ndarray) -> float:
@@ -56,7 +57,7 @@ class ConditionReport:
 
 
 def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < _real(delta, "delta") < 1.0:
         raise ValueError("delta must lie in (0,1)")
 
 
@@ -112,12 +113,13 @@ def check_conditions(
     if min(support) < 0 or max(support) >= features.p:
         raise DataError(f"support indices out of range for {features.p} columns")
     _check_delta(delta)
-    x_s = features.values[:, support].astype(np.float64)
-    x_sbar = np.delete(features.values, support, axis=1).astype(np.float64)
-    n = features.n
-    y = _target(target, n)
-    sigma_ss = (x_s.T @ x_s) / n
-    sigma_s_sbar = (x_s.T @ x_sbar) / n
+    x, y = _problem(features, target)
+    sbar = np.delete(np.arange(features.p), support)
+    # the support's rows of the Gram matrix, one column of X at a time: no N-row
+    # copy of X_S; sums of +-1 products are exact integers in any order
+    rows = np.stack([x[:, j] @ x for j in support]) / features.n
+    sigma_ss, sigma_s_sbar = rows[:, support], rows[:, sbar]
+    corr = _corr(x, y)
     svals = np.linalg.svd(sigma_ss, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise DataError(
@@ -128,10 +130,10 @@ def check_conditions(
 
     alpha = 1.0 - matrix_inf_norm(sigma_s_sbar.T @ inv)
     beta = matrix_inf_norm(inv)
-    coef = inv @ (x_s.T @ y / n)
+    coef = inv @ corr[support]
     gamma = float(np.abs(coef).min())
     # X_Sbar^T (y - X_S coef) / N, from the sample blocks: no N-row residual
-    resid_corr = vector_inf_norm(x_sbar.T @ y / n - sigma_s_sbar.T @ coef)
+    resid_corr = vector_inf_norm(corr[sbar] - sigma_s_sbar.T @ coef)
     c = alpha * gamma / beta - resid_corr
 
     satisfied = {

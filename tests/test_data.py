@@ -28,9 +28,11 @@ from weaksup.data import (
     save_soft_labels,
     validate,
 )
-from weaksup.diffmodel import DisagreementVector, LassoFit
-from weaksup.discmodel import DiscParams
-from weaksup.genmodel import GenParams
+from weaksup.diffmodel import DisagreementVector, LassoConfig, LassoFit
+from weaksup.discmodel import DiscConfig, DiscParams
+from weaksup.genmodel import FitConfig, GenParams, NewtonConfig
+from weaksup.synth import E2EScenario, PlantedSubset, RecoveryScenario
+from weaksup.theory import sample_bound
 
 
 def test_load_label_matrix_transcription():
@@ -251,6 +253,115 @@ def test_domain_checks_refuse_near_misses(bad):
         FeatureMatrixBinary(pm1)
     with pytest.raises(DataError, match=r"^hard label outside \{-1,\+1\} at object 1$"):
         HardLabelVector(pm1[1])
+
+
+# each container: its noun in messages, its axes, an entry inside its
+# domain, one outside it, and the wording that names the outside entry
+CHECKED = {
+    "labels": (LabelMatrix, "label matrix", ("source", "object"), 0, 2,
+               r"vote outside \{-1,0,1\}"),
+    "binary": (FeatureMatrixBinary, "binary feature matrix", ("object", "column"), 1, 0,
+               r"binary feature outside \{-1,\+1\}"),
+    "real": (FeatureMatrixReal, "real feature matrix", ("object", "column"), 0.5, np.inf,
+             "non-finite feature"),
+    "hard": (HardLabelVector, "hard labels", ("object",), -1, 0, r"hard label outside \{-1,\+1\}"),
+    "soft": (ProbLabelVector, "soft labels", ("object",), 0.25, 1.5,
+             r"expected label outside \[-1,1\]"),
+    "disagreement": (DisagreementVector, "disagreement", ("object",), -0.5, np.nan,
+                     r"disagreement outside \[-1,1\]"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", CHECKED)
+def test_every_container_checks_rank_axes_and_domain(name, seed):
+    make, noun, axes, inside, outside, wording = CHECKED[name]
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 5, size=len(axes)).tolist())
+    for rank in (len(axes) - 1, len(axes) + 1):
+        with pytest.raises(DataError, match=f"^{noun} must be "):
+            make(np.full((2,) * rank, inside))
+    for axis in range(len(axes)):
+        empty = np.full(shape[:axis] + (0,) + shape[axis + 1:], inside)
+        if name == "real" and axis == 1:  # Q = 0: a model of the bias alone
+            assert make(empty).q == 0
+            continue
+        with pytest.raises(DataError, match=f"^{noun} needs? at least one {axes[0]}"):
+            make(empty)
+    # the drawn entry is named, not a later one, by its position on each axis in order
+    values = np.full(shape, inside)
+    at = tuple(rng.integers(0, shape).tolist())
+    values[at] = values[(-1,) * len(axes)] = outside
+    where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, at))
+    with pytest.raises(DataError, match=f"^{wording} at {where}$"):
+        make(values)
+
+
+CELLS = ["-1", "0", "1", "2", "+1", "01", "0.5", "nan", "inf", "1e400"]
+# each loader that builds a container: its value column, how a cell parses
+# and the container it builds from the parsed value
+LOADERS = {
+    "labels": (load_label_matrix, "lf_1", int, lambda v: LabelMatrix([[v]])),
+    "binary": (load_binary_features, "f_1", float, lambda v: FeatureMatrixBinary([[v]])),
+    "real": (load_real_features, "v_1", float, lambda v: FeatureMatrixReal([[v]])),
+    "hard": (load_hard_labels, "y", int, lambda v: HardLabelVector([v])),
+    "soft": (load_soft_labels, "expected_label", float, lambda v: ProbLabelVector([v])),
+}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_loader_accepts_a_cell_exactly_when_its_container_accepts_the_parsed_value(name, cell):
+    load, column, parse, build = LOADERS[name]
+    try:
+        build(parse(cell))
+        expected = True
+    except (ValueError, DataError):  # the cell does not parse, or its value lies outside
+        expected = False
+    try:
+        load(io.StringIO(f"object_id,{column}\na,{cell}\n"))
+        accepted = True
+    except DataError:
+        accepted = False
+    assert accepted == expected
+
+
+def _e2e_entries(key: str):
+    return lambda v: E2EScenario(**{key: (0.8,) * 4 + (v,)})
+
+
+# each configured real: a call that builds its setting from one value, and its field
+REAL_SETTINGS = [
+    (lambda v: NewtonConfig(grad_tol=v), "grad_tol"),
+    (lambda v: FitConfig(phi_init=v), "phi_init"),
+    (lambda v: FitConfig(w_l2=v), "w_l2"),
+    (lambda v: DiscConfig(l2=v), "l2"),
+    (lambda v: LassoConfig(lambda_min_ratio=v), "lambda_min_ratio"),
+    (lambda v: LassoConfig(lasso_tol=v), "lasso_tol"),
+    (lambda v: RecoveryScenario(kappa=v, n=10), "kappa"),
+    (lambda v: RecoveryScenario(kappa=0.25, n=10, rho=v), "rho"),
+    (lambda v: PlantedSubset(source=0, accuracy=v, fraction=0.3), "accuracy"),
+    (lambda v: PlantedSubset(source=0, accuracy=0.3, fraction=v), "fraction"),
+    (lambda v: E2EScenario(subset_fraction=v), "subset_fraction"),
+    (lambda v: E2EScenario(flipped_accuracy=v), "flipped_accuracy"),
+    (lambda v: E2EScenario(base_accuracies=v), "base_accuracies"),
+    (_e2e_entries("base_accuracies"), "base_accuracies"),
+    (lambda v: E2EScenario(coverages=v), "coverages"),
+    (_e2e_entries("coverages"), "coverages"),
+    (lambda v: sample_bound(1.0, 1.0, 1.0, 1, delta=v), "delta"),
+]
+
+
+@pytest.mark.parametrize("call, field, value", [
+    pytest.param(call, field, value, id=f"{i}-{field}-{value}")
+    for i, (call, field) in enumerate(REAL_SETTINGS) for value in (True, False, None)
+    if (field, value) != ("rho", None)  # None, the default, is the symmetric split
+])
+def test_configured_reals_refuse_a_bool_or_none_by_name(call, field, value):
+    # each used to construct (a bool compared as 0 or 1, so coverages=True
+    # gave coverage 1.0) or to raise a bare TypeError
+    with pytest.raises(ValueError, match=f"^{field}: {value!r} is not a real number$"):
+        call(value)
 
 
 def _containers():

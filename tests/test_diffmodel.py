@@ -43,8 +43,8 @@ def random_pm1(rng, n, p):
 
 @pytest.mark.parametrize("values, message", [
     (np.zeros((2, 2)), "disagreement must be a vector"),
-    (np.array([0.5, 1.5]), r"disagreement entries must lie in \[-1,1\]"),
-    (np.array([0.5, np.nan]), r"disagreement entries must lie in \[-1,1\]"),
+    (np.array([0.5, 1.5]), r"disagreement outside \[-1,1\] at object 1"),
+    (np.array([0.5, np.nan]), r"disagreement outside \[-1,1\] at object 1"),
 ], ids=["matrix", "above 1", "nan"])
 def test_disagreement_vector_refuses_entries_outside_its_domain(values, message):
     with pytest.raises(DataError, match=f"^{message}$"):
