@@ -6,9 +6,20 @@ container checks its array in one routine, `_checked` (rank, at least one
 object, value domain), and freezes it: it is safe to share read-only across
 workers, and pickle and deepcopy rebuild it through its constructor, so a
 copy is checked too.  Each domain is one predicate here, read also by the
-CSV loaders and per-row evaluators.  One derived value is cached besides: a
-LabelMatrix's vote compression, its objects grouped by distinct vote row,
-formed on first use, frozen too, and kept as long as the votes.
+CSV loaders and per-row evaluators.
+
+A container also keeps values derived from it, read-only, for as long as it
+lives; a copy drops them.  Each is a function of the container and of the
+key kept with it in one tuple, if it has one, and is found by that key's
+value, so threads may share a container without a lock: one may replace
+what another kept, which costs the other a recomputation of the same
+bytes.  A LabelMatrix keeps its vote compression,
+its objects grouped by distinct vote row (at most 24 N bytes, formed on
+first use), and its last refinement by K >= 1 binary columns with those
+columns' N x K bits, returned again for equal bits: so a generative fit and
+the labels of its model group the objects once.  A FeatureMatrixReal keeps
+the label-free part of `discmodel.fit_disc`'s last evaluation on it, O(Q^2)
+numbers, with the point it was taken at.
 """
 
 from __future__ import annotations
@@ -57,6 +68,16 @@ def _index(value, what: str, error: type[Exception] = ValueError) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise error(f"{what}: {value!r} is not an integer index")
+
+
+def _seed(value) -> int:
+    """A random seed: `value` read by `_index`, and non-negative, else
+    ValueError naming the seed.  (np.random.default_rng would take None as
+    a draw from the OS, and a bool as 0 or 1.)"""
+    seed = _index(value, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
 
 
 def _real(value, what: str):
@@ -179,18 +200,17 @@ class _Votes(NamedTuple):
     """One data set's objects grouped by their distinct rows: a member of
     each row, each object's rank among the rows and each row's object
     count.  The vote compression, `LabelMatrix._compression`, groups by
-    the votes alone; it is the K = 0 grouping, which every K's rows refine."""
+    the votes alone; it is the K = 0 grouping, which `LabelMatrix._grouping`
+    refines for any K."""
 
     member: np.ndarray
     rank: np.ndarray
     count: np.ndarray
 
 
-def _refine(
-    groups: _Votes, digits: Iterable[np.ndarray], radix: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine(groups: _Votes, digits: Iterable[np.ndarray], radix: int) -> _Votes:
     """`_group` of the rows of `groups` refined by columns of digits in
-    [0, radix).
+    [0, radix), its arrays read-only.
 
     Each object's key is a mixed-radix number whose digits are its column
     digits in base `radix`, the first column most significant, and last its
@@ -212,7 +232,10 @@ def _refine(
     if u > 1:  # the rank is the last digit
         key *= u
         key += groups.rank
-    return _group(key, bound * u)
+    refined = _Votes(*_group(key, bound * u))
+    for arr in refined:
+        arr.setflags(write=False)
+    return refined
 
 
 @dataclass(frozen=True)
@@ -248,10 +271,24 @@ class LabelMatrix:
         np.unique(axis=0).  Its arrays are read-only and take at most 24 N
         bytes."""
         everyone = _Votes(np.zeros(1, np.intp), np.zeros(self.n, np.intp), np.array([self.n]))
-        votes = _Votes(*_refine(everyone, self.votes + 1, 3))
-        for arr in votes:
-            arr.setflags(write=False)
-        return votes
+        return _refine(everyone, self.votes + 1, 3)
+
+    _last_grouping = None  # `_grouping`'s last refinement: (its read-only bits, its groups)
+
+    def _grouping(self, bits: np.ndarray) -> _Votes:
+        """The objects grouped by their distinct (votes, bits) rows, for an
+        N x K bool matrix `bits`: the vote compression at K = 0, else its
+        `_refine` by the K columns, the first most significant.  The last
+        refinement is kept with its bits, at most 24 N bytes plus N K, and
+        returned again while the bits are equal."""
+        if not bits.shape[1]:
+            return self._compression
+        last = self._last_grouping
+        if last is not None and np.array_equal(last[0], bits):
+            return last[1]
+        groups = _refine(self._compression, bits.T, 2)
+        _set(self, _last_grouping=(_frozen(bits), groups))
+        return groups
 
 
 @dataclass(frozen=True)
@@ -286,6 +323,8 @@ class FeatureMatrixReal:
     values: np.ndarray
     column_names: tuple[str, ...] | None = None
     object_ids: tuple[str, ...] | None = None
+
+    _last_evaluation = None  # `discmodel.fit_disc`'s last evaluation here: (x, its label-free part)
 
     def __post_init__(self):
         _set(self, values=_checked(self.values, "real feature matrix", ("object", "column"),

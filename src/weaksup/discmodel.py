@@ -18,11 +18,12 @@ theta), so `fit_disc` runs the damped-Newton solver of `genmodel` (IRLS).
 
 Of each evaluation, the mean of log(1 + exp(s)), A sigma(s) / N and
 A diag(sigma (1 - sigma)) A^T / N depend on x and A alone: neither the
-labels nor the penalty enter them.  Inside `pipeline.run`, which opens a
-reuse scope, a fit keeps that label-free part of its last evaluation with
-the point x it was taken at, and the next warm fit on the same features
-whose start has the same bytes as that x takes its first evaluation from
-it.  Outside a run nothing is kept.
+labels nor the penalty enter them.  A fit keeps that label-free part of its
+last evaluation, O(Q^2) numbers, with the point x it was taken at, on the
+FeatureMatrixReal it fit, for as long as the features live (a copy drops
+it).  The next fit on those features whose start has the same bytes as that
+x, such as the next K's warm fit in `pipeline.run`, takes its first
+evaluation from it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .data import (FeatureMatrixReal, HardLabelVector, ProbLabelVector, _frozen, _json_array,
                    _real, _rebuild, _set)
-from .genmodel import NewtonConfig, _Kept, _sigmoid, newton
+from .genmodel import NewtonConfig, _sigmoid, newton
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,6 @@ class DiscConfig(NewtonConfig):
         super().__post_init__()
         if not 0 <= _real(self.l2, "l2") < np.inf:
             raise ValueError("l2 must be finite and non-negative")
-
-
-_kept = _Kept("discmodel.kept")  # features -> the last evaluation's x and _LabelFree
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
@@ -172,10 +170,10 @@ def fit_disc(
     [theta, bias], from the zero vector or, warm, from `start` (a model over
     the same feature columns, such as the fit on the previous labels).
 
-    Inside a reuse scope, a fit keeps the label-free part of its last
-    evaluation, wherever its line search ended, with the point it was taken
-    at.  A warm fit on the same features whose start has that point's bytes
-    takes its first evaluation's label-free part from it, under any l2."""
+    The fit keeps the label-free part of its last evaluation, wherever its
+    line search ended, with the point it was taken at, on `features`.  A fit
+    on the same features whose start has that point's bytes takes its first
+    evaluation's label-free part from it, under any l2."""
     _check_n(features, soft_labels)
     v = features.values
     n, q = v.shape
@@ -186,7 +184,7 @@ def fit_disc(
     if start.q != q:
         raise ValueError(f"start has {start.q} feature weights, the features {q} columns")
     x0 = np.append(start.theta, start.bias)
-    kept = _kept.get(features)
+    kept = features._last_evaluation
     first = [kept[1]] if kept is not None and kept[0].tobytes() == x0.tobytes() else []
     last = []  # the latest evaluation's x and label-free part
 
@@ -197,7 +195,7 @@ def fit_disc(
         return -loss, -grad, -hess
 
     x = newton(value_grad_hess, x0, config.max_iters, config.grad_tol)
-    _kept.put((features,), tuple(last))
+    _set(features, _last_evaluation=tuple(last))
     return DiscParams(theta=x[:q], bias=x[q])
 
 

@@ -16,27 +16,23 @@ selected features) row, so the objective is a weighted sum over the distinct
 rows, of which there are at most min(N, 3^M 2^K); log Z is evaluated once
 per distinct selected-feature row.  The K = 0 rows are the distinct vote
 rows, the vote compression that each LabelMatrix forms once and keeps with
-its votes, and any K's rows refine it by the K selected columns (both through
-`data._refine`).  Every fit runs through `newton`.
-
-Inside `pipeline.run`, which opens a reuse scope, a fit keeps those distinct
-rows, and labelling with the model it returned reads the labels off them
-instead of forming an N x M product; once read, they are dropped.  Outside a
-run no rows are kept.
+its votes, and any K's rows refine it by the K selected columns.  The
+LabelMatrix keeps its last refinement with those columns' bits
+(`LabelMatrix._grouping`), so labelling with a fitted model groups the
+objects as its fit did without grouping them again, and scores each
+distinct row once.  Every fit runs through `newton`.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .data import (DataError, FeatureMatrixBinary, LabelMatrix, ProbLabelVector, _frozen, _index,
-                   _is_sign, _is_vote, _json_array, _positive, _real, _rebuild, _refine, _set)
+                   _is_sign, _is_vote, _json_array, _positive, _real, _rebuild, _set, _Votes)
 
 LOG2 = float(np.log(2.0))
 
@@ -245,23 +241,37 @@ class _Rows(NamedTuple):
     bounds: np.ndarray  # pattern p holds rows bounds[p]:bounds[p + 1]
 
 
+def _grouping(
+    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
+) -> _Votes:
+    """The objects of `labels` grouped by their distinct rows of votes and
+    `params`'s selected columns of `features`, each entry x read as the bit
+    x > 0: the vote compression at K = 0."""
+    _check_design(params, labels, features)
+    if not params.k:
+        return labels._compression
+    return labels._grouping(features.values[:, list(params.selected)] > 0)
+
+
+def _designs(
+    params: GenParams, features: FeatureMatrixBinary | None, member: np.ndarray, dtype: type
+) -> np.ndarray:
+    """The designs [1, x_1 .. x_K] of the objects `member`, in `dtype`."""
+    a = np.ones((member.size, 1 + params.k), dtype)
+    for i, j in enumerate(params.selected, start=1):
+        a[:, i] = np.take(features.values[:, j], member)
+    return a
+
+
 def _rows(params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None) -> _Rows:
     """The distinct rows of `labels` and `params`'s selected columns of
-    `features`, which serve `_objective` and, within a run, `_label`.
-
-    The K = 0 rows are the labels' vote compression.  The rows of any K are
-    `_refine` of it by the K selected columns, each entry x read as the bit
-    x > 0.  Only the U distinct rows' votes and designs are gathered."""
-    _check_design(params, labels, features)
-    member, inverse, count = votes = labels._compression
-    if params.k:
-        columns = (features.values[:, j] > 0 for j in params.selected)
-        member, inverse, count = _refine(votes, columns, 2)
+    `features`, which serve `_objective`: `_grouping`'s groups, of which only
+    the U distinct rows' votes and designs are gathered."""
+    member, inverse, count = _grouping(params, labels, features)
     u = member.size
-    lam = labels.votes.T[member].astype(np.float64)
-    a = np.ones((u, 1 + params.k))
-    if params.k:
-        a[:, 1:] = features.values[np.ix_(member, params.selected)]
+    # np.take along one axis gathers about twice as fast as fancy indexing
+    lam = np.take(labels.votes, member, axis=1).T.astype(np.float64, order="C")
+    a = _designs(params, features, member, np.float64)
     starts = np.empty(u, bool)  # the first row of each pattern
     starts[0] = True
     np.not_equal(a[1:], a[:-1]).any(axis=1, out=starts[1:])
@@ -339,18 +349,6 @@ def _check_design(
         )
 
 
-def _design(
-    params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
-) -> np.ndarray:
-    """Each object's design [1, x_1 .. x_K] over the selected feature columns,
-    as an N x (1 + K) int8 matrix."""
-    _check_design(params, labels, features)
-    design = np.ones((labels.n, 1 + params.k), np.int8)
-    if params.k:
-        design[:, 1:] = features.values[:, list(params.selected)]
-    return design
-
-
 def _flat(params: GenParams) -> np.ndarray:
     return np.concatenate([params.phi, params.w.reshape(-1)])
 
@@ -416,44 +414,6 @@ def posterior(params: GenParams, vote_column: np.ndarray, feature_row: np.ndarra
 # -- fitting and labeling --------------------------------------------------------
 
 
-class _Kept:
-    """One model module's record of its last fit, kept only while a `scope()`
-    is open in the current context: `pipeline.run` opens one per module, so
-    its fits hand what their last evaluation formed to the calls that read
-    their result.  Outside a scope nothing is kept.  Inside, each fit
-    replaces the record, and `get` returns it only for the same objects,
-    compared by identity, as the fit recorded it under."""
-
-    def __init__(self, name: str):
-        self._slot: ContextVar[list | None] = ContextVar(name, default=None)
-
-    @contextmanager
-    def scope(self) -> Iterator[None]:
-        token = self._slot.set([None])
-        try:
-            yield
-        finally:
-            self._slot.reset(token)
-
-    def put(self, key: tuple, value) -> None:
-        """Keep `value` under `key` (None keeps nothing); outside a scope, a no-op."""
-        slot = self._slot.get()
-        if slot is not None:
-            slot[0] = None if value is None else (key, value)
-
-    def get(self, *key):
-        """The value kept under `key`, or None."""
-        slot = self._slot.get()
-        record = None if slot is None else slot[0]
-        if record is None or not all(a is b for a, b in zip(record[0], key)):
-            return None
-        return record[1]
-
-
-# the last fit's GenParams, labels, features -> its _Rows, until `_label` reads them
-_kept = _Kept("genmodel.kept")
-
-
 def _fit(
     init: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None, config: FitConfig
 ) -> GenParams:
@@ -461,11 +421,9 @@ def _fit(
 
     Sources with no votes at all keep their initial weights (their gradient
     is masked and their Hessian rows decoupled) so column indices stay stable
-    across pipeline iterations.  Inside a reuse scope the fit keeps its
-    distinct rows for `_label`.
+    across pipeline iterations.
     """
-    rows = _rows(init, labels, features)
-    evaluate = _objective(rows, config.w_l2)
+    evaluate = _objective(_rows(init, labels, features), config.w_l2)
     m, k = init.m, init.k
     frozen = np.tile(~(labels.votes != 0).any(axis=1), k + 1)
 
@@ -478,9 +436,7 @@ def _fit(
         return value, grad, hess
 
     x = newton(masked if frozen.any() else evaluate, _flat(init), config.max_iters, config.grad_tol)
-    params = GenParams(phi=x[:m], w=x[m:].reshape(k, m), selected=init.selected)
-    _kept.put((params, labels, features), rows)
-    return params
+    return GenParams(phi=x[:m], w=x[m:].reshape(k, m), selected=init.selected)
 
 
 def fit_sp(labels: LabelMatrix, config: FitConfig = FitConfig()) -> GenParams:
@@ -531,20 +487,17 @@ def _vote_scores(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _label(
     params: GenParams, labels: LabelMatrix, features: FeatureMatrixBinary | None
 ) -> ProbLabelVector:
-    """tanh of each object's score votes . ([phi; W]^T a) for its design a:
-    on the distinct rows, when the fit that returned `params` kept them for
-    these labels and features, else per object.  [phi; W]^T times the int8
-    design is phi itself at K = 0, and each product with a vote is exact, so
-    both routes sum the same M terms in the same order, and their labels
-    agree bit for bit.  Once read, the kept rows are dropped."""
+    """tanh of each object's score votes . ([phi; W]^T a) for its design a,
+    formed once per distinct row of `_grouping` (which the fit of `params`
+    has left on the labels) and read back per object.  [phi; W]^T times the
+    int8 design is phi itself at K = 0, and each product with a vote is
+    exact, so each score is the left-to-right sum of the object's own M
+    terms."""
+    member, inverse, _ = _grouping(params, labels, features)
     theta_t = np.vstack([params.phi, params.w]).T  # M x (1 + K)
-    rows = _kept.get(params, labels, features)
-    if rows is not None:
-        scores = _vote_scores(rows.lam.T, (theta_t @ rows.patterns.T)[:, rows.pattern])
-        _kept.put((params, labels, features), None)
-        return ProbLabelVector(np.tanh(scores)[rows.inverse])
-    scores = _vote_scores(labels.votes, theta_t @ _design(params, labels, features).T)
-    return ProbLabelVector(np.tanh(scores))
+    weights = theta_t @ _designs(params, features, member, np.int8).T
+    scores = _vote_scores(np.take(labels.votes, member, axis=1), weights)
+    return ProbLabelVector(np.tanh(scores)[inverse])
 
 
 def label_sp(params: GenParams, labels: LabelMatrix) -> ProbLabelVector:

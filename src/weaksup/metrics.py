@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import HardLabelVector, LabelMatrix, ProbLabelVector
+from .data import HardLabelVector, LabelMatrix, ProbLabelVector, _seed
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,9 @@ def f1_from_precision_recall(precision: float, recall: float) -> float:
 
 def majority_vote(labels: LabelMatrix, seed: int = 0) -> HardLabelVector:
     """Sign of the per-object vote sum; ties (including all-abstain objects)
-    are broken by a fair coin from the seeded generator, in object order."""
+    are broken by a fair coin from the seeded generator, in object order.
+    The seed is a non-negative integer, checked before anything is drawn."""
+    seed = _seed(seed)
     sums = labels.votes.astype(np.int64).sum(axis=0)
     out = np.sign(sums).astype(np.int8)
     ties = np.flatnonzero(out == 0)

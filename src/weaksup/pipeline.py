@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import discmodel, genmodel
 from .data import (
     DataError,
     Dataset,
@@ -145,13 +144,9 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     its K's generative and discriminative labels.  A fit that fails raises
     FitError naming its model, generative or discriminative, and its K.
 
-    While the loop runs, each model module keeps what its last fit's last
-    evaluation formed, for the calls that read that fit's result: the
-    labels of a generative fit, and the next warm start of a
-    discriminative fit.  The outputs are the same bit for bit as without
-    it, and nothing is kept once `run` returns or raises.  (The labels'
-    vote compression, which every generative fit refines, is formed once
-    and kept with the `LabelMatrix` itself.)
+    Work one fit does for the next call stays on the dataset's containers
+    (see `data`), so a second run on the same dataset reuses it, with the
+    same outputs bit for bit.
     """
     if dataset.real_features is None:
         raise DataError("run requires real-valued features for the discriminative model")
@@ -187,34 +182,33 @@ def run(dataset: Dataset, config: RunConfig = RunConfig()) -> RunReport:
     def tracked() -> list[float]:  # each K's tracked metric so far
         return [r.dev_metric if use_dev else r.agreement for r in records]
 
-    with genmodel._kept.scope(), discmodel._kept.scope():
-        gen0 = _named("generative", 0, fit_sp, dataset.labels, config.gen)
-        records.append(step(gen0, label_sp(gen0, dataset.labels)))
+    gen0 = _named("generative", 0, fit_sp, dataset.labels, config.gen)
+    records.append(step(gen0, label_sp(gen0, dataset.labels)))
 
-        stop_reason, k_max = "k_max", config.k_max
-        if k_max:
-            try:
-                path = regularization_path(
-                    dataset.bin_features,
-                    disagreement(records[0].gen_labels, records[0].disc_labels),
-                    config,
-                    stop_after=config.k_max,
-                )
-            except DataError:
-                # lambda_max = 0: the disagreement is uncorrelated with every
-                # binary column, so the difference model has nothing to select
-                stop_reason, k_max = "path_exhausted", 0
-        for k in range(1, k_max + 1):
-            if len(path.entry_order) < k:
-                stop_reason = "path_exhausted"
-                break
-            gen = _named("generative", k, fit_aug, dataset.labels, dataset.bin_features,
-                         tuple(select_features(path, k)), config.gen,
-                         start=records[-1].gen_params)
-            records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
-            if stopping_rule(tracked(), config.patience):
-                stop_reason = "metric_declined"
-                break
+    stop_reason, k_max = "k_max", config.k_max
+    if k_max:
+        try:
+            path = regularization_path(
+                dataset.bin_features,
+                disagreement(records[0].gen_labels, records[0].disc_labels),
+                config,
+                stop_after=config.k_max,
+            )
+        except DataError:
+            # lambda_max = 0: the disagreement is uncorrelated with every
+            # binary column, so the difference model has nothing to select
+            stop_reason, k_max = "path_exhausted", 0
+    for k in range(1, k_max + 1):
+        if len(path.entry_order) < k:
+            stop_reason = "path_exhausted"
+            break
+        gen = _named("generative", k, fit_aug, dataset.labels, dataset.bin_features,
+                     tuple(select_features(path, k)), config.gen,
+                     start=records[-1].gen_params)
+        records.append(step(gen, label_aug(gen, dataset.labels, dataset.bin_features)))
+        if stopping_rule(tracked(), config.patience):
+            stop_reason = "metric_declined"
+            break
 
     best_k = int(np.argmax(tracked()))  # first maximum, so ties go to smaller K
     return RunReport(

@@ -1,9 +1,10 @@
 """Seeded synthetic data: the sparse-recovery simulation and an end-to-end
 weak-supervision scenario with planted latent subsets.
 
-Every generator is a pure function of its scenario (including the seed), and
-experiment trials derive child seeds from (seed, cell, trial) so results do
-not depend on scheduling or worker count.
+Every generator is a pure function of its scenario (including the seed, a
+non-negative integer checked when the scenario is built), and experiment
+trials derive child seeds from (seed, cell, trial) so results do not depend
+on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (DataError, Dataset, FeatureMatrixBinary, FeatureMatrixReal, HardLabelVector,
-                   LabelMatrix, _index, _real, _set)
+                   LabelMatrix, _index, _real, _seed, _set)
 from .diffmodel import (DisagreementVector, LassoConfig, lasso_fit, regularization_path,
                         select_features)
 from .theory import _check_delta, check_conditions
@@ -42,7 +43,8 @@ class RecoveryScenario:
     rho: float | None = None
 
     def __post_init__(self):
-        _set(self, **{name: _index(getattr(self, name), name) for name in ("n", "p", "s_size")})
+        _set(self, seed=_seed(self.seed),
+             **{name: _index(getattr(self, name), name) for name in ("n", "p", "s_size")})
         if not 0.0 < _real(self.kappa, "kappa") <= 1.0:
             raise ValueError("kappa must lie in (0,1]; 1 is the degenerate limit")
         if not 1 <= self.s_size < self.p:
@@ -120,8 +122,9 @@ class E2EScenario:
     extra_subsets: tuple[PlantedSubset, ...] = ()
 
     def __post_init__(self):
-        _set(self, **{name: _index(getattr(self, name), name)
-                      for name in ("m", "n", "p", "q_disc", "flipped_source")})
+        _set(self, seed=_seed(self.seed), **{
+            name: _index(getattr(self, name), name)
+            for name in ("m", "n", "p", "q_disc", "flipped_source")})
         base, cov = (  # one real for all sources, as a float, or one real per source
             tuple(_real(x, key) for x in v) if np.ndim(v) else (float(_real(v, key)),) * self.m
             for key, v in (("base_accuracies", self.base_accuracies), ("coverages", self.coverages))
@@ -204,7 +207,7 @@ class RecoveryCell:
 
 
 def derive_trial_seed(base_seed: int, cell: int, trial: int) -> int:
-    return int(np.random.SeedSequence((base_seed, cell, trial)).generate_state(1)[0])
+    return int(np.random.SeedSequence((_seed(base_seed), cell, trial)).generate_state(1)[0])
 
 
 def map_trials(trial: Callable, work: Sequence, jobs: int) -> list:
@@ -271,7 +274,7 @@ def run_recovery_experiment(
     Every setting, `delta` under either policy and `jobs` included, is
     checked before the first draw; `lasso` checks its own fields when it is
     built."""
-    trials = _index(trials, "trials")
+    trials, seed = _index(trials, "trials"), _seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
     if lambda_policy not in ("path", "theorem"):

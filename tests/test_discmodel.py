@@ -187,25 +187,25 @@ def _count_label_free(monkeypatch) -> list[np.ndarray]:
     return points
 
 
-def test_warm_fits_and_predictions_are_the_same_bytes_inside_a_reuse_scope(monkeypatch):
+def test_warm_fits_and_predictions_are_the_same_bytes_from_the_kept_evaluation(monkeypatch):
     rng = np.random.default_rng(5)
     v = FeatureMatrixReal(rng.standard_normal((500, 4)))
     base = v.values @ rng.standard_normal(4)
     softs = [ProbLabelVector(np.tanh(base + rng.standard_normal(500))) for _ in range(4)]
     points = _count_label_free(monkeypatch)
 
-    def chain():
+    def chain(features):  # features() gives the matrix each fit and prediction reads
         fits, params = [], None
         for soft in softs:
-            params = fit_disc(v, soft, start=params)
-            fits.append((params, predict(params, v)))
+            f = features()
+            params = fit_disc(f, soft, start=params)
+            fits.append((params, predict(params, f)))
         return fits
 
-    alone = chain()
+    alone = chain(lambda: FeatureMatrixReal(v.values))  # a fresh copy each time: nothing kept
     evaluations = len(points)
-    with discmodel._kept.scope():
-        scoped = chain()
-    for (a, ya), (b, yb) in zip(alone, scoped):
+    shared = chain(lambda: v)
+    for (a, ya), (b, yb) in zip(alone, shared):
         assert np.append(a.theta, a.bias).tobytes() == np.append(b.theta, b.bias).tobytes()
         assert ya.labels.tobytes() == yb.labels.tobytes()
     # each of the three warm fits took its first evaluation from the fit before
@@ -214,32 +214,30 @@ def test_warm_fits_and_predictions_are_the_same_bytes_inside_a_reuse_scope(monke
     # it and returns the bytes of the same fit evaluating its start afresh
     other = DiscConfig(l2=0.5)
     evaluations = len(points)
-    alone = fit_disc(v, softs[0], other, start=scoped[-1][0])
+    alone = fit_disc(FeatureMatrixReal(v.values), softs[0], other, start=shared[-1][0])
     fresh = len(points) - evaluations
-    with discmodel._kept.scope():
-        start = fit_disc(v, softs[-1], start=scoped[-1][0])
-        assert np.append(start.theta, start.bias).tobytes() == (
-            np.append(scoped[-1][0].theta, scoped[-1][0].bias).tobytes())
-        evaluations = len(points)
-        refit = fit_disc(v, softs[0], other, start=start)
-        assert len(points) - evaluations == fresh - 1
+    start = fit_disc(v, softs[-1], start=shared[-1][0])
+    assert np.append(start.theta, start.bias).tobytes() == (
+        np.append(shared[-1][0].theta, shared[-1][0].bias).tobytes())
+    evaluations = len(points)
+    refit = fit_disc(v, softs[0], other, start=start)
+    assert len(points) - evaluations == fresh - 1
     assert np.append(refit.theta, refit.bias).tobytes() == np.append(alone.theta, alone.bias).tobytes()
 
 
-def test_predict_gives_the_same_labels_inside_a_reuse_scope_as_outside():
+def test_predict_gives_the_same_labels_on_features_that_keep_an_evaluation():
     rng = np.random.default_rng(7)
     v = FeatureMatrixReal(rng.standard_normal((300, 3)))
     soft = ProbLabelVector(np.tanh(v.values @ rng.standard_normal(3) + rng.standard_normal(300)))
     params = fit_disc(v, soft)
+    assert v._last_evaluation is not None
+    copy = FeatureMatrixReal(v.values)  # keeps nothing
+    assert fit_disc(copy, soft).theta.tobytes() == params.theta.tobytes()
     other = DiscParams(theta=rng.standard_normal(3), bias=-0.2)
-    alone = [predict(params, v), predict(other, v)]
-    with discmodel._kept.scope():
-        assert fit_disc(v, soft).theta.tobytes() == params.theta.tobytes()
-        assert discmodel._kept.get(v) is not None
-        scoped = [predict(params, v), predict(other, v)]
-    for a, b, p in zip(alone, scoped, (params, other)):
-        assert a.labels.tobytes() == b.labels.tobytes()
-        assert a.labels.tolist() == np.where(decision_scores(p, v) >= 0.0, 1, -1).tolist()
+    for p in (params, other):
+        kept, fresh = predict(p, v), predict(p, FeatureMatrixReal(v.values))
+        assert kept.labels.tobytes() == fresh.labels.tobytes()
+        assert kept.labels.tolist() == np.where(decision_scores(p, v) >= 0.0, 1, -1).tolist()
 
 
 def test_a_stalled_fit_records_its_last_trial_and_a_warm_fit_from_it_starts_afresh(monkeypatch):
@@ -247,19 +245,18 @@ def test_a_stalled_fit_records_its_last_trial_and_a_warm_fit_from_it_starts_afre
     v = FeatureMatrixReal(rng.standard_normal((200, 3)))
     soft = ProbLabelVector(np.tanh(v.values @ rng.standard_normal(3) + rng.standard_normal(200)))
     points = _count_label_free(monkeypatch)
-    with discmodel._kept.scope():
-        kept = fit_disc(v, soft)
-        # below any reachable gradient: the fit runs until a step no longer moves x
-        stalled = fit_disc(v, soft, DiscConfig(grad_tol=1e-300, max_iters=200), start=kept)
-        x = np.append(stalled.theta, stalled.bias)
-        # the line search ended on a rejected trial, away from x, and the record holds that trial
-        assert discmodel._kept.get(v)[0].tobytes() == points[-1].tobytes() != x.tobytes()
-        evaluations = len(points)
-        fit_disc(v, soft, start=stalled)
-        assert points[evaluations].tobytes() == x.tobytes()  # the warm fit evaluates its start afresh
-        assert predict(stalled, v).labels.tobytes() == (
-            np.where(decision_scores(stalled, v) >= 0.0, 1, -1).astype(np.int8).tobytes()
-        )
+    kept = fit_disc(v, soft)
+    # below any reachable gradient: the fit runs until a step no longer moves x
+    stalled = fit_disc(v, soft, DiscConfig(grad_tol=1e-300, max_iters=200), start=kept)
+    x = np.append(stalled.theta, stalled.bias)
+    # the line search ended on a rejected trial, away from x, and the record holds that trial
+    assert v._last_evaluation[0].tobytes() == points[-1].tobytes() != x.tobytes()
+    evaluations = len(points)
+    fit_disc(v, soft, start=stalled)
+    assert points[evaluations].tobytes() == x.tobytes()  # the warm fit evaluates its start afresh
+    assert predict(stalled, v).labels.tobytes() == (
+        np.where(decision_scores(stalled, v) >= 0.0, 1, -1).astype(np.int8).tobytes()
+    )
 
 
 def test_fit_separable_reaches_full_training_accuracy():

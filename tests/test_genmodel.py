@@ -228,7 +228,8 @@ def test_distinct_rows_tell_apart_rows_that_differ_past_the_first_key():
 def _stacked_rows(params, lm, x):
     """The rows as np.unique of the stacked (selected features, votes) rows
     gives them, each object's design built in full."""
-    design = genmodel._design(params, lm, x)
+    design = np.ones((lm.n, 1 + params.k), np.int8)
+    design[:, 1:] = x.values[:, list(params.selected)]
     member, inverse, count = _unique_rows(np.vstack([design[:, 1:].T, lm.votes]).T)
     lam, a = lm.votes.T[member].astype(np.float64), design[member].astype(np.float64)
     starts = np.r_[True, (a[1:] != a[:-1]).any(axis=1)]
@@ -665,50 +666,52 @@ def test_label_aug_matches_sp_at_zero_w():
 
 @given(st.sampled_from([5, 8, 20]), st.integers(0, 3), st.integers(1, 400),
        st.integers(0, 2**32 - 1))
-def test_labels_on_the_kept_rows_and_either_vote_layout_agree_bit_for_bit(m, k, n, seed):
+def test_labels_on_a_kept_grouping_and_either_vote_layout_agree_bit_for_bit(m, k, n, seed):
     lm, x, params = _random_model(np.random.default_rng(seed), m, k, n)
-    per_object = label_aug(params, lm, x)
-    with genmodel._kept.scope():
-        genmodel._kept.put((params, lm, x), _rows(params, lm, x))
-        assert genmodel._kept.get(params, lm, x) is not None  # the rows route
-        on_rows = label_aug(params, lm, x)
-    assert on_rows.expected.tobytes() == per_object.expected.tobytes()
+    fresh = label_aug(params, LabelMatrix(lm.votes), x)  # labels that group the objects afresh
+    _rows(params, lm, x)  # leaves its grouping on the labels, as a fit does
+    kept = lm._last_grouping
+    on_kept = label_aug(params, lm, x)
+    assert lm._last_grouping is kept  # the labels read it, grouping nothing again
+    assert on_kept.expected.tobytes() == fresh.expected.tobytes()
     # votes given column-major, which LabelMatrix stores in C order, give the same labels
     column_major = label_aug(params, LabelMatrix(np.asfortranarray(lm.votes)), x)
-    assert column_major.expected.tobytes() == per_object.expected.tobytes()
+    assert column_major.expected.tobytes() == fresh.expected.tobytes()
 
 
 @pytest.mark.parametrize("m", [5, 8, 20])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_labels_equal_the_left_to_right_per_object_sum(m, k):
     lm, x, params = _random_model(np.random.default_rng(300 + 10 * m + k), m, k, 2_000)
-    with genmodel._kept.scope():
-        fitted = fit_aug(lm, x, params.selected)
-        assert genmodel._kept.get(fitted, lm, x) is not None  # the rows route
-        labels = {"random": (params, label_aug(params, lm, x)),
-                  "fitted, on its rows": (fitted, label_aug(fitted, lm, x))}
-    assert genmodel._kept.get(fitted, lm, x) is None  # the scope has closed
+    labels = {"random, grouped afresh": (params, label_aug(params, lm, x))}
+    fitted = fit_aug(lm, x, params.selected)
+    labels["fitted, on its fit's grouping"] = (fitted, label_aug(fitted, lm, x))
     for model, got in labels.values():
         want = sequential_labels(model.phi, model.w, lm.votes, x.values[:, list(model.selected)])
         assert got.expected.tobytes() == want.tobytes()
 
 
-def test_the_record_keeps_only_the_vote_compression_once_labelled(monkeypatch):
+def test_a_fit_and_the_labels_of_its_model_group_the_objects_once(monkeypatch):
+    import weaksup.data as data
+
     lm, x, params = _random_model(np.random.default_rng(7), 5, 2, 1_000)
-    refined = []  # the grouping each K >= 1 fit's rows refine
-    refine = genmodel._refine
-    monkeypatch.setattr(genmodel, "_refine",
+    refined = []  # the grouping each call of data._refine refines
+    refine = data._refine
+    monkeypatch.setattr(data, "_refine",
                         lambda groups, *args: refined.append(groups) or refine(groups, *args))
-    with genmodel._kept.scope():
-        k0 = fit_sp(lm)
-        assert isinstance(genmodel._kept.get(k0, lm, None), genmodel._Rows)
-        label_sp(k0, lm)
-        assert genmodel._kept._slot.get() == [None]  # the record is empty
-        fitted = fit_aug(lm, x, params.selected, start=k0)
-        assert len(refined) == 1 and refined[0] is lm._compression  # the same compression
-        first = label_aug(fitted, lm, x)
-        assert genmodel._kept._slot.get() == [None]
-        again = label_aug(fitted, lm, x)  # per object now, the same bits
+    k0 = fit_sp(lm)
+    label_sp(k0, lm)
+    assert len(refined) == 1 and lm._last_grouping is None  # the vote compression alone
+    fitted = fit_aug(lm, x, params.selected, start=k0)
+    assert len(refined) == 2 and refined[1] is lm._compression  # refined from the compression
+    bits, groups = lm._last_grouping
+    np.testing.assert_array_equal(bits, x.values[:, list(params.selected)] > 0)
+    assert not any(arr.flags.writeable for arr in (bits, *groups))
+    first = label_aug(fitted, lm, x)
+    assert len(refined) == 2  # the labels read the fit's grouping
+    fit_aug(lm, x, params.selected[::-1], start=k0)  # other bits of the same shape replace it
+    again = label_aug(fitted, lm, x)
+    assert len(refined) == 4 and lm._last_grouping[1] is not groups
     assert first.expected.tobytes() == again.expected.tobytes()
 
 

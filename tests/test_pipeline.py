@@ -150,30 +150,46 @@ def test_run_labels_each_k_once_and_returns_the_best_ks_labels(seed, best_k, mon
     assert report.final_labels is report.best.gen_labels
 
 
-def test_run_keeps_nothing_after_it_returns_or_raises(monkeypatch):
-    import weaksup.discmodel as discmodel
-    import weaksup.genmodel as genmodel
+def _report_bytes(report):
+    """Every array of a run's report as bytes, K by K, with best_k and the stop."""
+    return [report.best_k, report.stop_reason] + [
+        (r.selected, r.agreement, r.gen_params.phi.tobytes(), r.gen_params.w.tobytes(),
+         r.disc_params.theta.tobytes(), r.disc_params.bias, r.gen_labels.expected.tobytes(),
+         r.disc_labels.labels.tobytes())
+        for r in report.iterations
+    ]
+
+
+def test_after_a_run_returns_or_raises_only_its_containers_keep_values(monkeypatch):
+    import pickle
+
     import weaksup.pipeline as pipeline
 
-    def scopes():  # None where no reuse scope is open
-        return genmodel._kept._slot.get(), discmodel._kept._slot.get()
-
     ds = gen_e2e(_small_scenario(seed=5))
-    report = run(ds, _fast_config(k_max=2, patience=2))
-    assert scopes() == (None, None)
-    assert discmodel._kept.get(ds.real_features) is None
-
-    seen = []
+    cfg = _fast_config(k_max=2, patience=2)
+    report = run(ds, cfg)
+    # the labels keep the last K's grouping, with its selected columns' bits
+    bits, groups = ds.labels._last_grouping
+    np.testing.assert_array_equal(
+        bits, ds.bin_features.values[:, list(report.iterations[-1].selected)] > 0)
+    assert not any(arr.flags.writeable for arr in (bits, *groups))
+    # the real features keep the last discriminative evaluation: O(Q^2) numbers, no N-vector
+    x, free = ds.real_features._last_evaluation
+    q1 = ds.real_features.q + 1
+    assert x.shape == free.a_sig.shape == (q1,) and free.hess.shape == (q1, q1)
+    copied = pickle.loads(pickle.dumps(ds))  # a copy keeps none of it
+    assert copied.labels._last_grouping is None and copied.real_features._last_evaluation is None
+    assert _report_bytes(run(copied, cfg)) == _report_bytes(report)
 
     def failing_path(*args, **kwargs):
-        seen.append(scopes())
         raise RuntimeError("path failed")
 
     monkeypatch.setattr(pipeline, "regularization_path", failing_path)
     with pytest.raises(RuntimeError, match="path failed"):
-        run(ds, _fast_config(k_max=2, patience=2))
-    assert None not in seen[0]  # open while the run ran
-    assert scopes() == (None, None)
+        run(ds, cfg)
+    monkeypatch.undo()
+    # what the failed run left on the containers changes no output of the next
+    assert _report_bytes(run(ds, cfg)) == _report_bytes(report)
 
 
 def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monkeypatch):
@@ -185,36 +201,75 @@ def test_two_runs_on_one_dataset_make_the_same_label_free_disc_evaluations(monke
     ds = gen_e2e(_small_scenario(seed=6))
     cfg = _fast_config(k_max=3, patience=3)
     report = run(ds, cfg)
-    assert len(rows) == len(report.iterations)  # one per fit: the labels read its rows
+    assert len(rows) == len(report.iterations)  # one per fit: the labels read its grouping
     first = len(calls["_label_free"])
     run(ds, cfg)
     assert len(calls["_label_free"]) - first == first
-    # outside a run, the same fits evaluate each warm fit's start once more
+    # the same fits on the same features take as many evaluations as a run
     start = None
     for record in report.iterations:
         start = fit_disc(ds.real_features, record.gen_labels, cfg.disc, start=start)
         assert start.theta.tobytes() == record.disc_params.theta.tobytes()
-    assert len(calls["_label_free"]) - 2 * first == first + len(report.iterations) - 1
+    assert len(calls["_label_free"]) - 2 * first == first
+    # on a fresh copy of the features each time, each warm fit evaluates its start once more
+    start = None
+    for record in report.iterations:
+        fresh = FeatureMatrixReal(ds.real_features.values)
+        start = fit_disc(fresh, record.gen_labels, cfg.disc, start=start)
+        assert start.theta.tobytes() == record.disc_params.theta.tobytes()
+    assert len(calls["_label_free"]) - 3 * first == first + len(report.iterations) - 1
 
 
-def test_each_run_forms_one_vote_compression_that_every_k_refines(monkeypatch):
+def test_each_run_forms_one_vote_compression_that_every_k_refines_once(monkeypatch):
     import weaksup.data as data
-    import weaksup.genmodel as genmodel
 
-    # data._refine forms a compression; genmodel._refine refines one for K >= 1
-    compress = _recording(monkeypatch, data, ["_refine"])["_refine"]
-    refine = _recording(monkeypatch, genmodel, ["_refine"])["_refine"]
+    # data._refine forms a compression in base 3 and refines one in base 2
+    refine = _recording(monkeypatch, data, ["_refine"])["_refine"]
     ds = gen_e2e(_small_scenario(seed=6))
     cfg = _fast_config(k_max=3, patience=3)
     report = run(ds, cfg)
-    assert len(report.iterations) == 4 and len(compress) == 1
-    assert len(refine) == 3 and all(args[0] is ds.labels._compression for args, _ in refine)
+    # one refinement per K >= 1: the labels of each K's model read its fit's
+    assert len(report.iterations) == 4 and [args[2] for args, _ in refine] == [3, 2, 2, 2]
+    assert all(args[0] is ds.labels._compression for args, _ in refine[1:])
     run(ds, cfg)  # the compression stays with the labels: the next run forms none
-    assert len(compress) == 1 and len(refine) == 6
+    assert [args[2] for args, _ in refine[4:]] == [2, 2, 2]
     assert refine[-1][0][0] is ds.labels._compression
     same_votes = Dataset(LabelMatrix(ds.labels.votes), ds.bin_features, ds.real_features)
     run(same_votes, cfg)  # new labels of the same votes form their own
-    assert len(compress) == 2 and refine[-1][0][0] is same_votes.labels._compression
+    assert [args[2] for args, _ in refine[7:]] == [3, 2, 2, 2]
+    assert refine[-1][0][0] is same_votes.labels._compression
+
+
+def test_threads_share_one_dataset_while_its_kept_values_change():
+    import pickle
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    ds = gen_e2e(_small_scenario(seed=0))
+    # the three select (0, 2, 4), (0, 7, 2) and (0, 4, 2): their K = 2 and 3 groupings differ
+    configs = [_fast_config(k_max=3, patience=3),
+               _fast_config(k_max=3, patience=3, disc=DiscConfig(l2=1.0, max_iters=400)),
+               _fast_config(k_max=3, patience=3, standardize=True)]
+    # each config on a fresh copy, one after another: no kept value found
+    want = [_report_bytes(run(pickle.loads(pickle.dumps(ds)), cfg)) for cfg in configs]
+    start = threading.Barrier(9)
+
+    def shared_run(cfg):
+        start.wait(timeout=60)
+        return _report_bytes(run(ds, cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads take turns often, between a fit and its labels too
+    try:
+        with ThreadPoolExecutor(max_workers=9) as pool:
+            got = list(pool.map(shared_run, configs * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({r[-1][0] for r in want}) == 3  # the K = 3 selections
+    assert got == want * 3
+    # a run on the warm dataset gives the bytes of a run on a fresh one
+    assert [_report_bytes(run(ds, cfg)) for cfg in configs] == want
 
 
 def test_a_failed_fit_names_its_model_and_k(monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 import weaksup
 from weaksup import synth
-from weaksup.data import validate
+from weaksup.data import LabelMatrix, validate
 from weaksup.diffmodel import LassoConfig
 from weaksup.genmodel import fit_sp
+from weaksup.metrics import majority_vote
 from weaksup.synth import (
     E2EScenario,
     PlantedSubset,
@@ -115,6 +117,38 @@ def test_e2e_scenario_reads_numpy_integer_sources():
                      extra_subsets=(PlantedSubset(np.int8(2), accuracy=0.3, fraction=0.2),))
     assert [type(s.source) for s in sc.subsets] == [int, int]
     assert [s.source for s in sc.subsets] == [1, 2]
+
+
+_SEEDED = {  # each call that reads a seed, and so draws nothing when it refuses one
+    "E2EScenario": lambda seed: E2EScenario(seed=seed),
+    "RecoveryScenario": lambda seed: RecoveryScenario(kappa=0.5, n=10, seed=seed),
+    "majority_vote": lambda seed: majority_vote(LabelMatrix([[0, 1, 0]]), seed=seed),
+    "run_recovery_experiment": lambda seed: run_recovery_experiment([0.4], [100], 1, seed=seed),
+    "derive_trial_seed": lambda seed: derive_trial_seed(seed, 0, 0),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed: None is not an integer index"),  # used to draw from OS entropy
+    (True, "seed: True is not an integer index"),  # used to draw (or derive from) seed 1
+    (1.0, "seed: 1.0 is not an integer index"),  # used to raise TypeError at draw time
+    (-1, "seed must be non-negative"),
+], ids=["None", "bool", "float", "negative"])
+@pytest.mark.parametrize("call", _SEEDED.values(), ids=_SEEDED.keys())
+def test_seeds_are_non_negative_integers_checked_before_any_draw(call, seed, message, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(seed)
+
+
+def test_a_numpy_integer_seed_draws_the_stream_of_its_int():
+    assert type(E2EScenario(seed=np.int64(3)).seed) is int
+    assert type(RecoveryScenario(kappa=0.5, n=10, seed=np.uint8(3)).seed) is int
+    ties = LabelMatrix(np.zeros((2, 50), np.int8))
+    assert majority_vote(ties, np.int32(3)).labels.tobytes() == (
+        majority_vote(ties, 3).labels.tobytes())
+    drawn = [gen_e2e(E2EScenario(n=200, seed=seed)).labels.votes for seed in (np.int64(3), 3)]
+    assert drawn[0].tobytes() == drawn[1].tobytes()
 
 
 def test_gen_recovery_degenerate_kappa_one():
